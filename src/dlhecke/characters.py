@@ -9,7 +9,7 @@ only reading that type-checks inside the coweight group algebra.
 from __future__ import annotations
 
 from . import rootdata, weyl
-from .vseries import (AnchoredSeries, SeriesError, VPoly, VP_ONE, VINV,
+from .vseries import (AnchoredSeries, VPoly, VP_ONE, VINV, divide_exact,
                       geometric_inverse, ht)
 
 
@@ -82,29 +82,49 @@ def m_factor(spec, depth):
     return out
 
 
-def character_numerator(spec, labels, depth):
-    """sum_w (-1)^{l(w)} e^{w(anchor + rho) - rho}, anchored at the labels.
-
-    anchor + rho is regular dominant, so ht of the displacement is at
-    least l(w) and layers beyond the depth cannot contribute; the BFS is
-    provably truncatable at length = depth."""
+def _dominant(labels):
     labels = tuple(labels)
     if any(x < 0 for x in labels):
         raise CharacterError("dominant labels required")
+    return labels
+
+
+def _signed_orbit(spec, labels, depth=None):
+    """{displacement of w(labels + rho): (-1)^{l(w)}} over the Weyl group,
+    keeping the displacements of height <= depth (all when depth is None).
+
+    labels + rho is regular dominant, so w -> w(labels + rho) is injective
+    and the BFS may deduplicate on displacements.  Every length-increasing
+    step s_i w raises the height by <a_i, w(labels + rho)> >= 1, so the
+    height bounds the length, a pruned element has no kept descendant and
+    the search is finite at any depth."""
     cartan = rootdata.build_cartan(spec)
     shifted = tuple(x + 1 for x in labels)
     n = spec.num_nodes
-    terms = {}
-    for layer in weyl.enumerate_layers(spec, depth):
-        for w in layer:
-            beta = (0,) * n
-            for i in reversed(w.word):
-                beta = weyl.reflect(cartan, shifted, beta, i)
-            if ht(beta) <= depth:
-                prev = terms.get(beta)
-                cf = VPoly(w.sign)
-                terms[beta] = cf if prev is None else prev + cf
-    terms = {b: c for b, c in terms.items() if c}
+    origin = (0,) * n
+    orbit = {origin: 1}
+    layer = [origin]
+    sign = 1
+    while layer:
+        sign = -sign
+        nxt = []
+        for beta in layer:
+            for i in range(1, n + 1):
+                img = weyl.reflect(cartan, shifted, beta, i)
+                if (img not in orbit
+                        and (depth is None or ht(img) <= depth)):
+                    orbit[img] = sign
+                    nxt.append(img)
+        layer = nxt
+    return orbit
+
+
+def character_numerator(spec, labels, depth):
+    """sum_w (-1)^{l(w)} e^{w(anchor + rho) - rho}, anchored at the labels,
+    to the given depth."""
+    labels = _dominant(labels)
+    terms = {b: VPoly(sign)
+             for b, sign in _signed_orbit(spec, labels, depth).items()}
     return AnchoredSeries(spec, labels, terms, depth=depth, exact=False,
                           _trusted=True)
 
@@ -116,29 +136,27 @@ def weyl_kac_character(spec, labels, depth):
 
 
 def finite_character_exact(spec, labels):
-    """Exact finite Weyl character, support certified complete.
+    """Exact finite Weyl character by exact division.
 
-    The support of chi lies between the anchor and its w0-image, so the
-    depth ht(anchor - w0(anchor)) captures everything; the truncated
-    computation at that depth is then re-flagged exact."""
+    The exact Weyl numerator sum_w (-1)^{l(w)} e^{w(anchor + rho) - rho} is
+    anti-invariant, hence divisible by every factor (1 - e^{-a}) of the
+    denominator, and these factors are pairwise coprime; dividing by them
+    one positive coroot at a time along a-strings therefore leaves a zero
+    remainder at every step, which vseries.divide_exact asserts."""
     if spec.affine:
         raise CharacterError("finite spec required")
-    labels = tuple(labels)
-    cartan = rootdata.build_cartan(spec)
-    n = spec.num_nodes
-    needed = 0
-    for layer in weyl.enumerate_layers(spec, 10 ** 9, layer_cap=10 ** 6):
-        for w in layer:
-            beta = (0,) * n
-            for i in reversed(w.word):
-                beta = weyl.reflect(cartan, labels, beta, i)
-            needed = max(needed, ht(beta))
-    chi = weyl_kac_character(spec, labels, needed)
-    return chi.as_exact()
+    labels = _dominant(labels)
+    terms = {b: VPoly(sign)
+             for b, sign in _signed_orbit(spec, labels).items()}
+    for cr in rootdata.positive_coroots_up_to(spec, 10 ** 9):
+        terms = divide_exact(terms, cr.coords)
+    return AnchoredSeries(spec, labels, terms, depth=None, exact=True,
+                          _trusted=True)
 
 
-def check_denominator_wtwist(spec, i, depth):
-    """The w_i-twisted denominator identity  D^{w_i} = -e^{a_i} D.
+def denominator_wtwist_difference(spec, i, depth):
+    """First (beta, lhs, rhs) where the w_i-twisted denominator identity
+    D^{w_i} = -e^{a_i} D fails to the depth, or None.
 
     Both sides are pushed into the anchor cone: with P = the product over
     the remaining positive coroots of their s_i-images, the identity
@@ -159,7 +177,12 @@ def check_denominator_wtwist(spec, i, depth):
         factor = _binomial_factor(spec, VP_ONE, img, depth)
         for _ in range(cr.multiplicity):
             rhs = rhs * factor
-    return lhs.first_difference(rhs) is None
+    return lhs.first_difference(rhs)
+
+
+def check_denominator_wtwist(spec, i, depth):
+    """The w_i-twisted denominator identity  D^{w_i} = -e^{a_i} D."""
+    return denominator_wtwist_difference(spec, i, depth) is None
 
 
 def denominator_identity_holds(spec, depth):

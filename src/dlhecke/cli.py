@@ -2,8 +2,10 @@
 series, and the identity-verification suite.
 
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 a check did
-not stabilize under the layer cap, 64 usage error.  All arithmetic is
-exact; the spot-check parameter q is parsed as an exact rational.
+not stabilize under the layer cap, 3 the library could not carry out the
+request (for example a layer-cap overflow), 64 usage error.  All
+arithmetic is exact; the spot-check parameter q is parsed as an exact
+rational.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from .vseries import SeriesError
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_UNSTABILIZED = 2
+EXIT_ERROR = 3
 EXIT_USAGE = 64
 
 
@@ -32,14 +35,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_labels(text, n):
+def _parse_ints(text, what, n=None):
+    """Comma-separated integers; exactly n of them when n is given."""
     try:
-        labels = tuple(int(x) for x in text.split(","))
+        vec = tuple(int(x) for x in text.split(",")) if text.strip() else ()
     except ValueError:
-        raise UsageError(f"cannot parse labels {text!r}")
-    if len(labels) != n:
-        raise UsageError(f"expected {n} labels, got {len(labels)}")
-    return labels
+        raise UsageError(f"cannot parse {what} {text!r}")
+    if n is not None and len(vec) != n:
+        raise UsageError(f"expected {n} {what}, got {len(vec)}")
+    return vec
 
 
 def _parse_q(text):
@@ -103,7 +107,10 @@ def build_parser():
 def _spec_of(args):
     if not getattr(args, "spec", None):
         raise UsageError("--spec is required for this command")
-    return RootSystemSpec.parse(args.spec)
+    try:
+        return RootSystemSpec.parse(args.spec)
+    except RootDataError as exc:
+        raise UsageError(str(exc))
 
 
 def _header(args, spec=None):
@@ -156,12 +163,12 @@ def _run_verify(args):
                                      seed=args.seed)
     elif what == "finite-cs":
         spec = _spec_of(args)
-        labels = _parse_labels(args.labels, spec.num_nodes)
+        labels = _parse_ints(args.labels, "labels", spec.num_nodes)
         reports = [verify.verify_finite_cs(spec, labels,
                                            layer_cap=args.layer_cap)]
     elif what == "affine-cs":
         spec = _spec_of(args)
-        labels = _parse_labels(args.labels, spec.num_nodes)
+        labels = _parse_ints(args.labels, "labels", spec.num_nodes)
         q = _parse_q(args.q)
         reports = [verify.verify_affine_cs(spec, labels, args.depth,
                                            margin=args.margin,
@@ -169,15 +176,14 @@ def _run_verify(args):
                                            qs=(q,))]
     elif what == "recursion":
         spec = _spec_of(args)
-        labels = _parse_labels(args.labels, spec.num_nodes)
+        labels = _parse_ints(args.labels, "labels", spec.num_nodes)
         if args.i is None or args.wprime is None:
             raise UsageError("recursion needs --wprime and --i")
-        word = tuple(int(x) for x in args.wprime.split(",")) \
-            if args.wprime.strip() else ()
+        word = _parse_ints(args.wprime, "--wprime letters")
         reports = [verify.verify_recursion(spec, labels, word, args.i)]
     elif what == "symmetrizer":
         spec = _spec_of(args)
-        labels = _parse_labels(args.labels, spec.num_nodes)
+        labels = _parse_ints(args.labels, "labels", spec.num_nodes)
         reports = [verify.verify_symmetrizer_properties(
             spec, labels, args.depth, buffer=args.buffer,
             margin=args.margin, layer_cap=args.layer_cap)]
@@ -185,7 +191,7 @@ def _run_verify(args):
         spec = _spec_of(args)
         if args.nu is None:
             raise UsageError("gk-limit needs --nu")
-        nu = tuple(int(x) for x in args.nu.split(","))
+        nu = _parse_ints(args.nu, "--nu entries", spec.num_nodes)
         reports = [verify.verify_gk_limit(spec, nu, args.depth,
                                           margin=args.margin,
                                           layer_cap=args.layer_cap)]
@@ -198,7 +204,7 @@ def _run_verify(args):
         reports = [verify.verify_denominator_identity(spec, args.depth)]
     elif what == "proportionality":
         spec = _spec_of(args)
-        labels = _parse_labels(args.labels, spec.num_nodes)
+        labels = _parse_ints(args.labels, "labels", spec.num_nodes)
         _, report = verify.extract_proportionality(
             spec, labels, args.depth, margin=args.margin,
             layer_cap=args.layer_cap)
@@ -269,13 +275,13 @@ def run(argv):
                        "total": sum(len(l) for l in layers)}
             _emit(args, payload)
         elif args.command == "character":
-            labels = _parse_labels(args.labels, spec.num_nodes)
+            labels = _parse_ints(args.labels, "labels", spec.num_nodes)
             chi = characters.weyl_kac_character(spec, labels, args.depth)
             payload = {"header": _header(args, spec),
                        "series": chi.to_json_dict()}
             _emit(args, payload)
         elif args.command == "whittaker":
-            labels = _parse_labels(args.labels, spec.num_nodes)
+            labels = _parse_ints(args.labels, "labels", spec.num_nodes)
             s, achieved, stabilized = verify.whittaker_normalized(
                 spec, labels, depth=args.depth if spec.affine else None,
                 margin=args.margin, layer_cap=args.layer_cap)
@@ -294,7 +300,7 @@ def run(argv):
             heckeops.HeckeError, characters.CharacterError,
             weyl.WeylError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return EXIT_ERROR
 
 
 def main():

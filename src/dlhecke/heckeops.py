@@ -5,20 +5,20 @@ apply_T realizes, per monomial e^mu with k = <a_i, mu>,
     T_i(e^mu)  = [ (1 - v^-1 e^{-a_i}) e^{s_i mu} + (v^-1 - 1) e^mu ] / (1 - e^{a_i})
     T'_i(e^mu) = [ (1 - v    e^{+a_i}) e^{s_i mu} + (v    - 1) e^mu ] / (1 - e^{a_i})
 
-with the division carried out exactly in the Laurent ring: the quotient is
-assembled fiberwise along the a_i-direction and the zero remainder is
-asserted on every call.  Word operators compose right-to-left, so the
-first letter of a BFS word (a left descent) is applied last.
+with the division carried out exactly in the Laurent ring by
+vseries.divide_exact: the quotient is assembled along each a_i-string and
+the zero remainder is asserted on every call.  Word operators compose
+right-to-left, so the first letter of a BFS word (a left descent) is
+applied last.
 """
 from __future__ import annotations
 
 from . import rootdata, weyl
-from .vseries import (AnchoredSeries, SeriesError, VPoly, VP_ONE, VP_ZERO,
-                      VINV, V, add_maps, ht)
+from .vseries import AnchoredSeries, VINV, V, divide_exact
 
 
 class HeckeError(ValueError):
-    """Non-exact input, failed exact division, or symmetrizer cap overflow."""
+    """Non-exact input or symmetrizer cap overflow."""
 
 
 T_KIND = "T"
@@ -39,11 +39,15 @@ def _numerator_terms(cartan, anchor, terms, i, kind):
     ii = i - 1
 
     def put(beta, cf):
-        s = num.get(beta, VP_ZERO) + cf
-        if s:
-            num[beta] = s
+        prev = num.get(beta)
+        if prev is None:
+            num[beta] = cf
         else:
-            num.pop(beta, None)
+            s = prev + cf
+            if s:
+                num[beta] = s
+            else:
+                del num[beta]
 
     for beta, cf in terms.items():
         bw = weyl.reflect(cartan, anchor, beta, i)
@@ -55,52 +59,14 @@ def _numerator_terms(cartan, anchor, terms, i, kind):
     return num
 
 
-def _divide_one_minus_e_plus(num, i, require_exact=True, depth=None):
-    """Exact quotient num / (1 - e^{a_i}), expanded in negative coroot powers.
+def apply_T_raw(cartan, anchor, terms, i, kind=T_KIND):
+    """Operator application on a raw term map; see module docstring.
 
-    Along each fiber in the i-th direction (t = beta_i) the relation
-    N_t = Q_t - Q_{t+1} gives Q_t = -sum_{s <= t-1} N_s from the shallow
-    end.  For finite input the fiber sums must vanish (zero remainder);
-    with require_exact=False the tail is silently cut at ht <= depth.
-    """
-    ii = i - 1
-    fibers = {}
-    for beta, cf in num.items():
-        key = beta[:ii] + beta[ii + 1:]
-        fibers.setdefault(key, []).append((beta[ii], cf))
-    out = {}
-    for key, entries in fibers.items():
-        entries.sort()
-        rest_ht = sum(key)
-        running = VP_ZERO
-        pos = 0
-        t = entries[0][0]
-        t_end = entries[-1][0]
-        if not require_exact and depth is not None:
-            t_end = max(t_end, depth - rest_ht)
-        while t <= t_end:
-            while pos < len(entries) and entries[pos][0] < t:
-                running = running + entries[pos][1]
-                pos += 1
-            q = -running
-            if q and (depth is None or rest_ht + t <= depth):
-                out[key[:ii] + (t,) + key[ii:]] = q
-            t += 1
-        while pos < len(entries):
-            running = running + entries[pos][1]
-            pos += 1
-        if require_exact and running:
-            raise HeckeError(
-                "nonzero remainder dividing by (1 - e^{a_i}); "
-                "this signals an implementation bug")
-    return out
-
-
-def apply_T_raw(cartan, anchor, terms, i, kind=T_KIND, exact=True,
-                depth=None):
-    """Operator application on a raw term map; see module docstring."""
+    Dividing by (1 - e^{a_i}) is dividing by (1 - e^{-alpha}) with
+    alpha = -a_i, summed from the shallow end of each a_i-string."""
     num = _numerator_terms(cartan, anchor, terms, i, kind)
-    return _divide_one_minus_e_plus(num, i, require_exact=exact, depth=depth)
+    alpha = tuple(-1 if j == i - 1 else 0 for j in range(len(cartan)))
+    return divide_exact(num, alpha)
 
 
 def apply_T(spec, i, s, kind=T_KIND):
@@ -120,24 +86,27 @@ def apply_T_word(spec, word, s, kind=T_KIND):
     return s
 
 
-def check_quadratic(spec, i, s, kind=T_KIND):
-    """T_i^2 = (v^-1 - 1) T_i + v^-1 (or the v-version for T')."""
+def quadratic_difference(spec, i, s, kind=T_KIND):
+    """First (beta, lhs, rhs) where T_i^2 = (v^-1 - 1) T_i + v^-1 (or the
+    v-version for T') fails on s, or None."""
     t1 = apply_T(spec, i, s, kind)
     t2 = apply_T(spec, i, t1, kind)
     u = VINV if kind == T_KIND else V
     rhs = t1.scale(u - 1) + s.scale(u)
-    return t2.first_difference(rhs) is None
+    return t2.first_difference(rhs)
 
 
-def check_braid(spec, i, j, s, kind=T_KIND):
-    """T_i T_j T_i = T_j T_i T_j for adjacent i, j (simply-laced)."""
+def braid_difference(spec, i, j, s, kind=T_KIND):
+    """First (beta, lhs, rhs) where T_i T_j T_i = T_j T_i T_j fails on s
+    (adjacent i, j; simply-laced), or None."""
     lhs = apply_T_word(spec, (i, j, i), s, kind)
     rhs = apply_T_word(spec, (j, i, j), s, kind)
-    return lhs.first_difference(rhs) is None
+    return lhs.first_difference(rhs)
 
 
-def check_conjugation(spec, i, s):
-    """e^{-rho} T'_i e^{rho} = -v T_i on a finite series.
+def conjugation_difference(spec, i, s):
+    """First (beta, lhs, rhs) where e^{-rho} T'_i e^{rho} = -v T_i fails on
+    a finite series, or None.
 
     The rho-shift acts on the anchored data by raising every pairing
     label by one; exponent displacements are untouched.
@@ -149,7 +118,22 @@ def check_conjugation(spec, i, s):
     lhs = AnchoredSeries(spec, s.anchor, dict(lhs_raw.terms), depth=None,
                          exact=True, _trusted=True)
     rhs = apply_T(spec, i, s, T_KIND).scale(-V)
-    return lhs.first_difference(rhs) is None
+    return lhs.first_difference(rhs)
+
+
+def check_quadratic(spec, i, s, kind=T_KIND):
+    """T_i^2 = (v^-1 - 1) T_i + v^-1 (or the v-version for T')."""
+    return quadratic_difference(spec, i, s, kind) is None
+
+
+def check_braid(spec, i, j, s, kind=T_KIND):
+    """T_i T_j T_i = T_j T_i T_j for adjacent i, j (simply-laced)."""
+    return braid_difference(spec, i, j, s, kind) is None
+
+
+def check_conjugation(spec, i, s):
+    """e^{-rho} T'_i e^{rho} = -v T_i on a finite series."""
+    return conjugation_difference(spec, i, s) is None
 
 
 def symmetrizer_partial(spec, anchor_labels, max_length, seed=None,

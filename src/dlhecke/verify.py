@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import characters, heckeops, rootdata, weyl
-from .vseries import (AnchoredSeries, SeriesError, VPoly, VP_ONE, VP_ZERO,
-                      VINV, add_maps, ht, mul_maps, maps_first_difference)
+from .vseries import (AnchoredSeries, SeriesError, VP_ONE, VP_ZERO, VINV,
+                      add_maps, divide_exact, ht, mul_maps)
 
 
 class VerifyError(ValueError):
-    """Precondition failures: bad lengths, impossible divisions."""
+    """Precondition failures: bad lengths, non-reduced words, bad depths."""
 
 
 PASS = "pass"
@@ -74,6 +74,15 @@ def _report(check, spec, params, start, diff, achieved=None,
                               _witness_from_diff(diff), achieved, ms)
 
 
+def _vector(name, vec, spec):
+    """vec as a tuple, checked to have one entry per node of the spec."""
+    vec = tuple(vec)
+    if len(vec) != spec.num_nodes:
+        raise VerifyError(f"{name} needs {spec.num_nodes} entries for "
+                          f"{spec}, got {len(vec)}")
+    return vec
+
+
 # -- Whittaker sums --------------------------------------------------------
 
 def whittaker_normalized(spec, labels, depth=None, margin=2,
@@ -84,7 +93,7 @@ def whittaker_normalized(spec, labels, depth=None, margin=2,
     Returns (series, achieved_length, stabilized).  The symbolic
     prefactor q^{<rho, anchor>} is deliberately not folded in.
     """
-    labels = tuple(labels)
+    labels = _vector("labels", labels, spec)
     if any(x < 0 for x in labels):
         raise VerifyError("dominant labels required")
     if not spec.affine:
@@ -138,7 +147,8 @@ def verify_affine_cs(spec, labels, depth, margin=2, layer_cap=20000,
             lv, rv = lhs.evaluate_v(Fraction(q)), rhs.evaluate_v(Fraction(q))
             for beta in sorted(set(lv) | set(rv)):
                 if lv.get(beta, 0) != rv.get(beta, 0):
-                    diff = (beta, VPoly(), VPoly())  # structural witness
+                    diff = (beta, lhs.terms.get(beta, VP_ZERO),
+                            rhs.terms.get(beta, VP_ZERO))
                     break
             if diff is not None:
                 break
@@ -147,45 +157,25 @@ def verify_affine_cs(spec, labels, depth, margin=2, layer_cap=20000,
 
 # -- recursion -------------------------------------------------------------
 
-def _divide_deep_end(num, i):
-    """Quotient num / (1 - e^{a_i}) summed from the deep end of each fiber:
-    Q_t = sum_{s >= t} N_s.  Agrees with the shallow-end expansion exactly
-    when the division is exact; this is the independent route."""
-    ii = i - 1
-    fibers = {}
-    for beta, cf in num.items():
-        key = beta[:ii] + beta[ii + 1:]
-        fibers.setdefault(key, []).append((beta[ii], cf))
-    out = {}
-    for key, entries in fibers.items():
-        entries.sort(reverse=True)
-        running = VP_ZERO
-        pos = 0
-        t_top = entries[0][0]
-        t_bot = entries[-1][0]
-        for t in range(t_top, t_bot - 1, -1):
-            while pos < len(entries) and entries[pos][0] >= t:
-                running = running + entries[pos][1]
-                pos += 1
-            if running:
-                out[key[:ii] + (t,) + key[ii:]] = running
-        if running:
-            raise VerifyError("inexact division in recursion check")
-    return out
-
-
 def verify_recursion(spec, labels, wprime_word, i):
     """T_{s_i w'}(e^L) computed by apply_T against the operator identity
-    c(a_i)(T_{w'}e^L)^{s_i} + b(a_i) T_{w'}e^L assembled by rational
-    arithmetic and an independently coded exact division."""
+    c(a_i)(T_{w'}e^L)^{s_i} + b(a_i) T_{w'}e^L assembled by series
+    arithmetic and divided by (1 - e^{a_i}) from the deep end of each
+    a_i-string, where apply_T sums from the shallow end.
+
+    w' must be a reduced word and s_i w' must be longer than w'."""
     start = time.perf_counter()
-    labels = tuple(labels)
+    labels = _vector("labels", labels, spec)
     wprime_word = tuple(wprime_word)
     cartan = rootdata.build_cartan(spec)
     n = spec.num_nodes
+    if not all(1 <= j <= n for j in wprime_word + (i,)):
+        raise VerifyError(f"generators must lie in 1..{n}")
     ones = (1,) * n
     key = (0,) * n
     for j in reversed(wprime_word):
+        if weyl.pairing(cartan, ones, key, j) <= 0:
+            raise VerifyError(f"w' = {list(wprime_word)} is not reduced")
         key = weyl.reflect(cartan, ones, key, j)
     if weyl.pairing(cartan, ones, key, i) <= 0:
         raise VerifyError(
@@ -199,9 +189,10 @@ def verify_recursion(spec, labels, wprime_word, i):
     cnum = AnchoredSeries(spec, (0,) * n,
                           {(0,) * n: VP_ONE, unit: -VINV}, exact=True)
     numerator = (cnum * fw) + f.scale(VINV - 1)
-    route_b_terms = _divide_deep_end(numerator.terms, i)
-    route_b = AnchoredSeries(spec, labels, route_b_terms, exact=True,
-                             _trusted=True)
+    neg_unit = tuple(-x for x in unit)
+    route_b = AnchoredSeries(
+        spec, labels, divide_exact(numerator.terms, neg_unit, from_deep=True),
+        exact=True, _trusted=True)
     diff = route_a.first_difference(route_b)
     return _report("recursion", spec, params, start, diff)
 
@@ -412,7 +403,7 @@ def verify_gk_limit(spec, nu, depth, max_doublings=6, margin=2,
     extracted coefficient; the search must terminate within the doubling
     cap."""
     start = time.perf_counter()
-    nu = tuple(nu)
+    nu = _vector("nu", nu, spec)
     if ht(nu) > depth:
         raise VerifyError("ht(nu) must be <= depth")
     params = {"nu": list(nu), "depth": depth}
@@ -462,47 +453,49 @@ def _random_monomial(spec, rng):
     return AnchoredSeries.monomial(spec, labels)
 
 
+def _relation_differences(spec, s):
+    """(relation, first difference or None) for each relation on s, in
+    order: quadratic and conjugation per generator, then braid
+    (single-bond pairs) and commutation (orthogonal pairs)."""
+    cartan = rootdata.build_cartan(spec)
+    n = spec.num_nodes
+    for i in range(1, n + 1):
+        for kind in (heckeops.T_KIND, heckeops.TPRIME_KIND):
+            yield (f"quadratic {kind} generator {i}",
+                   heckeops.quadratic_difference(spec, i, s, kind))
+        yield (f"conjugation generator {i}",
+               heckeops.conjugation_difference(spec, i, s))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            bond = cartan[i - 1][j - 1] * cartan[j - 1][i - 1]
+            if bond == 1:
+                diff = heckeops.braid_difference(spec, i, j, s)
+            elif bond == 0:
+                lhs = heckeops.apply_T_word(spec, (i, j), s)
+                rhs = heckeops.apply_T_word(spec, (j, i), s)
+                diff = lhs.first_difference(rhs)
+            else:
+                continue  # infinite bond: no braid relation
+            yield f"braid ({i},{j})", diff
+
+
 def verify_hecke_relations(spec, count=100, seed=0):
     """Quadratic, braid (single-bond pairs), commutation (orthogonal
-    pairs), and the T/T' conjugation identity on seeded random monomials."""
+    pairs), and the T/T' conjugation identity on seeded random monomials.
+    A failure names the relation and the monomial's labels; the witness
+    is relative to that monomial."""
     import random
     start = time.perf_counter()
     rng = random.Random(seed)
-    cartan = rootdata.build_cartan(spec)
-    n = spec.num_nodes
     params = {"count": count, "seed": seed}
     diff = None
     for _ in range(count):
         s = _random_monomial(spec, rng)
-        for i in range(1, n + 1):
-            for kind in (heckeops.T_KIND, heckeops.TPRIME_KIND):
-                if not heckeops.check_quadratic(spec, i, s, kind):
-                    diff = (s.anchor, VPoly(1), VPoly())
-                    params["relation"] = f"quadratic {kind} generator {i}"
-                    break
-            if diff is None and not heckeops.check_conjugation(spec, i, s):
-                diff = (s.anchor, VPoly(1), VPoly())
-                params["relation"] = f"conjugation generator {i}"
+        for relation, diff in _relation_differences(spec, s):
             if diff is not None:
+                params["relation"] = relation
+                params["monomial"] = list(s.anchor)
                 break
-        if diff is None:
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    bond = cartan[i - 1][j - 1] * cartan[j - 1][i - 1]
-                    if bond == 1:
-                        ok = heckeops.check_braid(spec, i, j, s)
-                    elif bond == 0:
-                        lhs = heckeops.apply_T_word(spec, (i, j), s)
-                        rhs = heckeops.apply_T_word(spec, (j, i), s)
-                        ok = lhs.first_difference(rhs) is None
-                    else:
-                        continue  # infinite bond: no braid relation
-                    if not ok:
-                        diff = (s.anchor, VPoly(1), VPoly())
-                        params["relation"] = f"braid ({i},{j})"
-                        break
-                if diff is not None:
-                    break
         if diff is not None:
             break
     return _report("hecke-relations", spec, params, start, diff)
@@ -519,8 +512,8 @@ def verify_denominator_identity(spec, depth):
     diff = num.first_difference(den)
     if diff is None:
         for i in range(1, n + 1):
-            if not characters.check_denominator_wtwist(spec, i, depth):
-                diff = ((0,) * n, VPoly(1), VPoly())
+            diff = characters.denominator_wtwist_difference(spec, i, depth)
+            if diff is not None:
                 params["twist_generator"] = i
                 break
     return _report("denominator-identity", spec, params, start, diff)

@@ -92,6 +92,12 @@ class VPoly:
             r = VPoly()
             r.c = {d: n * other for d, n in self.c.items()}
             return r
+        if len(other.c) == 1:
+            # a monomial factor only shifts and scales, with no collisions
+            ((e, m),) = other.c.items()
+            r = VPoly()
+            r.c = {d + e: n * m for d, n in self.c.items()}
+            return r
         out = {}
         for d1, n1 in self.c.items():
             for d2, n2 in other.c.items():
@@ -251,13 +257,7 @@ class AnchoredSeries:
         if self.anchor != other.anchor:
             raise SeriesError("anchor mismatch in add")
         depth, exact = self._common_depth(other)
-        out = dict(self.terms)
-        for beta, cf in other.terms.items():
-            s = out.get(beta, VP_ZERO) + cf
-            if s:
-                out[beta] = s
-            else:
-                out.pop(beta, None)
+        out = add_maps(self.terms, other.terms)
         if depth is not None:
             out = {b: c for b, c in out.items() if ht(b) <= depth}
         return AnchoredSeries(self.spec, self.anchor, out,
@@ -401,7 +401,26 @@ def mul_maps(t1, t2, depth):
             beta = tuple(x + y for x, y in zip(b1, b2))
             if depth is not None and ht(beta) > depth:
                 continue
-            s = out.get(beta, VP_ZERO) + c1 * c2
+            prev = out.get(beta)
+            if prev is None:
+                out[beta] = c1 * c2
+            else:
+                s = prev + c1 * c2
+                if s:
+                    out[beta] = s
+                else:
+                    del out[beta]
+    return out
+
+
+def add_maps(t1, t2):
+    out = dict(t1)
+    for beta, cf in t2.items():
+        prev = out.get(beta)
+        if prev is None:
+            out[beta] = cf
+        else:
+            s = prev + cf
             if s:
                 out[beta] = s
             else:
@@ -409,14 +428,71 @@ def mul_maps(t1, t2, depth):
     return out
 
 
-def add_maps(t1, t2):
-    out = dict(t1)
-    for beta, cf in t2.items():
-        s = out.get(beta, VP_ZERO) + cf
-        if s:
-            out[beta] = s
+def divide_exact(terms, alpha, from_deep=False):
+    """Exact quotient of a raw term map by (1 - e^{-alpha}).
+
+    alpha is a positive coroot or its negative, in simple-coroot
+    coordinates.  Multiplying by e^{-alpha} moves a displacement beta to
+    beta + alpha, so along each alpha-string beta = key + t*alpha the
+    numerator and quotient satisfy N_t = Q_t - Q_{t-1}.  The quotient is
+    summed from the shallow end of every string (lower height; the
+    expansion in e^{-alpha} for positive alpha) or, with from_deep=True,
+    from the deep end.  The two agree exactly when the division is exact;
+    a nonzero remainder on any string raises SeriesError.
+
+    Along a run of steps between two numerator terms the quotient is
+    constant; one VPoly is stored for the whole run (VPolys are never
+    mutated in place, so the sharing is safe).
+    """
+    alpha = tuple(alpha)
+    pivot = next((j for j, a in enumerate(alpha) if a), None)
+    h = sum(alpha)
+    if pivot is None or h == 0:
+        raise SeriesError(f"cannot divide along {alpha}")
+    step = alpha[pivot]
+    simple = abs(step) == 1 == sum(1 for a in alpha if a)
+    fibers = {}
+    if simple:
+        # a simple coroot direction: the key is beta without the pivot
+        for beta, cf in terms.items():
+            key = beta[:pivot] + beta[pivot + 1:]
+            fibers.setdefault(key, []).append((beta[pivot] * step, cf))
+    else:
+        for beta, cf in terms.items():
+            t = beta[pivot] // step
+            key = tuple(b - t * a for b, a in zip(beta, alpha))
+            fibers.setdefault(key, []).append((t, cf))
+    # the shallow end of a string is its low-t end iff alpha is positive
+    from_low_t = (h > 0) != from_deep
+    out = {}
+    for key, entries in fibers.items():
+        entries.sort()  # t is distinct within a string
+        if simple:
+            head, tail = key[:pivot], key[pivot:]
+
+            def place(t):
+                return head + (t * step,) + tail
         else:
-            out.pop(beta, None)
+            def place(t):
+                return tuple(k + t * a for k, a in zip(key, alpha))
+        # Q is constant between neighbouring numerator terms: from the low-t
+        # end Q_t = sum_{s <= t} N_s, from the high-t end Q_t =
+        # -sum_{s > t} N_s
+        seq = entries if from_low_t else entries[::-1]
+        run = None
+        for (t, cf), (t_next, _) in zip(seq, seq[1:]):
+            run = cf if run is None else run + cf
+            if run:
+                if from_low_t:
+                    q, lo, hi = run, t, t_next
+                else:
+                    q, lo, hi = -run, t_next, t
+                for u in range(lo, hi):
+                    out[place(u)] = q
+        run = seq[-1][1] if run is None else run + seq[-1][1]
+        if run:
+            raise SeriesError(
+                f"nonzero remainder dividing by (1 - e^{{-{alpha}}})")
     return out
 
 

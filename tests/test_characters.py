@@ -1,13 +1,15 @@
 """Unit tests for characters, denominators, and the golden files."""
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dlhecke import characters
+from dlhecke import characters, rootdata, weyl
 from dlhecke.characters import CharacterError
 from dlhecke.rootdata import RootSystemSpec
-from dlhecke.vseries import AnchoredSeries, VPoly, VP_ONE, VINV
+from dlhecke.vseries import AnchoredSeries, VPoly, VP_ONE, VINV, ht
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -106,3 +108,51 @@ def test_character_matches_goldens_all_depths():
         golden = AnchoredSeries.from_json_dict(data)
         live = characters.weyl_kac_character(A1A, (0, 1), depth)
         assert live.first_difference(golden) is None
+
+
+def _w0_height(spec, labels):
+    """ht(Lambda - w0 Lambda): the depth at which the truncated Weyl-Kac
+    product holds the whole finite character."""
+    w0 = weyl.enumerate_layers(spec, 10 ** 9)[-1][0]
+    image = weyl.act_on_series(spec, w0, AnchoredSeries.monomial(spec, labels))
+    (beta,) = image.terms
+    return ht(beta)
+
+
+@pytest.mark.parametrize("text, labels", [
+    ("A1", (3,)), ("A2", (2, 1)), ("A3", (1, 0, 1)), ("D4", (0, 1, 0, 0)),
+    ("A4", (1, 0, 0, 1))])
+def test_finite_character_matches_truncated_weyl_kac(text, labels):
+    spec = RootSystemSpec.parse(text)
+    exact = characters.finite_character_exact(spec, labels)
+    truncated = characters.weyl_kac_character(
+        spec, labels, _w0_height(spec, labels)).as_exact()
+    assert exact == truncated
+
+
+def _weyl_dimension(spec, labels):
+    """prod_{a > 0} <a, Lambda + rho> / <a, rho> (simply-laced: a root and
+    its coroot have the same coordinates)."""
+    dim = Fraction(1)
+    for cr in rootdata.positive_coroots_up_to(spec, 10 ** 9):
+        dim *= Fraction(sum(c * (x + 1) for c, x in zip(cr.coords, labels)),
+                        cr.height)
+    return dim
+
+
+@st.composite
+def dominant_labels(draw):
+    spec = draw(st.sampled_from(
+        [RootSystemSpec.parse(t) for t in ("A2", "A3", "A4", "D4")]))
+    top = 2 if spec.num_nodes <= 3 else 1
+    labels = draw(st.tuples(*[st.integers(0, top)] * spec.num_nodes))
+    return spec, labels
+
+
+@settings(max_examples=25, deadline=None)
+@given(dominant_labels())
+def test_finite_character_dimension_is_weyls(case):
+    spec, labels = case
+    chi = characters.finite_character_exact(spec, labels)
+    assert sum(c.evaluate(1) for c in chi.terms.values()) == \
+        _weyl_dimension(spec, labels)

@@ -74,6 +74,25 @@ def test_usage_error_exit_64(capsys):
     assert code in (1, 64)
 
 
+def test_malformed_vectors_are_usage_errors(capsys):
+    for argv in (["--nu", "a,b"], ["--nu", "1,1,1"]):
+        code, _, err = run(capsys, "verify", "gk-limit", "--spec", "A1!",
+                           *argv)
+        assert code == 64 and "usage error" in err
+    code, _, err = run(capsys, "verify", "recursion", "--spec", "A2",
+                       "--labels", "1,1", "--wprime", "x", "--i", "1")
+    assert code == 64 and "usage error" in err
+
+
+def test_library_errors_have_their_own_exit_code(capsys):
+    code, _, err = run(capsys, "--layer-cap", "2", "whittaker", "--spec",
+                       "A3", "--labels", "1,1,1")
+    assert code == cli.EXIT_ERROR == 3 and "exceeds cap" in err
+    code, _, err = run(capsys, "verify", "recursion", "--spec", "A2",
+                       "--labels", "1,1", "--wprime", "1,1", "--i", "2")
+    assert code == 3 and "not reduced" in err
+
+
 def test_bad_rational_q(capsys):
     code, _, err = run(capsys, "verify", "affine-cs", "--spec", "A1!",
                        "--labels", "0,1", "--q", "zebra")

@@ -10,7 +10,7 @@ import pytest
 
 from dlhecke import characters, heckeops, rootdata, verify
 from dlhecke.rootdata import RootSystemSpec
-from dlhecke.vseries import AnchoredSeries, VPoly, VP_ONE, VINV
+from dlhecke.vseries import AnchoredSeries, VPoly, VP_ONE, VINV, divide_exact
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -85,12 +85,59 @@ def test_series_divide_requires_unit_lead():
 
 
 def test_divide_deep_end_matches_shallow_end():
+    """The recursion check's route (deep end) and apply_T's (shallow end)
+    give the same quotient of a T_1 numerator by (1 - e^{a_1})."""
     s = AnchoredSeries.monomial(A2, (2, 1))
-    num = heckeops._numerator_terms(rootdata.build_cartan(A2), s.anchor,
-                                    s.terms, 1, heckeops.T_KIND)
-    shallow = heckeops._divide_one_minus_e_plus(dict(num), 1)
-    deep = verify._divide_deep_end(dict(num), 1)
+    cartan = rootdata.build_cartan(A2)
+    num = heckeops._numerator_terms(cartan, s.anchor, s.terms, 1,
+                                    heckeops.T_KIND)
+    shallow = divide_exact(dict(num), (-1, 0))
+    deep = divide_exact(dict(num), (-1, 0), from_deep=True)
     assert shallow == deep
+    assert shallow == heckeops.apply_T_raw(cartan, s.anchor, s.terms, 1)
+
+
+def test_recursion_rejects_bad_words():
+    for word, i in (((1, 1), 2), ((3,), 1), ((1,), 0)):
+        with pytest.raises(verify.VerifyError):
+            verify.verify_recursion(A2, (1, 1), word, i)
+
+
+def test_gk_limit_rejects_wrong_length_nu():
+    with pytest.raises(verify.VerifyError):
+        verify.verify_gk_limit(A1A, (1, 1, 1), 6)
+
+
+def test_hecke_failure_carries_real_witness(monkeypatch):
+    real = heckeops.apply_T
+
+    def broken(spec, i, s, kind=heckeops.T_KIND):
+        out = real(spec, i, s, kind)
+        return out.scale(VPoly(2)) if kind == heckeops.TPRIME_KIND else out
+
+    monkeypatch.setattr(heckeops, "apply_T", broken)
+    r = verify.verify_hecke_relations(A2, count=3, seed=1)
+    assert r.verdict == verify.FAIL
+    assert r.params["relation"].startswith("quadratic Tprime")
+    assert len(r.params["monomial"]) == 2
+    assert r.witness["lhs"] != r.witness["rhs"]
+
+
+def test_denominator_twist_failure_carries_real_witness(monkeypatch):
+    # a doubled denominator still matches a doubled numerator, so only
+    # the twisted identities can fail
+    real = characters.denominator
+
+    def doubled(spec, depth, deformed=False):
+        return real(spec, depth, deformed).scale(VPoly(2))
+
+    monkeypatch.setattr(characters, "denominator", doubled)
+    monkeypatch.setattr(characters, "character_numerator",
+                        lambda spec, labels, depth: doubled(spec, depth))
+    r = verify.verify_denominator_identity(A1A, 4)
+    assert r.verdict == verify.FAIL
+    assert r.params["twist_generator"] == 1
+    assert r.witness == {"beta": [0, 0], "lhs": [[0, 2]], "rhs": [[0, 1]]}
 
 
 def test_finite_proportionality_is_one():

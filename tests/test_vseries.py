@@ -2,11 +2,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dlhecke import rootdata
 from dlhecke.rootdata import RootSystemSpec
 from dlhecke.vseries import (AnchoredSeries, SeriesError, VPoly, VP_ONE,
-                             VP_ZERO, V, VINV, add_maps, geometric_inverse,
-                             ht, mul_maps, maps_first_difference)
+                             VP_ZERO, V, VINV, add_maps, divide_exact,
+                             geometric_inverse, ht, mul_maps,
+                             maps_first_difference)
 
 A2 = RootSystemSpec.parse("A2")
 A1A = RootSystemSpec.parse("A1!")
@@ -132,3 +135,64 @@ def test_raw_map_helpers():
     assert mul_maps(t1, t2, None) == {(0, 0): VP_ONE, (2, 0): -VP_ONE}
     assert add_maps(t1, t2) == {(0, 0): VPoly(2)}
     assert maps_first_difference(t1, t2, 10) == ((1, 0), -VP_ONE, VP_ONE)
+
+
+# -- exact division along root strings ---------------------------------------
+
+DIVISION_SPECS = [RootSystemSpec.parse(t) for t in ("A2", "A3", "D4", "A1!",
+                                                    "A2!")]
+
+
+@st.composite
+def division_problems(draw):
+    """(alpha, Q): alpha = +- a positive coroot (imaginary ones included),
+    Q a random multi-term map with negative displacements allowed."""
+    spec = draw(st.sampled_from(DIVISION_SPECS))
+    root = draw(st.sampled_from(rootdata.positive_coroots_up_to(spec, 4)))
+    sign = draw(st.sampled_from((1, -1)))
+    alpha = tuple(sign * x for x in root.coords)
+    n = spec.num_nodes
+    betas = st.tuples(*[st.integers(-3, 3)] * n)
+    coeffs = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3),
+                             max_size=3).map(VPoly)
+    q = draw(st.dictionaries(betas, coeffs, max_size=6))
+    return alpha, {b: c for b, c in q.items() if c}
+
+
+def _times_one_minus(alpha, q):
+    """(1 - e^{-alpha}) * q as a raw term map."""
+    zero = (0,) * len(alpha)
+    return mul_maps({zero: VP_ONE, alpha: -VP_ONE}, q, None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_problems())
+def test_divide_exact_round_trips_from_both_ends(problem):
+    alpha, q = problem
+    num = _times_one_minus(alpha, q)
+    assert divide_exact(num, alpha) == q
+    assert divide_exact(num, alpha, from_deep=True) == q
+
+
+@settings(max_examples=100, deadline=None)
+@given(division_problems(), st.tuples(*[st.integers(-3, 3)] * 3))
+def test_divide_exact_rejects_inexact_input(problem, offset):
+    alpha, q = problem
+    num = _times_one_minus(alpha, q)
+    # one extra monomial changes the sum along its string, so that
+    # string's remainder is nonzero
+    beta = tuple(offset[j % 3] for j in range(len(alpha)))
+    num[beta] = num.get(beta, VP_ZERO) + V
+    for from_deep in (False, True):
+        with pytest.raises(SeriesError):
+            divide_exact(num, alpha, from_deep=from_deep)
+
+
+def test_divide_exact_simple_direction_by_hand():
+    # (e^{-a} - e^{-3a}) / (1 - e^{-a}) = e^{-a} + e^{-2a}
+    num = {(1, 0): VP_ONE, (3, 0): -VP_ONE}
+    assert divide_exact(num, (1, 0)) == {(1, 0): VP_ONE, (2, 0): VP_ONE}
+    # over (1 - e^{+a}) the quotient is -e^{-2a} - e^{-3a}
+    assert divide_exact(num, (-1, 0)) == {(2, 0): -VP_ONE, (3, 0): -VP_ONE}
+    with pytest.raises(SeriesError):
+        divide_exact(num, (0, 0))
