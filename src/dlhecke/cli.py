@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -59,8 +58,6 @@ def _parse_q(text):
 def build_parser():
     p = _Parser(prog="dlhecke", description=__doc__.splitlines()[0])
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--cache-dir",
-                   default=os.environ.get("DLHECKE_CACHE_DIR"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--layer-cap", type=int, default=20000)
     sub = p.add_subparsers(dest="command", required=True)
@@ -268,8 +265,7 @@ def run(argv):
             _emit(args, payload)
         elif args.command == "weyl":
             layers = weyl.enumerate_layers(spec, args.max_length,
-                                           layer_cap=args.layer_cap,
-                                           cache_dir=args.cache_dir)
+                                           layer_cap=args.layer_cap)
             payload = {"header": _header(args, spec),
                        "layer_sizes": [len(l) for l in layers],
                        "total": sum(len(l) for l in layers)}

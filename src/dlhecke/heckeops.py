@@ -28,11 +28,9 @@ TPRIME_KIND = "Tprime"
 def _numerator_terms(cartan, anchor, terms, i, kind):
     """Raw term map of the pre-division numerator, all monomials at once."""
     if kind == T_KIND:
-        shift_cf, const_cf = -VINV, VINV - 1
-        shift_dir = +1  # e^{-a_i}
+        u, shift_dir = VINV, +1  # u e^{-a_i}
     elif kind == TPRIME_KIND:
-        shift_cf, const_cf = -V, V - 1
-        shift_dir = -1  # e^{+a_i}
+        u, shift_dir = V, -1  # u e^{+a_i}
     else:
         raise HeckeError(f"unknown operator kind {kind!r}")
     num = {}
@@ -54,8 +52,9 @@ def _numerator_terms(cartan, anchor, terms, i, kind):
         put(bw, cf)
         shifted = list(bw)
         shifted[ii] += shift_dir
-        put(tuple(shifted), cf * shift_cf)
-        put(beta, cf * const_cf)
+        ucf = cf * u  # a monomial factor: a shift of v-degrees
+        put(tuple(shifted), -ucf)
+        put(beta, ucf - cf)
     return num
 
 
@@ -138,51 +137,11 @@ def check_conjugation(spec, i, s):
 
 def symmetrizer_partial(spec, anchor_labels, max_length, seed=None,
                         layer_cap=None, kind=T_KIND):
-    """(sum_{l(w) <= L} T_w(seed), per-layer deltas), all exact.
-
-    T_w is evaluated incrementally along the BFS: w = s_i w' with the
-    length adding, so T_w(seed) = T_i(T_{w'}(seed)); values are memoized
-    per orbit key and evicted once a layer is fully extended.
-    """
-    anchor_labels = tuple(anchor_labels)
+    """(sum_{l(w) <= L} T_w(seed), per-layer deltas), all exact."""
     if seed is None:
-        seed = AnchoredSeries.monomial(spec, anchor_labels)
-    total = seed
-    deltas = [seed]
-    layer = [weyl.identity_element(spec)]
-    seen = {layer[0].orbit_key}
-    memo = {layer[0].orbit_key: seed}
-    for _ in range(max_length):
-        nxt = _extend_with_memo(spec, layer, seen, memo, layer_cap, kind)
-        if not nxt:
-            break
-        delta = None
-        for w in nxt:
-            delta = memo[w.orbit_key] if delta is None else delta + memo[w.orbit_key]
-        deltas.append(delta)
-        total = total + delta
-        for w in layer:
-            del memo[w.orbit_key]
-        layer = nxt
+        seed = AnchoredSeries.monomial(spec, tuple(anchor_labels))
+    total, deltas, _ = _walk(spec, seed, max_length, layer_cap, kind)
     return total, deltas
-
-
-def _extend_with_memo(spec, layer, seen, memo, layer_cap, kind):
-    cartan = rootdata.build_cartan(spec)
-    n = spec.num_nodes
-    ones = (1,) * n
-    nxt = []
-    for w in layer:
-        for i in range(1, n + 1):
-            key = weyl.reflect(cartan, ones, w.orbit_key, i)
-            if key not in seen:
-                seen.add(key)
-                nw = weyl.WeylElement((i,) + w.word, key)
-                memo[key] = apply_T(spec, i, memo[w.orbit_key], kind)
-                nxt.append(nw)
-    if layer_cap is not None and len(nxt) > layer_cap:
-        raise HeckeError(f"layer of size {len(nxt)} exceeds cap {layer_cap}")
-    return nxt
 
 
 def symmetrizer_stabilized(spec, anchor_labels, depth, margin=2,
@@ -196,30 +155,106 @@ def symmetrizer_stabilized(spec, anchor_labels, depth, margin=2,
     """
     if margin < 1:
         raise HeckeError("margin must be >= 1")
-    anchor_labels = tuple(anchor_labels)
     if seed is None:
-        seed = AnchoredSeries.monomial(spec, anchor_labels)
-    total = seed.truncate(depth)
-    layer = [weyl.identity_element(spec)]
-    seen = {layer[0].orbit_key}
-    memo = {layer[0].orbit_key: seed}
+        seed = AnchoredSeries.monomial(spec, tuple(anchor_labels))
+    total, deltas, stabilized = _walk(spec, seed, max_layers, layer_cap,
+                                      kind, depth, margin)
+    return total, len(deltas) - 1, stabilized
+
+
+def _walk(spec, seed, max_layers, layer_cap, kind, depth=None, margin=None):
+    """Sum T_w(seed) over the Weyl group, one BFS layer (length) at a time.
+
+    Returns (total, deltas, stabilized), deltas[L] being the sum over the
+    elements of length L.  BFS extends by left multiplication: w = s_i w'
+    with the length adding, so T_w(seed) = T_i(T_{w'}(seed)), and each
+    layer's exact values are built from its parents' and kept until the
+    next layer has been built from them.  With depth None the sums are
+    exact and the walk runs max_layers layers or to the end of a finite
+    group.  With a depth every sum is truncated to ht <= depth (and to
+    nonnegative displacements), and the walk stops, stabilized, after
+    `margin` consecutive layers whose elements each contribute nothing
+    there; stabilized is False when max_layers runs out first.
+
+    The layer that would be the margin-th quiet one is first tried without
+    its exact values: each element's truncated contribution is computed
+    from the part of its parent's value that _reachable_terms keeps, the
+    terms beta with ht(beta) + min(0, k, k + s) < depth, where
+    k = <a_i, anchor - beta> and s = +1 for T, -1 for T'.  This is exact.
+    T_i is linear.  The numerator of one monomial lies on a single
+    a_i-string, at heights ht(beta), ht(beta) + k and ht(beta) + k + s,
+    and its coefficients sum to zero.  The quotient, summed from the
+    shallow end of the string, vanishes at and above the shallowest
+    numerator position, so a dropped term has no output at ht <= depth.
+    If every contribution is zero the walk ends there, that layer
+    counted; otherwise the layer is built exactly.
+    """
+    if not seed.exact:
+        raise HeckeError("the symmetrizer needs an exact (finite) seed")
+    cartan = rootdata.build_cartan(spec)
+    n = spec.num_nodes
+    ones = (1,) * n
+    anchor = seed.anchor
+    zero = AnchoredSeries.zero(spec, anchor, depth=depth,
+                               exact=depth is None)
+    total = seed if depth is None else seed.truncate(depth)
+    deltas = [total]
+    layer = {(0,) * n: seed}  # orbit key -> T_w(seed)
+    seen = set(layer)
     quiet = 0
-    achieved = 0
     for _ in range(max_layers):
-        nxt = _extend_with_memo(spec, layer, seen, memo, layer_cap, kind)
-        if not nxt:
-            return total, achieved, True  # finite group exhausted
-        achieved += 1
-        contributed = False
-        for w in nxt:
-            piece = memo[w.orbit_key].truncate(depth)
-            if not piece.is_zero():
-                contributed = True
-                total = total + piece
-        for w in layer:
-            del memo[w.orbit_key]
-        layer = nxt
-        quiet = 0 if contributed else quiet + 1
-        if quiet >= margin:
-            return total, achieved, True
-    return total, achieved, False
+        steps = []  # (orbit key, letter, parent's value)
+        for key, value in layer.items():
+            for i in range(1, n + 1):
+                child = weyl.reflect(cartan, ones, key, i)
+                if child not in seen:
+                    seen.add(child)
+                    steps.append((child, i, value))
+        if layer_cap is not None and len(steps) > layer_cap:
+            raise HeckeError(
+                f"layer of size {len(steps)} exceeds cap {layer_cap}")
+        if not steps:
+            return total, deltas, True  # finite group exhausted
+        if (margin is not None and quiet == margin - 1
+                and _quiet_from_reachable(cartan, anchor, steps, kind, depth)):
+            deltas.append(zero)
+            return total, deltas, True
+        layer = {child: apply_T(spec, i, value, kind)
+                 for child, i, value in steps}
+        if depth is None:
+            pieces = list(layer.values())
+        else:
+            pieces = [p for p in (v.truncate(depth) for v in layer.values())
+                      if not p.is_zero()]
+            quiet = 0 if pieces else quiet + 1
+        delta = sum(pieces, zero)
+        deltas.append(delta)
+        total = total + delta
+        if margin is not None and quiet >= margin:
+            return total, deltas, True
+    return total, deltas, False
+
+
+def _reachable_terms(cartan, anchor, terms, i, kind, depth):
+    """The terms of a map whose T_i (or T'_i) image can reach ht <= depth:
+    those with ht(beta) + min(0, k, k + s) < depth; see _walk."""
+    row = cartan[i - 1]
+    label = anchor[i - 1]
+    s = 1 if kind == T_KIND else -1
+    out = {}
+    for beta, cf in terms.items():
+        k = label - sum(a * b for a, b in zip(row, beta))
+        if sum(beta) + min(0, k, k + s) < depth:
+            out[beta] = cf
+    return out
+
+
+def _quiet_from_reachable(cartan, anchor, steps, kind, depth):
+    """True iff no new element contributes at ht <= depth, computed from
+    the reachable part of each parent's value alone."""
+    for _, i, parent in steps:
+        out = apply_T_raw(cartan, anchor, _reachable_terms(
+            cartan, anchor, parent.terms, i, kind, depth), i, kind)
+        if any(sum(b) <= depth and min(b) >= 0 for b in out):
+            return False
+    return True

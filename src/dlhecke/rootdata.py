@@ -124,7 +124,7 @@ def build_cartan(spec):
 
 
 def spec_hash(spec):
-    """Stable content hash of a spec's Cartan matrix (cache invalidation)."""
+    """Stable content hash of a spec's Cartan matrix (report headers)."""
     payload = json.dumps({"spec": str(spec),
                           "cartan": [list(r) for r in build_cartan(spec)]})
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -178,11 +178,6 @@ def minimal_imaginary_coroot(spec):
         raise RootDataError("affine spec required")
     theta = highest_root(spec.finite).coords
     return Coroot(theta + (1,), "imaginary", spec.rank)
-
-
-def coxeter_height_of_c(spec):
-    """ht(c) = 1 + ht(theta^vee); the affine Coxeter number."""
-    return minimal_imaginary_coroot(spec).height
 
 
 def positive_coroots_up_to(spec, depth):

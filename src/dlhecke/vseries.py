@@ -80,7 +80,16 @@ class VPoly:
     def __sub__(self, other):
         if isinstance(other, int):
             other = VPoly(other)
-        return self + (-other)
+        out = dict(self.c)
+        for d, n in other.c.items():
+            m = out.get(d, 0) - n
+            if m:
+                out[d] = m
+            else:
+                out.pop(d, None)
+        r = VPoly()
+        r.c = out
+        return r
 
     def __rsub__(self, other):
         return VPoly(other) + (-self)
@@ -231,12 +240,6 @@ class AnchoredSeries:
         if not self.exact and ht(beta) > self.depth:
             raise SeriesError(f"coefficient at {beta} beyond depth {self.depth}")
         return self.terms.get(beta, VP_ZERO)
-
-    def support_heights(self):
-        return sorted({ht(b) for b in self.terms})
-
-    def all_in_v_inverse_ring(self):
-        return all(cf.in_v_inverse_ring() for cf in self.terms.values())
 
     def __repr__(self):
         kind = "exact" if self.exact else f"depth={self.depth}"

@@ -8,8 +8,6 @@ letter of every stored word is a left descent.
 """
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 from . import rootdata
@@ -68,7 +66,7 @@ def left_descent(w):
     return w.word[0]
 
 
-def enumerate_layers(spec, max_length, layer_cap=None, cache_dir=None):
+def enumerate_layers(spec, max_length, layer_cap=None):
     """Layers [L0, L1, ...] with Lk = all elements of Coxeter length k.
 
     BFS by left multiplication with orbit-key dedup; ties between
@@ -77,10 +75,6 @@ def enumerate_layers(spec, max_length, layer_cap=None, cache_dir=None):
     """
     if max_length < 0:
         raise WeylError("max_length must be >= 0")
-    if cache_dir is not None:
-        cached = _load_cache(spec, max_length, cache_dir)
-        if cached is not None:
-            return cached
     cartan = rootdata.build_cartan(spec)
     n = spec.num_nodes
     ones = (1,) * n
@@ -100,24 +94,7 @@ def enumerate_layers(spec, max_length, layer_cap=None, cache_dir=None):
         if not nxt:
             break  # finite group exhausted
         layers.append(nxt)
-    if cache_dir is not None:
-        _store_cache(spec, layers, cache_dir, max_length)
     return layers
-
-
-def extend_layer(spec, layer, seen):
-    """One BFS step: new elements of length len+1; mutates seen in place."""
-    cartan = rootdata.build_cartan(spec)
-    n = spec.num_nodes
-    ones = (1,) * n
-    nxt = []
-    for w in layer:
-        for i in range(1, n + 1):
-            key = reflect(cartan, ones, w.orbit_key, i)
-            if key not in seen:
-                seen.add(key)
-                nxt.append(WeylElement((i,) + w.word, key))
-    return nxt
 
 
 def act_on_series(spec, w, s):
@@ -140,46 +117,3 @@ def act_on_series(spec, w, s):
     return AnchoredSeries(s.spec, s.anchor, out, depth=None, exact=True,
                           _trusted=True)
 
-
-# -- layer cache ----------------------------------------------------------
-
-def _cache_path(spec, cache_dir):
-    return os.path.join(cache_dir, f"layers-{spec}.jsonl")
-
-
-def _load_cache(spec, max_length, cache_dir):
-    path = _cache_path(spec, cache_dir)
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            header = json.loads(fh.readline())
-            if (header.get("hash") != rootdata.spec_hash(spec)
-                    or header.get("max_length", -1) < max_length):
-                return None
-            layers = [[] for _ in range(header["max_length"] + 1)]
-            for line in fh:
-                rec = json.loads(line)
-                layers[rec["length"]].append(
-                    WeylElement(tuple(rec["word"]), tuple(rec["orbit_key"])))
-    except (ValueError, KeyError, IndexError):
-        return None
-    layers = [layer for layer in layers if layer]
-    return layers[:max_length + 1]
-
-
-def _store_cache(spec, layers, cache_dir, requested):
-    os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(spec, cache_dir)
-    with open(path, "w") as fh:
-        # a finite group can exhaust below the requested length; record the
-        # request so the cache still satisfies it next time
-        fh.write(json.dumps({"spec": str(spec),
-                             "hash": rootdata.spec_hash(spec),
-                             "max_length": max(requested, len(layers) - 1)})
-                 + "\n")
-        for layer in layers:
-            for w in layer:
-                fh.write(json.dumps({"length": w.length,
-                                     "word": list(w.word),
-                                     "orbit_key": list(w.orbit_key)}) + "\n")

@@ -98,9 +98,3 @@ def test_bad_rational_q(capsys):
                        "--labels", "0,1", "--q", "zebra")
     assert code == 64
 
-
-def test_cache_dir_flag(tmp_path, capsys):
-    code, _, _ = run(capsys, "--cache-dir", str(tmp_path), "weyl",
-                     "--spec", "A1!", "--max-length", "3")
-    assert code == 0
-    assert any(tmp_path.iterdir())

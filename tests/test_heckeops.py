@@ -1,7 +1,8 @@
 """Unit tests for the Demazure-Lusztig operators and symmetrizers."""
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dlhecke import heckeops, rootdata
+from dlhecke import heckeops, rootdata, weyl
 from dlhecke.heckeops import HeckeError, T_KIND, TPRIME_KIND
 from dlhecke.rootdata import RootSystemSpec
 from dlhecke.vseries import AnchoredSeries, VPoly, VP_ONE, V, VINV
@@ -110,9 +111,151 @@ def test_symmetrizer_stabilized_affine_flags():
     _, _, flag = heckeops.symmetrizer_stabilized(A1A, (0, 1), 3, margin=2,
                                                  max_layers=2)
     assert not flag
+    # a truncated seed is refused, even where no layer is built exactly
+    deep = _mono(A1A, (0, 1), beta=(2, 1), depth=3, exact=False)
+    with pytest.raises(HeckeError):
+        heckeops.symmetrizer_stabilized(A1A, (0, 1), 1, margin=1, seed=deep)
 
 
 def test_layer_cap_enforced():
     with pytest.raises(HeckeError):
         heckeops.symmetrizer_partial(RootSystemSpec.parse("A3"), (1, 1, 1),
                                      10, layer_cap=2)
+
+
+# -- random multi-term series ----------------------------------------------
+
+OPERATOR_SPECS = [RootSystemSpec.parse(t) for t in ("A2", "A3", "D4", "A1!",
+                                                    "A2!", "A3!")]
+
+
+def _term_maps(n):
+    """Random exact term maps over n nodes, negative displacements allowed."""
+    betas = st.tuples(*[st.integers(-3, 3)] * n)
+    coeffs = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3),
+                             min_size=1, max_size=3).map(VPoly)
+    return st.dictionaries(betas, coeffs, min_size=1, max_size=6)
+
+
+@st.composite
+def exact_series(draw, specs=OPERATOR_SPECS):
+    spec = draw(st.sampled_from(specs))
+    n = spec.num_nodes
+    labels = draw(st.tuples(*[st.integers(-3, 3)] * n))
+    return AnchoredSeries(spec, labels, draw(_term_maps(n)), exact=True)
+
+
+KINDS = st.sampled_from((T_KIND, TPRIME_KIND))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), exact_series(), KINDS)
+def test_quadratic_relation_on_multi_term_series(data, s, kind):
+    i = data.draw(st.integers(1, s.spec.num_nodes))
+    assert heckeops.quadratic_difference(s.spec, i, s, kind) is None
+
+
+def _bonds(spec):
+    cartan = rootdata.build_cartan(spec)
+    return [(i + 1, j + 1) for i in range(len(cartan))
+            for j in range(len(cartan)) if cartan[i][j] == -1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), exact_series([s for s in OPERATOR_SPECS
+                                if str(s) != "A1!"]), KINDS)
+def test_braid_relation_on_multi_term_series(data, s, kind):
+    i, j = data.draw(st.sampled_from(_bonds(s.spec)))
+    assert heckeops.braid_difference(s.spec, i, j, s, kind) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), exact_series())
+def test_conjugation_identity_on_multi_term_series(data, s):
+    i = data.draw(st.integers(1, s.spec.num_nodes))
+    assert heckeops.conjugation_difference(s.spec, i, s) is None
+
+
+# -- the stabilized walk ---------------------------------------------------
+
+def _shallow_part(terms, depth):
+    return {b: c for b, c in terms.items() if sum(b) <= depth}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), exact_series(), KINDS, st.integers(0, 8))
+def test_reachable_terms_keep_every_shallow_output(data, s, kind, depth):
+    # dropping the unreachable terms changes nothing at ht <= depth
+    i = data.draw(st.integers(1, s.spec.num_nodes))
+    cartan = rootdata.build_cartan(s.spec)
+    kept = heckeops._reachable_terms(cartan, s.anchor, s.terms, i, kind,
+                                     depth)
+    full = heckeops.apply_T_raw(cartan, s.anchor, s.terms, i, kind)
+    part = heckeops.apply_T_raw(cartan, s.anchor, kept, i, kind)
+    assert _shallow_part(part, depth) == _shallow_part(full, depth)
+
+
+def _stabilized_by_exact_layers(spec, seed, depth, margin, kind, max_length):
+    """The stabilized sum with every layer's T_w(seed) built exactly."""
+    layers = weyl.enumerate_layers(spec, max_length)
+    values = {(): seed}
+    total = seed.truncate(depth)
+    quiet = 0
+    for length, layer in enumerate(layers[1:], 1):
+        # the first letter of a BFS word is a left descent
+        values = {w.word: heckeops.apply_T(spec, w.word[0],
+                                           values[w.word[1:]], kind)
+                  for w in layer}
+        pieces = [v.truncate(depth) for v in values.values()]
+        pieces = [p for p in pieces if not p.is_zero()]
+        for p in pieces:
+            total = total + p
+        quiet = 0 if pieces else quiet + 1
+        if quiet >= margin:
+            return total, length, True
+    raise AssertionError(f"no stabilization within {max_length} layers")
+
+
+WALK_CASES = [("A1!", (0, 1), 6, T_KIND, 16),
+              ("A1!", (2, 1), 4, TPRIME_KIND, 16),
+              ("A2!", (0, 0, 1), 2, T_KIND, 10),
+              ("A2!", (1, 0, 1), 2, T_KIND, 10),
+              ("A2!", (0, 0, 1), 4, TPRIME_KIND, 16),
+              ("A3!", (0, 0, 0, 1), 2, T_KIND, 8),
+              ("D4!", (0, 0, 0, 0, 1), 1, T_KIND, 6)]
+
+
+@pytest.mark.parametrize("text, labels, depth, kind, max_length", WALK_CASES)
+def test_stabilized_walk_matches_exact_layers(text, labels, depth, kind,
+                                              max_length):
+    spec = RootSystemSpec.parse(text)
+    monomial = _mono(spec, labels)
+    # the non-monomial seed T_1(e^L) of symmetrizer property (ii) as well
+    seeds = [None, heckeops.apply_T(spec, 1, monomial, kind)]
+    for margin in (1, 2, 3):
+        for seed in seeds:
+            got = heckeops.symmetrizer_stabilized(
+                spec, labels, depth, margin=margin, seed=seed, kind=kind)
+            want = _stabilized_by_exact_layers(
+                spec, monomial if seed is None else seed, depth, margin,
+                kind, max_length + margin)
+            assert got[1:] == want[1:]
+            assert got[0] == want[0]
+
+
+def test_last_layer_skips_the_full_parent_values(monkeypatch):
+    spec, labels, depth = A1A, (0, 1), 6
+    expected = heckeops.symmetrizer_stabilized(spec, labels, depth)
+    calls = []
+    apply_T = heckeops.apply_T
+
+    def counting_apply_T(spec, i, s, kind=T_KIND):
+        calls.append(i)
+        return apply_T(spec, i, s, kind)
+
+    monkeypatch.setattr(heckeops, "apply_T", counting_apply_T)
+    got = heckeops.symmetrizer_stabilized(spec, labels, depth)
+    assert got == expected and got[2]
+    layers = weyl.enumerate_layers(spec, got[1])
+    # every layer but the final, quiet one is built exactly
+    assert len(calls) == sum(len(layer) for layer in layers[1:-1])

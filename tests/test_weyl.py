@@ -66,14 +66,3 @@ def test_act_on_series_requires_exact():
     with pytest.raises(SeriesError):
         weyl.act_on_series(A2, (1,), s)
 
-
-def test_layer_cache_roundtrip(tmp_path):
-    first = weyl.enumerate_layers(A1A, 4, cache_dir=str(tmp_path))
-    files = list(tmp_path.iterdir())
-    assert files, "cache file was not written"
-    again = weyl.enumerate_layers(A1A, 4, cache_dir=str(tmp_path))
-    assert [[w.word for w in l] for l in first] == \
-        [[w.word for w in l] for l in again]
-    # a shorter request is served from the same cache
-    short = weyl.enumerate_layers(A1A, 2, cache_dir=str(tmp_path))
-    assert len(short) == 3
