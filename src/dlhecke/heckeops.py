@@ -5,16 +5,20 @@ apply_T realizes, per monomial e^mu with k = <a_i, mu>,
     T_i(e^mu)  = [ (1 - v^-1 e^{-a_i}) e^{s_i mu} + (v^-1 - 1) e^mu ] / (1 - e^{a_i})
     T'_i(e^mu) = [ (1 - v    e^{+a_i}) e^{s_i mu} + (v    - 1) e^mu ] / (1 - e^{a_i})
 
-with the division carried out exactly in the Laurent ring by
-vseries.divide_exact: the quotient is assembled along each a_i-string and
-the zero remainder is asserted on every call.  Word operators compose
+with the division carried out exactly in the Laurent ring.  apply_T_raw
+builds the numerator in one pass, string by string: the three numerator
+positions of a monomial lie on its a_i-string, and their coefficients
+are added as plain integers per v-degree.  It then hands the strings to
+vseries._divide_strings, the same routine behind vseries.divide_exact,
+which sums each string from its shallow end and asserts the zero
+remainder of every string on every call.  Word operators compose
 right-to-left, so the first letter of a BFS word (a left descent) is
 applied last.
 """
 from __future__ import annotations
 
 from . import rootdata, weyl
-from .vseries import AnchoredSeries, VINV, V, divide_exact
+from .vseries import AnchoredSeries, VINV, V, _divide_strings
 
 
 class HeckeError(ValueError):
@@ -25,47 +29,64 @@ T_KIND = "T"
 TPRIME_KIND = "Tprime"
 
 
-def _numerator_terms(cartan, anchor, terms, i, kind):
-    """Raw term map of the pre-division numerator, all monomials at once."""
-    if kind == T_KIND:
-        u, shift_dir = VINV, +1  # u e^{-a_i}
-    elif kind == TPRIME_KIND:
-        u, shift_dir = V, -1  # u e^{+a_i}
-    else:
-        raise HeckeError(f"unknown operator kind {kind!r}")
-    num = {}
-    ii = i - 1
-
-    def put(beta, cf):
-        prev = num.get(beta)
-        if prev is None:
-            num[beta] = cf
-        else:
-            s = prev + cf
-            if s:
-                num[beta] = s
-            else:
-                del num[beta]
-
-    for beta, cf in terms.items():
-        bw = weyl.reflect(cartan, anchor, beta, i)
-        put(bw, cf)
-        shifted = list(bw)
-        shifted[ii] += shift_dir
-        ucf = cf * u  # a monomial factor: a shift of v-degrees
-        put(tuple(shifted), -ucf)
-        put(beta, ucf - cf)
-    return num
+def _pairings(cartan, anchor, terms, i):
+    """[k for each beta of terms], k = <a_i, anchor - beta>, computed from
+    the nonzero entries of Cartan row i; i must lie in 1..n."""
+    if not 1 <= i <= len(cartan):
+        raise weyl.WeylError(f"generator index {i} out of range")
+    row = [(j, a) for j, a in enumerate(cartan[i - 1]) if a]
+    label = anchor[i - 1]
+    return [label - sum(a * beta[j] for j, a in row) for beta in terms]
 
 
 def apply_T_raw(cartan, anchor, terms, i, kind=T_KIND):
     """Operator application on a raw term map; see module docstring.
 
-    Dividing by (1 - e^{a_i}) is dividing by (1 - e^{-alpha}) with
-    alpha = -a_i, summed from the shallow end of each a_i-string."""
-    num = _numerator_terms(cartan, anchor, terms, i, kind)
-    alpha = tuple(-1 if j == i - 1 else 0 for j in range(len(cartan)))
-    return divide_exact(num, alpha)
+    One pass over the a_i-strings, keyed by beta without coordinate i.  A
+    monomial cf e^{anchor - beta} with b = beta_i and
+    k = <a_i, anchor - beta> puts cf at b + k (its reflection), -u cf at
+    b + k + s and (u - 1) cf at b (u = v^-1, s = +1 for T; u = v,
+    s = -1 for T'; a factor u shifts v-degrees).  They are added straight
+    into {v-degree: int} dicts.  Each string is then divided by
+    (1 - e^{a_i}), that is by (1 - e^{-alpha}) with alpha = -a_i, from
+    its shallow end by vseries._divide_strings, which raises SeriesError
+    on a nonzero remainder.  A generator outside 1..n raises WeylError.
+    """
+    if kind == T_KIND:
+        e, s = -1, 1
+    elif kind == TPRIME_KIND:
+        e, s = 1, -1
+    else:
+        raise HeckeError(f"unknown operator kind {kind!r}")
+    ii = i - 1
+    strings = {}
+    # t = -beta_i is the string coordinate along alpha = -a_i
+    for (beta, cf), k in zip(terms.items(),
+                             _pairings(cartan, anchor, terms, i)):
+        key = beta[:ii] + beta[ii + 1:]
+        string = strings.get(key)
+        if string is None:
+            strings[key] = string = {}
+        t = -beta[ii]
+        c = cf.c
+        p = string.get(t - k)
+        if p is None:
+            string[t - k] = p = {}
+        for d, x in c.items():
+            p[d] = p.get(d, 0) + x
+        p = string.get(t - k - s)
+        if p is None:
+            string[t - k - s] = p = {}
+        for d, x in c.items():
+            p[d + e] = p.get(d + e, 0) - x
+        p = string.get(t)
+        if p is None:
+            string[t] = p = {}
+        for d, x in c.items():
+            p[d + e] = p.get(d + e, 0) + x
+            p[d] = p.get(d, 0) - x
+    alpha = tuple(-1 if j == ii else 0 for j in range(len(cartan)))
+    return _divide_strings(strings, alpha)
 
 
 def apply_T(spec, i, s, kind=T_KIND):
@@ -238,15 +259,10 @@ def _walk(spec, seed, max_layers, layer_cap, kind, depth=None, margin=None):
 def _reachable_terms(cartan, anchor, terms, i, kind, depth):
     """The terms of a map whose T_i (or T'_i) image can reach ht <= depth:
     those with ht(beta) + min(0, k, k + s) < depth; see _walk."""
-    row = cartan[i - 1]
-    label = anchor[i - 1]
     s = 1 if kind == T_KIND else -1
-    out = {}
-    for beta, cf in terms.items():
-        k = label - sum(a * b for a, b in zip(row, beta))
-        if sum(beta) + min(0, k, k + s) < depth:
-            out[beta] = cf
-    return out
+    return {beta: cf for (beta, cf), k in zip(
+        terms.items(), _pairings(cartan, anchor, terms, i))
+        if sum(beta) + min(0, k, k + s) < depth}
 
 
 def _quiet_from_reachable(cartan, anchor, steps, kind, depth):

@@ -441,58 +441,85 @@ def divide_exact(terms, alpha, from_deep=False):
     summed from the shallow end of every string (lower height; the
     expansion in e^{-alpha} for positive alpha) or, with from_deep=True,
     from the deep end.  The two agree exactly when the division is exact;
-    a nonzero remainder on any string raises SeriesError.
-
-    Along a run of steps between two numerator terms the quotient is
-    constant; one VPoly is stored for the whole run (VPolys are never
-    mutated in place, so the sharing is safe).
+    a nonzero remainder on any string raises SeriesError.  The map is
+    grouped into strings here and divided by _divide_strings, which
+    heckeops.apply_T_raw fills directly.
     """
     alpha = tuple(alpha)
-    pivot = next((j for j, a in enumerate(alpha) if a), None)
-    h = sum(alpha)
-    if pivot is None or h == 0:
-        raise SeriesError(f"cannot divide along {alpha}")
-    step = alpha[pivot]
-    simple = abs(step) == 1 == sum(1 for a in alpha if a)
-    fibers = {}
+    pivot, step, simple = _direction(alpha)
+    strings = {}
     if simple:
         # a simple coroot direction: the key is beta without the pivot
         for beta, cf in terms.items():
             key = beta[:pivot] + beta[pivot + 1:]
-            fibers.setdefault(key, []).append((beta[pivot] * step, cf))
+            strings.setdefault(key, {})[beta[pivot] * step] = cf.c
     else:
         for beta, cf in terms.items():
             t = beta[pivot] // step
             key = tuple(b - t * a for b, a in zip(beta, alpha))
-            fibers.setdefault(key, []).append((t, cf))
+            strings.setdefault(key, {})[t] = cf.c
+    return _divide_strings(strings, alpha, from_deep)
+
+
+def _direction(alpha):
+    """(pivot, step, simple) of a division direction: the first nonzero
+    coordinate, its value, and whether alpha is a simple coroot or its
+    negative (then a string key is beta without the pivot coordinate)."""
+    pivot = next((j for j, a in enumerate(alpha) if a), None)
+    if pivot is None or sum(alpha) == 0:
+        raise SeriesError(f"cannot divide along {alpha}")
+    step = alpha[pivot]
+    return pivot, step, abs(step) == 1 == sum(1 for a in alpha if a)
+
+
+def _divide_strings(strings, alpha, from_deep=False):
+    """The one exact string division behind divide_exact and apply_T_raw.
+
+    strings maps a string key to {t: {v-degree: int}}, the numerator
+    coefficients at key + t*alpha (for a simple direction, at beta with
+    beta[pivot] = t*step and the key's entries elsewhere); t is
+    beta[pivot] // step, and the coefficient dicts may hold zeros and are
+    only read.  Along a string the quotient is constant between
+    neighbouring numerator positions: from the low-t end Q_t =
+    sum_{s <= t} N_s, from the high-t end Q_t = -sum_{s > t} N_s, and the
+    sum over the whole string, the remainder, must vanish (else
+    SeriesError).  The running sum is kept as an int dict, with the sign
+    of the high-t end folded into it, and one VPoly is stored per run of
+    equal coefficients, across numerator positions that sum to zero too
+    (VPolys are never mutated in place, so the sharing is safe).
+    """
+    pivot, step, simple = _direction(alpha)
     # the shallow end of a string is its low-t end iff alpha is positive
-    from_low_t = (h > 0) != from_deep
+    from_low_t = (sum(alpha) > 0) != from_deep
+    sign = 1 if from_low_t else -1
     out = {}
-    for key, entries in fibers.items():
-        entries.sort()  # t is distinct within a string
+    for key, string in strings.items():
+        ts = sorted(string, reverse=not from_low_t)
         if simple:
             head, tail = key[:pivot], key[pivot:]
-
-            def place(t):
-                return head + (t * step,) + tail
-        else:
-            def place(t):
-                return tuple(k + t * a for k, a in zip(key, alpha))
-        # Q is constant between neighbouring numerator terms: from the low-t
-        # end Q_t = sum_{s <= t} N_s, from the high-t end Q_t =
-        # -sum_{s > t} N_s
-        seq = entries if from_low_t else entries[::-1]
-        run = None
-        for (t, cf), (t_next, _) in zip(seq, seq[1:]):
-            run = cf if run is None else run + cf
-            if run:
-                if from_low_t:
-                    q, lo, hi = run, t, t_next
+        run = {}
+        q = None
+        last = len(ts) - 1
+        for j, t in enumerate(ts):
+            for d, c in string[t].items():
+                m = run.get(d, 0) + sign * c
+                if m:
+                    run[d] = m
                 else:
-                    q, lo, hi = -run, t_next, t
-                for u in range(lo, hi):
-                    out[place(u)] = q
-        run = seq[-1][1] if run is None else run + seq[-1][1]
+                    run.pop(d, None)
+            if run and j < last:
+                if q is None or q.c != run:
+                    # copied item by item: dict(run) would keep the spare
+                    # slots run's deleted entries left
+                    q = VPoly()
+                    q.c = dict(run.items())
+                lo, hi = (t, ts[j + 1]) if from_low_t else (ts[j + 1], t)
+                if simple:
+                    for u in range(lo, hi):
+                        out[head + (u * step,) + tail] = q
+                else:
+                    for u in range(lo, hi):
+                        out[tuple(k + u * a for k, a in zip(key, alpha))] = q
         if run:
             raise SeriesError(
                 f"nonzero remainder dividing by (1 - e^{{-{alpha}}})")

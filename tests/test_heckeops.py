@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from dlhecke import heckeops, rootdata, weyl
 from dlhecke.heckeops import HeckeError, T_KIND, TPRIME_KIND
 from dlhecke.rootdata import RootSystemSpec
-from dlhecke.vseries import AnchoredSeries, VPoly, VP_ONE, V, VINV
+from dlhecke.vseries import AnchoredSeries, VPoly, VP_ONE, V, VINV, divide_exact
+from dlhecke.weyl import WeylError
 
 A1 = RootSystemSpec.parse("A1")
 A2 = RootSystemSpec.parse("A2")
@@ -62,6 +63,18 @@ def test_apply_T_is_linear():
 def test_apply_T_rejects_truncated_series():
     with pytest.raises(HeckeError):
         heckeops.apply_T(A2, 1, AnchoredSeries.one(A2, 2).truncate(3))
+
+
+@pytest.mark.parametrize("text", ["A2", "A2!"])
+@pytest.mark.parametrize("kind", [T_KIND, TPRIME_KIND])
+def test_apply_T_rejects_out_of_range_generators(text, kind):
+    spec = RootSystemSpec.parse(text)
+    s = _mono(spec, (1,) * spec.num_nodes)
+    for i in (0, spec.num_nodes + 1):
+        with pytest.raises(WeylError):
+            heckeops.apply_T(spec, i, s, kind)
+        with pytest.raises(WeylError):
+            heckeops.apply_T_word(spec, (1, i), s, kind)
 
 
 def test_quadratic_relation_on_awkward_monomials():
@@ -146,6 +159,32 @@ def exact_series(draw, specs=OPERATOR_SPECS):
 
 
 KINDS = st.sampled_from((T_KIND, TPRIME_KIND))
+
+
+def _numerator(s, i, kind):
+    """The numerator (1 - u e^{-/+a_i}) s^{s_i} + (u - 1) s of T_i (or
+    T'_i) on s by series arithmetic, independent of apply_T_raw."""
+    n = s.spec.num_nodes
+    u, sign = (VINV, 1) if kind == T_KIND else (V, -1)
+    shift = tuple(sign if j == i - 1 else 0 for j in range(n))
+    factor = AnchoredSeries(s.spec, (0,) * n,
+                            {(0,) * n: VP_ONE, shift: -u}, exact=True)
+    return factor * weyl.act_on_series(s.spec, (i,), s) + s.scale(u - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), exact_series([RootSystemSpec.parse(t) for t in (
+    "A2", "A3", "D4", "A1!", "A2!", "D4!")]), KINDS)
+def test_apply_T_raw_divides_the_series_numerator(data, s, kind):
+    # the kernel's one-pass strings against divide_exact of a numerator
+    # built term map by term map, summed from either end
+    i = data.draw(st.integers(1, s.spec.num_nodes))
+    num = _numerator(s, i, kind).terms
+    alpha = tuple(-1 if j == i - 1 else 0 for j in range(s.spec.num_nodes))
+    cartan = rootdata.build_cartan(s.spec)
+    got = heckeops.apply_T_raw(cartan, s.anchor, s.terms, i, kind)
+    assert got == divide_exact(num, alpha)
+    assert got == divide_exact(num, alpha, from_deep=True)
 
 
 @settings(max_examples=60, deadline=None)

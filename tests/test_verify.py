@@ -8,7 +8,7 @@ import pathlib
 
 import pytest
 
-from dlhecke import characters, heckeops, rootdata, verify
+from dlhecke import characters, heckeops, rootdata, verify, weyl
 from dlhecke.rootdata import RootSystemSpec
 from dlhecke.vseries import AnchoredSeries, VPoly, VP_ONE, VINV, divide_exact
 
@@ -86,14 +86,16 @@ def test_series_divide_requires_unit_lead():
 
 def test_divide_deep_end_matches_shallow_end():
     """The recursion check's route (deep end) and apply_T's (shallow end)
-    give the same quotient of a T_1 numerator by (1 - e^{a_1})."""
+    give the same quotient of a T_1 numerator by (1 - e^{a_1}); the
+    numerator is built by series arithmetic, as verify_recursion does."""
     s = AnchoredSeries.monomial(A2, (2, 1))
-    cartan = rootdata.build_cartan(A2)
-    num = heckeops._numerator_terms(cartan, s.anchor, s.terms, 1,
-                                    heckeops.T_KIND)
-    shallow = divide_exact(dict(num), (-1, 0))
-    deep = divide_exact(dict(num), (-1, 0), from_deep=True)
+    cnum = AnchoredSeries(A2, (0, 0), {(0, 0): VP_ONE, (1, 0): -VINV},
+                          exact=True)
+    num = cnum * weyl.act_on_series(A2, (1,), s) + s.scale(VINV - 1)
+    shallow = divide_exact(num.terms, (-1, 0))
+    deep = divide_exact(num.terms, (-1, 0), from_deep=True)
     assert shallow == deep
+    cartan = rootdata.build_cartan(A2)
     assert shallow == heckeops.apply_T_raw(cartan, s.anchor, s.terms, 1)
 
 
