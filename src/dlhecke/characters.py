@@ -94,28 +94,20 @@ def _signed_orbit(spec, labels, depth=None):
     keeping the displacements of height <= depth (all when depth is None).
 
     labels + rho is regular dominant, so w -> w(labels + rho) is injective
-    and the BFS may deduplicate on displacements.  Every length-increasing
-    step s_i w raises the height by <a_i, w(labels + rho)> >= 1, so the
-    height bounds the length, a pruned element has no kept descendant and
-    the search is finite at any depth."""
+    and weyl.orbit_layers may deduplicate on displacements.  Every
+    length-increasing step s_i w raises the height by
+    <a_i, w(labels + rho)> >= 1, so the height bounds the length, a pruned
+    element has no kept descendant and the search is finite at any
+    depth."""
     cartan = rootdata.build_cartan(spec)
     shifted = tuple(x + 1 for x in labels)
-    n = spec.num_nodes
-    origin = (0,) * n
-    orbit = {origin: 1}
-    layer = [origin]
+    keep = None if depth is None else (lambda beta: ht(beta) <= depth)
+    orbit = {(0,) * spec.num_nodes: 1}
     sign = 1
-    while layer:
+    for layer in weyl.orbit_layers(cartan, shifted, keep):
         sign = -sign
-        nxt = []
-        for beta in layer:
-            for i in range(1, n + 1):
-                img = weyl.reflect(cartan, shifted, beta, i)
-                if (img not in orbit
-                        and (depth is None or ht(img) <= depth)):
-                    orbit[img] = sign
-                    nxt.append(img)
-        layer = nxt
+        for child, _, _ in layer:
+            orbit[child] = sign
     return orbit
 
 
@@ -170,7 +162,7 @@ def denominator_wtwist_difference(spec, i, depth):
     for cr in rootdata.positive_coroots_up_to(spec, depth + 2):
         if cr.coords == unit:
             continue
-        img = rootdata._reflect_coroot(cartan, cr.coords, i)
+        img = weyl.reflect(cartan, (0,) * n, cr.coords, i)
         assert all(x >= 0 for x in img)
         if ht(img) > depth:
             continue  # factor is 1 at this truncation

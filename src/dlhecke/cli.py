@@ -23,6 +23,8 @@ EXIT_FAIL = 1
 EXIT_UNSTABILIZED = 2
 EXIT_ERROR = 3
 EXIT_USAGE = 64
+# options that only the single checks read; `verify all` refuses them
+VERIFY_ALL_IGNORES = ("spec", "labels", "nu", "wprime", "i")
 
 
 class UsageError(Exception):
@@ -156,6 +158,11 @@ def _run_verify(args):
     what = args.what
     reports = []
     if what == "all":
+        ignored = [f"--{name}" for name in VERIFY_ALL_IGNORES
+                   if getattr(args, name) is not None]
+        if ignored:
+            raise UsageError("verify all runs a fixed battery and takes no "
+                             + ", ".join(ignored))
         reports = acceptance_reports(layer_cap=args.layer_cap,
                                      seed=args.seed)
     elif what == "finite-cs":
@@ -194,6 +201,8 @@ def _run_verify(args):
                                           layer_cap=args.layer_cap)]
     elif what == "hecke-relations":
         spec = _spec_of(args)
+        if args.count < 1:
+            raise UsageError("--count must be >= 1")
         reports = [verify.verify_hecke_relations(spec, count=args.count,
                                                  seed=args.seed)]
     elif what == "denominator-identity":

@@ -187,8 +187,9 @@ def _walk(spec, seed, max_layers, layer_cap, kind, depth=None, margin=None):
     """Sum T_w(seed) over the Weyl group, one BFS layer (length) at a time.
 
     Returns (total, deltas, stabilized), deltas[L] being the sum over the
-    elements of length L.  BFS extends by left multiplication: w = s_i w'
-    with the length adding, so T_w(seed) = T_i(T_{w'}(seed)), and each
+    elements of length L.  The layers are those of weyl.orbit_layers on
+    rho^vee, which extends by left multiplication: w = s_i w' with the
+    length adding, so T_w(seed) = T_i(T_{w'}(seed)), and each
     layer's exact values are built from its parents' and kept until the
     next layer has been built from them.  With depth None the sums are
     exact and the walk runs max_layers layers or to the end of a finite
@@ -213,35 +214,28 @@ def _walk(spec, seed, max_layers, layer_cap, kind, depth=None, margin=None):
     if not seed.exact:
         raise HeckeError("the symmetrizer needs an exact (finite) seed")
     cartan = rootdata.build_cartan(spec)
-    n = spec.num_nodes
-    ones = (1,) * n
     anchor = seed.anchor
     zero = AnchoredSeries.zero(spec, anchor, depth=depth,
                                exact=depth is None)
     total = seed if depth is None else seed.truncate(depth)
     deltas = [total]
-    layer = {(0,) * n: seed}  # orbit key -> T_w(seed)
-    seen = set(layer)
+    layer = {(0,) * spec.num_nodes: seed}  # orbit key -> T_w(seed)
+    layers = weyl.orbit_layers(cartan, (1,) * spec.num_nodes)
     quiet = 0
     for _ in range(max_layers):
-        steps = []  # (orbit key, letter, parent's value)
-        for key, value in layer.items():
-            for i in range(1, n + 1):
-                child = weyl.reflect(cartan, ones, key, i)
-                if child not in seen:
-                    seen.add(child)
-                    steps.append((child, i, value))
+        steps = next(layers, None)  # [(orbit key, letter, parent's key)]
+        if steps is None:
+            return total, deltas, True  # finite group exhausted
         if layer_cap is not None and len(steps) > layer_cap:
             raise HeckeError(
                 f"layer of size {len(steps)} exceeds cap {layer_cap}")
-        if not steps:
-            return total, deltas, True  # finite group exhausted
         if (margin is not None and quiet == margin - 1
-                and _quiet_from_reachable(cartan, anchor, steps, kind, depth)):
+                and _quiet_from_reachable(cartan, anchor, steps, layer,
+                                          kind, depth)):
             deltas.append(zero)
             return total, deltas, True
-        layer = {child: apply_T(spec, i, value, kind)
-                 for child, i, value in steps}
+        layer = {child: apply_T(spec, i, layer[parent], kind)
+                 for child, i, parent in steps}
         if depth is None:
             pieces = list(layer.values())
         else:
@@ -265,12 +259,12 @@ def _reachable_terms(cartan, anchor, terms, i, kind, depth):
         if sum(beta) + min(0, k, k + s) < depth}
 
 
-def _quiet_from_reachable(cartan, anchor, steps, kind, depth):
+def _quiet_from_reachable(cartan, anchor, steps, layer, kind, depth):
     """True iff no new element contributes at ht <= depth, computed from
-    the reachable part of each parent's value alone."""
+    the reachable part of each parent's value (layer[parent]) alone."""
     for _, i, parent in steps:
         out = apply_T_raw(cartan, anchor, _reachable_terms(
-            cartan, anchor, parent.terms, i, kind, depth), i, kind)
+            cartan, anchor, layer[parent].terms, i, kind, depth), i, kind)
         if any(sum(b) <= depth and min(b) >= 0 for b in out):
             return False
     return True

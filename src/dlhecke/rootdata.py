@@ -93,7 +93,7 @@ def _finite_edges(family, rank):
         edges.append((rank - 2, rank))
         return edges
     # E: chain 1-3-4-5-6(-7-8) with node 2 hanging off node 4
-    chain = [1, 3, 4, 5, 6, 7, 8][:rank]
+    chain = [1, 3, 4, 5, 6, 7, 8][:rank - 1]
     edges = [(a, b) for a, b in zip(chain, chain[1:])]
     edges.append((2, 4))
     return edges
@@ -139,32 +139,11 @@ def _reflect_coroot(cartan, coords, i):
 
 
 @lru_cache(maxsize=None)
-def _finite_positive_coroots(spec):
-    """All positive coroots of a finite spec: closure of the simples
-    under simple reflections, keeping the positive ones."""
-    if spec.affine:
-        raise RootDataError("finite spec required")
-    cartan = build_cartan(spec)
-    l = spec.rank
-    simples = [tuple(1 if j == i else 0 for j in range(l)) for i in range(l)]
-    seen = set(simples)
-    frontier = list(simples)
-    while frontier:
-        nxt = []
-        for beta in frontier:
-            for i in range(1, l + 1):
-                img = _reflect_coroot(cartan, beta, i)
-                if all(x >= 0 for x in img) and img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda b: (sum(b), b)))
-
-
-@lru_cache(maxsize=None)
 def highest_root(spec):
     """theta^vee of a finite spec (simply-laced: same coords as theta)."""
-    roots = _finite_positive_coroots(spec)
+    if spec.affine:
+        raise RootDataError("finite spec required")
+    roots = [r.coords for r in positive_coroots_up_to(spec, 10 ** 9)]
     top = max(roots, key=sum)
     # sanity: unique maximum in dominance order
     assert all(all(t - b >= 0 for t, b in zip(top, beta)) for beta in roots)
@@ -225,11 +204,9 @@ def exponents(spec):
     """
     if spec.affine:
         raise RootDataError("finite spec required")
-    roots = _finite_positive_coroots(spec)
     hist = {}
-    for beta in roots:
-        h = sum(beta)
-        hist[h] = hist.get(h, 0) + 1
+    for root in positive_coroots_up_to(spec, 10 ** 9):
+        hist[root.height] = hist.get(root.height, 0) + 1
     parts = sorted(hist.values(), reverse=True)
     conj = [sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1)]
     return tuple(sorted(conj))

@@ -245,7 +245,7 @@ def verify_symmetrizer_properties(spec, labels, depth, buffer=3, margin=2,
     for i in range(1, n + 1):
         unit = tuple(1 if j == i - 1 else 0 for j in range(n))
         neg_unit = tuple(-x for x in unit)
-        refl = _reflect_map(cartan, p.anchor, p.terms, i)
+        refl = weyl.reflect_terms(cartan, p.anchor, p.terms, i)
         # (i), numerator form:
         #   (1 - v^-1 e^{-a_i}) P^{s_i} + (v^-1 - 1) P = v^-1 (1 - e^{a_i}) P
         lhs = add_maps(mul_maps({(0,) * n: VP_ONE, unit: -VINV}, refl, None),
@@ -276,7 +276,7 @@ def verify_symmetrizer_properties(spec, labels, depth, buffer=3, margin=2,
             break
         # (iv): the s_i-image of (1/D_v) P, via an independent route
         # (geometric inverses), matches itself on the window
-        ws = _reflect_map(cartan, p.anchor, s_inv, i)
+        ws = weyl.reflect_terms(cartan, p.anchor, s_inv, i)
         diff = _cone_window_diff(ws, s_inv, window)
         if diff is not None:
             params["property"] = f"(iv) generator {i}"
@@ -294,15 +294,6 @@ def _cone_window_diff(lhs, rhs, window):
         if lc != rc:
             return beta, lc, rc
     return None
-
-
-def _reflect_map(cartan, anchor, terms, i):
-    out = {}
-    for beta, cf in terms.items():
-        nb = weyl.reflect(cartan, anchor, beta, i)
-        prev = out.get(nb)
-        out[nb] = cf if prev is None else prev + cf
-    return {b: c for b, c in out.items() if c}
 
 
 # -- proportionality constant ---------------------------------------------
@@ -483,8 +474,11 @@ def verify_hecke_relations(spec, count=100, seed=0):
     """Quadratic, braid (single-bond pairs), commutation (orthogonal
     pairs), and the T/T' conjugation identity on seeded random monomials.
     A failure names the relation and the monomial's labels; the witness
-    is relative to that monomial."""
+    is relative to that monomial.  count must be at least 1: a run that
+    checks nothing is refused, not passed."""
     import random
+    if count < 1:
+        raise VerifyError(f"count must be >= 1, got {count}")
     start = time.perf_counter()
     rng = random.Random(seed)
     params = {"count": count, "seed": seed}

@@ -10,7 +10,6 @@ beta vectors with negative entries (images under Weyl reflections).
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 
@@ -121,12 +120,6 @@ class VPoly:
         return r
 
     __rmul__ = __mul__
-
-    def min_deg(self):
-        return min(self.c) if self.c else None
-
-    def max_deg(self):
-        return max(self.c) if self.c else None
 
     def in_v_inverse_ring(self):
         """True iff the polynomial lies in Z[v^-1] (no positive v-degrees)."""
@@ -382,9 +375,6 @@ class AnchoredSeries:
             ],
         }
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), separators=(", ", ": "))
-
     @classmethod
     def from_json_dict(cls, data, spec=None):
         from . import rootdata
@@ -524,18 +514,6 @@ def _divide_strings(strings, alpha, from_deep=False):
             raise SeriesError(
                 f"nonzero remainder dividing by (1 - e^{{-{alpha}}})")
     return out
-
-
-def maps_first_difference(t1, t2, bound):
-    """Compare raw term maps up to ht <= bound (negative betas allowed)."""
-    for beta in sorted(set(t1) | set(t2)):
-        if ht(beta) > bound:
-            continue
-        a = t1.get(beta, VP_ZERO)
-        b = t2.get(beta, VP_ZERO)
-        if a != b:
-            return beta, a, b
-    return None
 
 
 def geometric_inverse(spec, u, beta, depth):

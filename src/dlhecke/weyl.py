@@ -1,10 +1,13 @@
-"""Weyl group elements as reduced words, layer-by-layer enumeration with
-orbit-key deduplication, and the action on anchored exponents.
+"""Weyl group orbits by breadth-first search, reduced words, and the
+action on anchored exponents.
 
-An element w is identified by its orbit key rho^vee - w(rho^vee) in
-simple-coroot coordinates: rho^vee is regular, so the key is faithful,
-and it hashes cheaply.  BFS extends by left multiplication, so the first
-letter of every stored word is a left descent.
+orbit_layers is the one BFS over a W-orbit in the library: the
+symmetrizer walker, the signed character orbit and enumerate_layers all
+iterate it.  An element w is identified by its orbit key
+rho^vee - w(rho^vee) in simple-coroot coordinates: rho^vee is regular,
+so the key is faithful, and it hashes cheaply.  BFS extends by left
+multiplication, so the first letter of every stored word is a left
+descent.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from .vseries import AnchoredSeries, SeriesError
 
 
 class WeylError(ValueError):
-    """Bad generator index, identity descent query, or layer-cap overflow."""
+    """Bad generator index, negative length, or layer-cap overflow."""
 
 
 @dataclass(frozen=True)
@@ -55,50 +58,64 @@ def pairing(cartan, labels, beta, i):
                                for j in range(len(beta)))
 
 
-def identity_element(spec):
-    return WeylElement((), (0,) * spec.num_nodes)
+def orbit_layers(cartan, labels, keep=None):
+    """BFS over the W-orbit of e^{anchor}, keyed by displacement from 0.
 
-
-def left_descent(w):
-    """First letter of the stored reduced word; a valid left descent."""
-    if not w.word:
-        raise WeylError("identity element has no descent")
-    return w.word[0]
+    Yields each new layer as [(child, letter, parent)]: child is the
+    displacement of s_letter applied to the parent's exponent, each child
+    appears once, in order of parent and then generator index, and a
+    child failing keep is neither yielded nor expanded.  For regular
+    labels a layer is one Coxeter length.  The generator ends when a
+    layer comes out empty (a finite orbit is exhausted).
+    """
+    n = len(cartan)
+    layer = [(0,) * n]
+    seen = set(layer)
+    while True:
+        nxt = []
+        for parent in layer:
+            for i in range(1, n + 1):
+                child = reflect(cartan, labels, parent, i)
+                if child not in seen and (keep is None or keep(child)):
+                    seen.add(child)
+                    nxt.append((child, i, parent))
+        if not nxt:
+            return
+        yield nxt
+        layer = [child for child, _, _ in nxt]
 
 
 def enumerate_layers(spec, max_length, layer_cap=None):
     """Layers [L0, L1, ...] with Lk = all elements of Coxeter length k.
 
-    BFS by left multiplication with orbit-key dedup; ties between
-    equal-length words are broken by generator index, so output order is
-    reproducible.  layer_cap bounds any single layer's size.
+    The layers of orbit_layers on rho^vee, each child's word being its
+    letter followed by its parent's word.  layer_cap bounds any single
+    layer's size.
     """
     if max_length < 0:
         raise WeylError("max_length must be >= 0")
     cartan = rootdata.build_cartan(spec)
     n = spec.num_nodes
-    ones = (1,) * n
-    layers = [[identity_element(spec)]]
-    seen = {layers[0][0].orbit_key}
-    for _ in range(max_length):
-        nxt = []
-        for w in layers[-1]:
-            for i in range(1, n + 1):
-                key = reflect(cartan, ones, w.orbit_key, i)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(WeylElement((i,) + w.word, key))
-        if layer_cap is not None and len(nxt) > layer_cap:
+    layers = [[WeylElement((), (0,) * n)]]
+    for _, steps in zip(range(max_length), orbit_layers(cartan, (1,) * n)):
+        if layer_cap is not None and len(steps) > layer_cap:
             raise WeylError(
-                f"layer of size {len(nxt)} exceeds cap {layer_cap}")
-        if not nxt:
-            break  # finite group exhausted
-        layers.append(nxt)
+                f"layer of size {len(steps)} exceeds cap {layer_cap}")
+        words = {w.orbit_key: w.word for w in layers[-1]}
+        layers.append([WeylElement((i,) + words[parent], child)
+                       for child, i, parent in steps])
     return layers
 
 
+def reflect_terms(cartan, anchor, terms, i):
+    """The i-th simple reflection of a raw term map.  It is an involution
+    on displacements, so no two terms collide."""
+    return {reflect(cartan, anchor, beta, i): cf
+            for beta, cf in terms.items()}
+
+
 def act_on_series(spec, w, s):
-    """Apply w to a finite series: reflect each exponent, letter by letter.
+    """Apply w to a finite series, letter by letter from the right.
 
     Only exact (finite-support) series are accepted; w-images may leave
     the anchor cone, which exact series are allowed to do.
@@ -107,13 +124,8 @@ def act_on_series(spec, w, s):
         raise SeriesError("W-action is only exact on finite series")
     cartan = rootdata.build_cartan(spec)
     word = w.word if isinstance(w, WeylElement) else tuple(w)
-    out = {}
-    for beta, cf in s.terms.items():
-        for i in reversed(word):
-            beta = reflect(cartan, s.anchor, beta, i)
-        prev = out.get(beta)
-        out[beta] = cf if prev is None else prev + cf
-    out = {b: c for b, c in out.items() if c}
-    return AnchoredSeries(s.spec, s.anchor, out, depth=None, exact=True,
+    terms = dict(s.terms)
+    for i in reversed(word):
+        terms = reflect_terms(cartan, s.anchor, terms, i)
+    return AnchoredSeries(s.spec, s.anchor, terms, depth=None, exact=True,
                           _trusted=True)
-

@@ -156,3 +156,19 @@ def test_finite_character_dimension_is_weyls(case):
     chi = characters.finite_character_exact(spec, labels)
     assert sum(c.evaluate(1) for c in chi.terms.values()) == \
         _weyl_dimension(spec, labels)
+
+
+@pytest.mark.parametrize("text, labels", [
+    ("A3", (0, 0, 0)), ("A3", (1, 0, 2)), ("A3", (2, 1, 1)),
+    ("D4", (0, 0, 0, 0)), ("D4", (1, 0, 1, 0)), ("D4", (0, 2, 0, 1))])
+def test_signed_orbit_pruning_keeps_every_shallow_element(text, labels):
+    """Pruning the BFS by height drops no element at ht <= depth: each
+    length-increasing step raises the height, so every kept element is
+    reached through kept ones."""
+    spec = RootSystemSpec.parse(text)
+    full = characters._signed_orbit(spec, labels)
+    assert len(full) == {"A3": 24, "D4": 192}[text]
+    for depth in (0, 1, 3, 6, 10):
+        pruned = characters._signed_orbit(spec, labels, depth)
+        assert pruned == {b: sign for b, sign in full.items()
+                          if ht(b) <= depth}

@@ -26,6 +26,13 @@ def test_roots_json(capsys):
     assert payload["header"]["spec"] == "A1!"
 
 
+def test_exponents_e6_exit_zero(capsys):
+    code, out, _ = run(capsys, "--format", "json", "exponents", "--spec",
+                       "E6")
+    assert code == 0
+    assert json.loads(out)["exponents"] == [1, 4, 5, 7, 8, 11]
+
+
 def test_weyl_layers(capsys):
     code, out, _ = run(capsys, "--format", "json", "weyl", "--spec", "A2",
                        "--max-length", "5")
@@ -98,3 +105,18 @@ def test_bad_rational_q(capsys):
                        "--labels", "0,1", "--q", "zebra")
     assert code == 64
 
+
+
+def test_hecke_relations_count_below_one_is_usage_error(capsys):
+    for count in ("0", "-5"):
+        code, out, err = run(capsys, "verify", "hecke-relations", "--spec",
+                             "A2", "--count", count)
+        assert code == 64 and "--count" in err and out == ""
+
+
+def test_verify_all_rejects_options_it_ignores(capsys):
+    for argv in (["--spec", "A2"], ["--labels", "1,1"], ["--nu", "1,1"],
+                 ["--wprime", "1"], ["--i", "1"],
+                 ["--spec", "A2", "--labels", "1,1"]):
+        code, out, err = run(capsys, "verify", "all", *argv)
+        assert code == 64 and argv[0] in err and out == ""

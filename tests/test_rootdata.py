@@ -1,7 +1,10 @@
 """Unit tests for root-system specs, Cartan matrices, and coroot catalogues."""
+from fractions import Fraction
+from math import factorial, prod
+
 import pytest
 
-from dlhecke import rootdata
+from dlhecke import rootdata, weyl
 from dlhecke.rootdata import RootDataError, RootSystemSpec
 
 
@@ -102,3 +105,92 @@ def test_spec_hash_stable_and_distinct():
     h2 = rootdata.spec_hash(RootSystemSpec.parse("A2"))
     h3 = rootdata.spec_hash(RootSystemSpec.parse("A2!"))
     assert h1 == h2 != h3
+
+
+# Facts from the classification (Bourbaki, Lie Groups and Lie Algebras,
+# ch. VI, plates I-VII), not from this code: |W|, the number of positive
+# roots and det(Cartan) of every finite type in the catalogue test.
+CATALOGUE = {
+    **{f"A{l}": (factorial(l + 1), l * (l + 1) // 2, l + 1)
+       for l in range(1, 9)},
+    **{f"D{l}": (2 ** (l - 1) * factorial(l), l * (l - 1), 4)
+       for l in range(4, 9)},
+    "E6": (51840, 36, 3),
+    "E7": (2903040, 63, 2),
+    "E8": (696729600, 120, 1),
+}
+ENUMERATE_UP_TO = 5040
+
+
+def _det(matrix):
+    """Exact determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+def _poincare(exps):
+    """Coefficients of prod_i (1 + q + ... + q^{m_i})."""
+    coeffs = [1]
+    for m in exps:
+        out = [0] * (len(coeffs) + m)
+        for d, x in enumerate(coeffs):
+            for e in range(m + 1):
+                out[d + e] += x
+        coeffs = out
+    return coeffs
+
+
+@pytest.mark.parametrize("text", sorted(CATALOGUE))
+def test_finite_catalogue_against_classification(text):
+    spec = RootSystemSpec.parse(text)
+    order, positive, det = CATALOGUE[text]
+    exps = rootdata.exponents(spec)
+    assert len(exps) == spec.rank
+    assert prod(m + 1 for m in exps) == order
+    assert sum(exps) == positive == len(
+        rootdata.positive_coroots_up_to(spec, 10 ** 9))
+    assert _det(rootdata.build_cartan(spec)) == det
+    if order <= ENUMERATE_UP_TO:
+        # the length generating function of W is prod_i [m_i + 1]_q
+        sizes = [1] + [len(layer) for layer in weyl.orbit_layers(
+            rootdata.build_cartan(spec), (1,) * spec.rank)]
+        assert sum(sizes) == order
+        assert sizes == _poincare(exps)
+
+
+@pytest.mark.parametrize("text", sorted(CATALOGUE))
+def test_affine_catalogue_null_vector(text):
+    spec = RootSystemSpec.parse(text + "!")
+    cartan = rootdata.build_cartan(spec)
+    c = rootdata.minimal_imaginary_coroot(spec).coords
+    assert all(sum(a * x for a, x in zip(row, c)) == 0 for row in cartan)
+    assert _det(cartan) == 0
+    l = spec.rank
+    assert tuple(row[:l] for row in cartan[:l]) == \
+        rootdata.build_cartan(spec.finite)
+
+
+def test_e_exponents():
+    assert rootdata.exponents(RootSystemSpec.parse("E6")) == \
+        (1, 4, 5, 7, 8, 11)
+    assert rootdata.exponents(RootSystemSpec.parse("E7")) == \
+        (1, 5, 7, 9, 11, 13, 17)
+    assert rootdata.exponents(RootSystemSpec.parse("E8")) == \
+        (1, 7, 11, 13, 17, 19, 23, 29)
+
+
+def test_highest_root_needs_a_finite_spec():
+    with pytest.raises(RootDataError):
+        rootdata.highest_root(RootSystemSpec.parse("A2!"))

@@ -173,3 +173,9 @@ def test_symmetrizer_properties_finite():
 
 def test_denominator_identity_report():
     assert verify.verify_denominator_identity(A1A, 5).passed
+
+
+def test_hecke_relations_refuses_an_empty_run():
+    for count in (0, -5):
+        with pytest.raises(verify.VerifyError):
+            verify.verify_hecke_relations(A2, count=count)

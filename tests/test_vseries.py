@@ -8,8 +8,7 @@ from dlhecke import rootdata
 from dlhecke.rootdata import RootSystemSpec
 from dlhecke.vseries import (AnchoredSeries, SeriesError, VPoly, VP_ONE,
                              VP_ZERO, V, VINV, add_maps, divide_exact,
-                             geometric_inverse, ht, mul_maps,
-                             maps_first_difference)
+                             geometric_inverse, ht, mul_maps)
 
 A2 = RootSystemSpec.parse("A2")
 A1A = RootSystemSpec.parse("A1!")
@@ -29,8 +28,8 @@ def test_vpoly_basic_arithmetic():
 def test_vpoly_term_and_degrees():
     t = VPoly.term(3, -2)
     assert t == VPoly({-2: 3})
-    assert t.min_deg() == t.max_deg() == -2
-    assert VPoly({-2: 1, 1: 5}).max_deg() == 1
+    assert t.pairs() == [(-2, 3)]
+    assert VPoly({-2: 1, 1: 5}).pairs() == [(-2, 1), (1, 5)]
 
 
 def test_vpoly_evaluate_exact_rational():
@@ -134,7 +133,6 @@ def test_raw_map_helpers():
     t2 = {(0, 0): VP_ONE, (1, 0): VP_ONE}
     assert mul_maps(t1, t2, None) == {(0, 0): VP_ONE, (2, 0): -VP_ONE}
     assert add_maps(t1, t2) == {(0, 0): VPoly(2)}
-    assert maps_first_difference(t1, t2, 10) == ((1, 0), -VP_ONE, VP_ONE)
 
 
 # -- exact division along root strings ---------------------------------------

@@ -38,16 +38,48 @@ def test_layer_sizes_affine_dihedral():
 
 
 def test_first_letter_is_left_descent():
-    for layer in weyl.enumerate_layers(A2, 3)[1:]:
+    # w = s_i w' with w' the parent: s_i raises the length of w' exactly
+    # when <a_i, w'(rho^vee)> > 0, i.e. the pairing on the parent's key
+    cartan = rootdata.build_cartan(A2)
+    layers = weyl.enumerate_layers(A2, 3)
+    keys = {w.word: w.orbit_key for layer in layers for w in layer}
+    for layer in layers[1:]:
         for w in layer:
-            assert weyl.left_descent(w) == w.word[0]
+            parent = keys[w.word[1:]]
+            assert weyl.pairing(cartan, (1, 1), parent, w.word[0]) > 0
+            assert weyl.reflect(cartan, (1, 1), parent, w.word[0]) == \
+                w.orbit_key
 
 
 def test_element_length_and_sign():
     layers = weyl.enumerate_layers(A2, 3)
     w0 = layers[3][0]
     assert w0.length == 3 and w0.sign == -1
-    assert weyl.identity_element(A2).sign == 1
+    (identity,) = weyl.enumerate_layers(A2, 0)[0]
+    assert identity.length == 0 and identity.sign == 1
+
+
+def test_orbit_layers_yields_each_child_once_in_parent_order():
+    cartan = rootdata.build_cartan(A2)
+    layers = list(weyl.orbit_layers(cartan, (1, 1)))
+    assert [len(l) for l in layers] == [2, 2, 1]
+    assert layers[0] == [((1, 0), 1, (0, 0)), ((0, 1), 2, (0, 0))]
+    children = [c for layer in layers for c, _, _ in layer]
+    assert len(set(children)) == len(children) == 5
+    for previous, layer in zip([[((0, 0), None, None)]] + layers, layers):
+        order = [c for c, _, _ in previous]
+        parents = [order.index(p) for _, _, p in layer]
+        assert parents == sorted(parents)
+
+
+def test_orbit_layers_keep_prunes_without_expanding():
+    # A1!: the orbit of rho^vee is infinite; keeping ht <= 4 makes it finite
+    cartan = rootdata.build_cartan(A1A)
+    layers = list(weyl.orbit_layers(cartan, (1, 1),
+                                    keep=lambda b: sum(b) <= 4))
+    kept = [c for layer in layers for c, _, _ in layer]
+    assert all(sum(c) <= 4 for c in kept)
+    assert len(kept) == len(set(kept)) == 4
 
 
 def test_act_on_series_is_group_action():
@@ -55,6 +87,10 @@ def test_act_on_series_is_group_action():
     moved = weyl.act_on_series(A2, (1,), s)
     back = weyl.act_on_series(A2, (1,), moved)
     assert back.first_difference(s) is None
+    # a simple reflection is a bijection on displacements: no terms merge
+    terms = {(0, 0): VP_ONE, (1, 0): -VP_ONE, (2, 1): VP_ONE}
+    image = weyl.reflect_terms(rootdata.build_cartan(A2), (1, 1), terms, 1)
+    assert len(image) == len(terms)
     both = weyl.act_on_series(A2, (1, 2), s)
     stepwise = weyl.act_on_series(A2, (1,), weyl.act_on_series(A2, (2,), s))
     assert both.first_difference(stepwise) is None
