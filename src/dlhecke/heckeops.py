@@ -18,7 +18,8 @@ applied last.
 from __future__ import annotations
 
 from . import rootdata, weyl
-from .vseries import AnchoredSeries, VINV, V, _divide_strings
+from .vseries import (AnchoredSeries, VINV, V, _divide_strings, add_into,
+                      freeze)
 
 
 class HeckeError(ValueError):
@@ -191,12 +192,14 @@ def _walk(spec, seed, max_layers, layer_cap, kind, depth=None, margin=None):
     rho^vee, which extends by left multiplication: w = s_i w' with the
     length adding, so T_w(seed) = T_i(T_{w'}(seed)), and each
     layer's exact values are built from its parents' and kept until the
-    next layer has been built from them.  With depth None the sums are
-    exact and the walk runs max_layers layers or to the end of a finite
-    group.  With a depth every sum is truncated to ht <= depth (and to
-    nonnegative displacements), and the walk stops, stabilized, after
-    `margin` consecutive layers whose elements each contribute nothing
-    there; stabilized is False when max_layers runs out first.
+    next layer has been built from them.  Each layer, and at the end the
+    layers, are summed over plain integers by vseries.add_into.  With
+    depth None the sums are exact and the walk runs max_layers layers or
+    to the end of a finite group.  With a depth every sum is truncated to
+    ht <= depth (and to nonnegative displacements), and the walk stops,
+    stabilized, after `margin` consecutive layers whose elements each
+    contribute nothing there; stabilized is False when max_layers runs
+    out first.
 
     The layer that would be the margin-th quiet one is first tried without
     its exact values: each element's truncated contribution is computed
@@ -215,39 +218,114 @@ def _walk(spec, seed, max_layers, layer_cap, kind, depth=None, margin=None):
         raise HeckeError("the symmetrizer needs an exact (finite) seed")
     cartan = rootdata.build_cartan(spec)
     anchor = seed.anchor
-    zero = AnchoredSeries.zero(spec, anchor, depth=depth,
-                               exact=depth is None)
-    total = seed if depth is None else seed.truncate(depth)
-    deltas = [total]
+    exact = depth is None
+    deltas = [seed if exact else seed.truncate(depth)]
     layer = {(0,) * spec.num_nodes: seed}  # orbit key -> T_w(seed)
     layers = weyl.orbit_layers(cartan, (1,) * spec.num_nodes)
     quiet = 0
+    stabilized = False
     for _ in range(max_layers):
         steps = next(layers, None)  # [(orbit key, letter, parent's key)]
         if steps is None:
-            return total, deltas, True  # finite group exhausted
-        if layer_cap is not None and len(steps) > layer_cap:
-            raise HeckeError(
-                f"layer of size {len(steps)} exceeds cap {layer_cap}")
+            stabilized = True  # finite group exhausted
+            break
+        _check_cap(len(steps), layer_cap)
         if (margin is not None and quiet == margin - 1
                 and _quiet_from_reachable(cartan, anchor, steps, layer,
                                           kind, depth)):
-            deltas.append(zero)
-            return total, deltas, True
+            deltas.append(AnchoredSeries.zero(spec, anchor, depth=depth,
+                                              exact=False))
+            stabilized = True
+            break
         layer = {child: apply_T(spec, i, layer[parent], kind)
                  for child, i, parent in steps}
-        if depth is None:
-            pieces = list(layer.values())
-        else:
-            pieces = [p for p in (v.truncate(depth) for v in layer.values())
-                      if not p.is_zero()]
-            quiet = 0 if pieces else quiet + 1
-        delta = sum(pieces, zero)
-        deltas.append(delta)
-        total = total + delta
+        acc = {}
+        for value in layer.values():
+            add_into(acc, (value if exact else value.truncate(depth)).terms)
+        if not exact:
+            # quiet: no element has a term at ht <= depth (acc keeps the
+            # keys of terms that cancel)
+            quiet = 0 if acc else quiet + 1
+        deltas.append(AnchoredSeries(spec, anchor, freeze(acc), depth=depth,
+                                     exact=exact, _trusted=True))
         if margin is not None and quiet >= margin:
-            return total, deltas, True
-    return total, deltas, False
+            stabilized = True
+            break
+    acc = {}
+    for delta in deltas:
+        add_into(acc, delta.terms)
+    total = AnchoredSeries(spec, anchor, freeze(acc), depth=depth,
+                           exact=exact, _trusted=True)
+    return total, deltas, stabilized
+
+
+def _check_cap(size, layer_cap):
+    """HeckeError if one length layer of the group exceeds layer_cap."""
+    if layer_cap is not None and size > layer_cap:
+        raise HeckeError(f"layer of size {size} exceeds cap {layer_cap}")
+
+
+def symmetrizer_chain(spec, anchor_labels, layer_cap=None):
+    """sum_{w in W} T_w(e^anchor) over a finite Weyl group, exactly, by the
+    parabolic chain J_k = {1..k}.  Returns (total, l(w0)).
+
+    Every w in W_{J_k} factors uniquely as w = u x with x in W_{J_{k-1}},
+    u a minimal coset representative and l(w) = l(u) + l(x) (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.10).  So with X_0 = e^anchor,
+    X_k = sum_u T_u(X_{k-1}) over those u, and X_n is the whole sum.  The
+    u of step k are the orbit of the k-th fundamental coweight under
+    W_{J_k}: weyl.orbit_layers on the leading k x k block of the Cartan
+    matrix with labels (0, ..., 0, 1), where a step of pairing <= 0 lands
+    on a seen key.  As in _walk, u = s_i u' with the length adding, so
+    T_u(X) = T_i(T_{u'}(X)) costs one apply_T on the parent's value, and
+    each coset's values are summed into one add_into accumulator.
+
+    The cosets' layer-size polynomials multiply to W's Poincare
+    polynomial: its coefficients are the sizes of W's length layers,
+    checked against layer_cap (as _walk does) before any T_i, and its
+    degree is l(w0).
+    """
+    if spec.affine:
+        raise HeckeError("the parabolic chain needs a finite spec")
+    cosets, sizes = _parabolic_cosets(rootdata.build_cartan(spec))
+    for size in sizes[1:]:
+        _check_cap(size, layer_cap)
+    total = AnchoredSeries.monomial(spec, tuple(anchor_labels))
+    for k, coset in enumerate(cosets, 1):
+        acc = {}
+        add_into(acc, total.terms)
+        layer = {(0,) * k: total}  # orbit key -> T_u(X_{k-1})
+        for steps in coset:
+            layer = {child: apply_T(spec, i, layer[parent])
+                     for child, i, parent in steps}
+            for value in layer.values():
+                add_into(acc, value.terms)
+        total = AnchoredSeries(spec, total.anchor, freeze(acc), exact=True,
+                               _trusted=True)
+    return total, len(sizes) - 1
+
+
+def _parabolic_cosets(cartan):
+    """(cosets, sizes) for the chain J_k = {1..k} of symmetrizer_chain.
+
+    cosets[k-1] lists the orbit layers of the k-th fundamental coweight
+    under W_{J_k}, as weyl.orbit_layers yields them.  sizes is the
+    product of the cosets' layer-size polynomials, low degree first:
+    W's Poincare polynomial.
+    """
+    cosets = []
+    sizes = [1]
+    for k in range(1, len(cartan) + 1):
+        block = tuple(row[:k] for row in cartan[:k])
+        coset = list(weyl.orbit_layers(block, (0,) * (k - 1) + (1,)))
+        cosets.append(coset)
+        factor = [1] + [len(layer) for layer in coset]
+        product = [0] * (len(sizes) + len(factor) - 1)
+        for a, x in enumerate(sizes):
+            for b, y in enumerate(factor):
+                product[a + b] += x * y
+        sizes = product
+    return cosets, sizes
 
 
 def _reachable_terms(cartan, anchor, terms, i, kind, depth):

@@ -97,9 +97,8 @@ def whittaker_normalized(spec, labels, depth=None, margin=2,
     if any(x < 0 for x in labels):
         raise VerifyError("dominant labels required")
     if not spec.affine:
-        total, deltas = heckeops.symmetrizer_partial(
-            spec, labels, 10 ** 9, layer_cap=layer_cap)
-        return total, len(deltas) - 1, True
+        total, achieved = heckeops.symmetrizer_chain(spec, labels, layer_cap)
+        return total, achieved, True
     if depth is None:
         raise VerifyError("affine Whittaker sums need a truncation depth")
     return heckeops.symmetrizer_stabilized(

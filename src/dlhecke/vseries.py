@@ -421,6 +421,35 @@ def add_maps(t1, t2):
     return out
 
 
+def add_into(acc, terms):
+    """Add a raw term map into acc, in place and over plain integers.
+
+    acc maps beta to {v-degree: int}; entries may reach zero there, and
+    freeze drops them.  It is the one accumulator of long exact sums: the
+    parabolic chain and the walker's layers.
+    """
+    for beta, cf in terms.items():
+        p = acc.get(beta)
+        if p is None:
+            acc[beta] = dict(cf.c)
+        else:
+            for d, x in cf.c.items():
+                p[d] = p.get(d, 0) + x
+
+
+def freeze(acc):
+    """The raw term map {beta: VPoly} of an add_into accumulator, with
+    zero coefficients and empty terms dropped."""
+    out = {}
+    for beta, p in acc.items():
+        c = {d: x for d, x in p.items() if x}
+        if c:
+            q = VPoly()
+            q.c = c
+            out[beta] = q
+    return out
+
+
 def divide_exact(terms, alpha, from_deep=False):
     """Exact quotient of a raw term map by (1 - e^{-alpha}).
 

@@ -298,3 +298,62 @@ def test_last_layer_skips_the_full_parent_values(monkeypatch):
     layers = weyl.enumerate_layers(spec, got[1])
     # every layer but the final, quiet one is built exactly
     assert len(calls) == sum(len(layer) for layer in layers[1:-1])
+
+
+# -- the parabolic chain ---------------------------------------------------
+
+def _walked(spec, labels):
+    total, deltas = heckeops.symmetrizer_partial(spec, labels, 10 ** 9)
+    return total, len(deltas) - 1
+
+
+@pytest.mark.parametrize("text, labels", [("A4", (2, 1, 1, 0)),
+                                          ("A4", (1, 1, 1, 1)),
+                                          ("D4", (1, 0, 1, 0)),
+                                          ("D4", (0, 1, 0, 0))])
+def test_chain_matches_walker(text, labels):
+    """The chain's series and l(w0) equal the walker's.  Acceptance
+    criterion 1 checks the chain on the A3 and D4 label grids against the
+    Casselman-Shalika product, so the slower walker runs only here."""
+    spec = RootSystemSpec.parse(text)
+    assert heckeops.symmetrizer_chain(spec, labels) == _walked(spec, labels)
+
+
+@pytest.mark.parametrize("text", ["A1", "A2", "A3", "A4", "A5", "D4", "D5"])
+def test_parabolic_cosets_multiply_to_the_layer_sizes(text):
+    spec = RootSystemSpec.parse(text)
+    cosets, sizes = heckeops._parabolic_cosets(rootdata.build_cartan(spec))
+    assert len(cosets) == spec.num_nodes
+    assert sizes == [len(layer)
+                     for layer in weyl.enumerate_layers(spec, 10 ** 9)]
+
+
+def _error(run):
+    """The HeckeError message of run(), or None when it returns."""
+    try:
+        run()
+    except HeckeError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("text, caps", [("A3", range(8)),
+                                        ("D4", (0, 3, 4, 29, 30))])
+def test_chain_layer_cap_error_is_the_walkers(text, caps):
+    spec = RootSystemSpec.parse(text)
+    labels = (0,) * spec.num_nodes
+    _, sizes = heckeops._parabolic_cosets(rootdata.build_cartan(spec))
+    for cap in caps:
+        chain = _error(lambda: heckeops.symmetrizer_chain(spec, labels, cap))
+        walk = _error(lambda: heckeops.symmetrizer_partial(
+            spec, labels, 10 ** 9, layer_cap=cap))
+        assert chain == walk
+        assert (chain is None) == (cap >= max(sizes))
+    # the first layer holds the n simple reflections
+    assert _error(lambda: heckeops.symmetrizer_chain(spec, labels, 2)) == \
+        f"layer of size {spec.num_nodes} exceeds cap 2"
+
+
+def test_chain_refuses_an_affine_spec():
+    with pytest.raises(HeckeError):
+        heckeops.symmetrizer_chain(A1A, (0, 1))

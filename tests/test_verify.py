@@ -26,6 +26,13 @@ def test_whittaker_finite_a1_anchor_case():
                              (2,): 1 - VINV, (3,): -VINV}
 
 
+@pytest.mark.parametrize("text, positive_roots", [("A5", 15), ("D5", 20)])
+def test_finite_cs_at_rank_five(text, positive_roots):
+    spec = RootSystemSpec.parse(text)
+    report = verify.verify_finite_cs(spec, (1, 0, 0, 0, 0))
+    assert report.passed and report.achieved_length == positive_roots
+
+
 def test_whittaker_rejects_nondominant():
     with pytest.raises(verify.VerifyError):
         verify.whittaker_normalized(A1, (-2,))

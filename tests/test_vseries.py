@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from dlhecke import rootdata
 from dlhecke.rootdata import RootSystemSpec
 from dlhecke.vseries import (AnchoredSeries, SeriesError, VPoly, VP_ONE,
-                             VP_ZERO, V, VINV, add_maps, divide_exact,
-                             geometric_inverse, ht, mul_maps)
+                             VP_ZERO, V, VINV, add_into, add_maps,
+                             divide_exact, freeze, geometric_inverse, ht,
+                             mul_maps)
 
 A2 = RootSystemSpec.parse("A2")
 A1A = RootSystemSpec.parse("A1!")
@@ -184,6 +185,19 @@ def test_divide_exact_rejects_inexact_input(problem, offset):
     for from_deep in (False, True):
         with pytest.raises(SeriesError):
             divide_exact(num, alpha, from_deep=from_deep)
+
+
+@settings(max_examples=50, deadline=None)
+@given(division_problems())
+def test_accumulator_matches_map_arithmetic(problem):
+    _, q = problem
+    acc = {}
+    add_into(acc, q)
+    add_into(acc, {b: -c for b, c in q.items()})
+    assert freeze(acc) == {}  # cancelled terms leave no zeros behind
+    add_into(acc, q)
+    add_into(acc, q)
+    assert freeze(acc) == add_maps(q, q)
 
 
 def test_divide_exact_simple_direction_by_hand():
