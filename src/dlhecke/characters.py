@@ -170,16 +170,3 @@ def denominator_wtwist_difference(spec, i, depth):
         for _ in range(cr.multiplicity):
             rhs = rhs * factor
     return lhs.first_difference(rhs)
-
-
-def check_denominator_wtwist(spec, i, depth):
-    """The w_i-twisted denominator identity  D^{w_i} = -e^{a_i} D."""
-    return denominator_wtwist_difference(spec, i, depth) is None
-
-
-def denominator_identity_holds(spec, depth):
-    """Macdonald/Weyl identity: sum_w (-1)^{l(w)} e^{w rho - rho} = D."""
-    n = spec.num_nodes
-    num = character_numerator(spec, (0,) * n, depth)
-    den = denominator(spec, depth, deformed=False)
-    return num.first_difference(den) is None

@@ -38,6 +38,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_ints(text, what, n=None):
     """Comma-separated integers; exactly n of them when n is given."""
+    if text is None:
+        raise UsageError(f"missing {what}")
     try:
         vec = tuple(int(x) for x in text.split(",")) if text.strip() else ()
     except ValueError:
@@ -257,6 +259,8 @@ def run(argv):
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        if args.layer_cap < 1:
+            raise UsageError("--layer-cap must be >= 1")
         if args.command == "verify":
             return _run_verify(args)
         spec = _spec_of(args)

@@ -14,6 +14,11 @@ which sums each string from its shallow end and asserts the zero
 remainder of every string on every call.  Word operators compose
 right-to-left, so the first letter of a BFS word (a left descent) is
 applied last.
+
+Every sum of T_w(seed) over a Weyl orbit runs through one walker, _walk:
+the stabilized sum over an affine W (symmetrizer_stabilized), and each
+coset of the parabolic chain that sums over a finite W
+(symmetrizer_chain).
 """
 from __future__ import annotations
 
@@ -142,30 +147,6 @@ def conjugation_difference(spec, i, s):
     return lhs.first_difference(rhs)
 
 
-def check_quadratic(spec, i, s, kind=T_KIND):
-    """T_i^2 = (v^-1 - 1) T_i + v^-1 (or the v-version for T')."""
-    return quadratic_difference(spec, i, s, kind) is None
-
-
-def check_braid(spec, i, j, s, kind=T_KIND):
-    """T_i T_j T_i = T_j T_i T_j for adjacent i, j (simply-laced)."""
-    return braid_difference(spec, i, j, s, kind) is None
-
-
-def check_conjugation(spec, i, s):
-    """e^{-rho} T'_i e^{rho} = -v T_i on a finite series."""
-    return conjugation_difference(spec, i, s) is None
-
-
-def symmetrizer_partial(spec, anchor_labels, max_length, seed=None,
-                        layer_cap=None, kind=T_KIND):
-    """(sum_{l(w) <= L} T_w(seed), per-layer deltas), all exact."""
-    if seed is None:
-        seed = AnchoredSeries.monomial(spec, tuple(anchor_labels))
-    total, deltas, _ = _walk(spec, seed, max_length, layer_cap, kind)
-    return total, deltas
-
-
 def symmetrizer_stabilized(spec, anchor_labels, depth, margin=2,
                            layer_cap=20000, seed=None, kind=T_KIND,
                            max_layers=500):
@@ -179,25 +160,53 @@ def symmetrizer_stabilized(spec, anchor_labels, depth, margin=2,
         raise HeckeError("margin must be >= 1")
     if seed is None:
         seed = AnchoredSeries.monomial(spec, tuple(anchor_labels))
-    total, deltas, stabilized = _walk(spec, seed, max_layers, layer_cap,
-                                      kind, depth, margin)
-    return total, len(deltas) - 1, stabilized
+    return _walk(spec, rootdata.build_cartan(spec), (1,) * spec.num_nodes,
+                 seed, max_layers, layer_cap, kind, depth, margin)
 
 
-def _walk(spec, seed, max_layers, layer_cap, kind, depth=None, margin=None):
-    """Sum T_w(seed) over the Weyl group, one BFS layer (length) at a time.
+def symmetrizer_chain(spec, anchor_labels, layer_cap=None):
+    """sum_{w in W} T_w(e^anchor) over a finite Weyl group, exactly, by the
+    parabolic chain J_k = {1..k}.  Returns (total, l(w0)).
 
-    Returns (total, deltas, stabilized), deltas[L] being the sum over the
-    elements of length L.  The layers are those of weyl.orbit_layers on
-    rho^vee, which extends by left multiplication: w = s_i w' with the
-    length adding, so T_w(seed) = T_i(T_{w'}(seed)), and each
+    Every w in W_{J_k} factors uniquely as w = u x with x in W_{J_{k-1}},
+    u a minimal coset representative and l(w) = l(u) + l(x) (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.10).  So with X_0 = e^anchor,
+    X_k = sum_u T_u(X_{k-1}) over those u, and X_n is the whole sum.  The
+    u of step k are the orbit of the k-th fundamental coweight under
+    W_{J_k}, which _walk walks on the leading k x k block of the Cartan
+    matrix with labels (0, ..., 0, 1); a step of pairing <= 0 lands on a
+    seen key.  l(w0) is the sum of the cosets' lengths, and layer_cap
+    bounds each coset layer, the most the chain holds at once.
+    """
+    if spec.affine:
+        raise HeckeError("the parabolic chain needs a finite spec")
+    cartan = rootdata.build_cartan(spec)
+    total = AnchoredSeries.monomial(spec, tuple(anchor_labels))
+    length = 0
+    for k in range(1, len(cartan) + 1):
+        block = tuple(row[:k] for row in cartan[:k])
+        total, coset_length, _ = _walk(spec, block, (0,) * (k - 1) + (1,),
+                                       total, None, layer_cap, T_KIND)
+        length += coset_length
+    return total, length
+
+
+def _walk(spec, cartan, labels, seed, max_layers, layer_cap, kind,
+          depth=None, margin=None):
+    """Sum T_w(seed) over the w of weyl.orbit_layers(cartan, labels), one
+    BFS layer at a time; cartan is a leading block of spec's matrix.
+
+    Returns (total, length, stabilized), length being the number of
+    layers walked.  The walk extends by left multiplication: w = s_i w'
+    with the length adding, so T_w(seed) = T_i(T_{w'}(seed)), and each
     layer's exact values are built from its parents' and kept until the
-    next layer has been built from them.  Each layer, and at the end the
-    layers, are summed over plain integers by vseries.add_into.  With
-    depth None the sums are exact and the walk runs max_layers layers or
-    to the end of a finite group.  With a depth every sum is truncated to
-    ht <= depth (and to nonnegative displacements), and the walk stops,
-    stabilized, after `margin` consecutive layers whose elements each
+    next layer has been built from them.  A layer of more than layer_cap
+    elements raises HeckeError.  Every value is added straight into one
+    vseries.add_into accumulator.  With depth None the sum is exact and
+    the walk runs max_layers layers (None: no limit) or to the end of a
+    finite orbit.  With a depth every value is truncated to ht <= depth
+    (and to nonnegative displacements), and the walk stops, stabilized,
+    after `margin` consecutive quiet layers, whose elements each
     contribute nothing there; stabilized is False when max_layers runs
     out first.
 
@@ -216,116 +225,42 @@ def _walk(spec, seed, max_layers, layer_cap, kind, depth=None, margin=None):
     """
     if not seed.exact:
         raise HeckeError("the symmetrizer needs an exact (finite) seed")
-    cartan = rootdata.build_cartan(spec)
     anchor = seed.anchor
     exact = depth is None
-    deltas = [seed if exact else seed.truncate(depth)]
-    layer = {(0,) * spec.num_nodes: seed}  # orbit key -> T_w(seed)
-    layers = weyl.orbit_layers(cartan, (1,) * spec.num_nodes)
-    quiet = 0
+    acc = {}
+    add_into(acc, (seed if exact else seed.truncate(depth)).terms)
+    layer = {(0,) * len(cartan): seed}  # orbit key -> T_w(seed)
+    layers = weyl.orbit_layers(cartan, labels)
+    length = quiet = 0
     stabilized = False
-    for _ in range(max_layers):
+    while max_layers is None or length < max_layers:
         steps = next(layers, None)  # [(orbit key, letter, parent's key)]
         if steps is None:
-            stabilized = True  # finite group exhausted
+            stabilized = True  # finite orbit exhausted
             break
-        _check_cap(len(steps), layer_cap)
+        if layer_cap is not None and len(steps) > layer_cap:
+            raise HeckeError(
+                f"layer of size {len(steps)} exceeds cap {layer_cap}")
+        length += 1
         if (margin is not None and quiet == margin - 1
-                and _quiet_from_reachable(cartan, anchor, steps, layer,
-                                          kind, depth)):
-            deltas.append(AnchoredSeries.zero(spec, anchor, depth=depth,
-                                              exact=False))
+                and _quiet_from_reachable(rootdata.build_cartan(spec),
+                                          anchor, steps, layer, kind, depth)):
             stabilized = True
             break
         layer = {child: apply_T(spec, i, layer[parent], kind)
                  for child, i, parent in steps}
-        acc = {}
+        loud = False
         for value in layer.values():
-            add_into(acc, (value if exact else value.truncate(depth)).terms)
-        if not exact:
-            # quiet: no element has a term at ht <= depth (acc keeps the
-            # keys of terms that cancel)
-            quiet = 0 if acc else quiet + 1
-        deltas.append(AnchoredSeries(spec, anchor, freeze(acc), depth=depth,
-                                     exact=exact, _trusted=True))
+            terms = value.terms if exact else value.truncate(depth).terms
+            loud = loud or bool(terms)
+            add_into(acc, terms)
+        quiet = 0 if loud else quiet + 1
         if margin is not None and quiet >= margin:
             stabilized = True
             break
-    acc = {}
-    for delta in deltas:
-        add_into(acc, delta.terms)
     total = AnchoredSeries(spec, anchor, freeze(acc), depth=depth,
                            exact=exact, _trusted=True)
-    return total, deltas, stabilized
-
-
-def _check_cap(size, layer_cap):
-    """HeckeError if one length layer of the group exceeds layer_cap."""
-    if layer_cap is not None and size > layer_cap:
-        raise HeckeError(f"layer of size {size} exceeds cap {layer_cap}")
-
-
-def symmetrizer_chain(spec, anchor_labels, layer_cap=None):
-    """sum_{w in W} T_w(e^anchor) over a finite Weyl group, exactly, by the
-    parabolic chain J_k = {1..k}.  Returns (total, l(w0)).
-
-    Every w in W_{J_k} factors uniquely as w = u x with x in W_{J_{k-1}},
-    u a minimal coset representative and l(w) = l(u) + l(x) (Humphreys,
-    Reflection Groups and Coxeter Groups, 1.10).  So with X_0 = e^anchor,
-    X_k = sum_u T_u(X_{k-1}) over those u, and X_n is the whole sum.  The
-    u of step k are the orbit of the k-th fundamental coweight under
-    W_{J_k}: weyl.orbit_layers on the leading k x k block of the Cartan
-    matrix with labels (0, ..., 0, 1), where a step of pairing <= 0 lands
-    on a seen key.  As in _walk, u = s_i u' with the length adding, so
-    T_u(X) = T_i(T_{u'}(X)) costs one apply_T on the parent's value, and
-    each coset's values are summed into one add_into accumulator.
-
-    The cosets' layer-size polynomials multiply to W's Poincare
-    polynomial: its coefficients are the sizes of W's length layers,
-    checked against layer_cap (as _walk does) before any T_i, and its
-    degree is l(w0).
-    """
-    if spec.affine:
-        raise HeckeError("the parabolic chain needs a finite spec")
-    cosets, sizes = _parabolic_cosets(rootdata.build_cartan(spec))
-    for size in sizes[1:]:
-        _check_cap(size, layer_cap)
-    total = AnchoredSeries.monomial(spec, tuple(anchor_labels))
-    for k, coset in enumerate(cosets, 1):
-        acc = {}
-        add_into(acc, total.terms)
-        layer = {(0,) * k: total}  # orbit key -> T_u(X_{k-1})
-        for steps in coset:
-            layer = {child: apply_T(spec, i, layer[parent])
-                     for child, i, parent in steps}
-            for value in layer.values():
-                add_into(acc, value.terms)
-        total = AnchoredSeries(spec, total.anchor, freeze(acc), exact=True,
-                               _trusted=True)
-    return total, len(sizes) - 1
-
-
-def _parabolic_cosets(cartan):
-    """(cosets, sizes) for the chain J_k = {1..k} of symmetrizer_chain.
-
-    cosets[k-1] lists the orbit layers of the k-th fundamental coweight
-    under W_{J_k}, as weyl.orbit_layers yields them.  sizes is the
-    product of the cosets' layer-size polynomials, low degree first:
-    W's Poincare polynomial.
-    """
-    cosets = []
-    sizes = [1]
-    for k in range(1, len(cartan) + 1):
-        block = tuple(row[:k] for row in cartan[:k])
-        coset = list(weyl.orbit_layers(block, (0,) * (k - 1) + (1,)))
-        cosets.append(coset)
-        factor = [1] + [len(layer) for layer in coset]
-        product = [0] * (len(sizes) + len(factor) - 1)
-        for a, x in enumerate(sizes):
-            for b, y in enumerate(factor):
-                product[a + b] += x * y
-        sizes = product
-    return cosets, sizes
+    return total, length, stabilized
 
 
 def _reachable_terms(cartan, anchor, terms, i, kind, depth):

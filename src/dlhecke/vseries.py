@@ -425,8 +425,8 @@ def add_into(acc, terms):
     """Add a raw term map into acc, in place and over plain integers.
 
     acc maps beta to {v-degree: int}; entries may reach zero there, and
-    freeze drops them.  It is the one accumulator of long exact sums: the
-    parabolic chain and the walker's layers.
+    freeze drops them.  It is the one accumulator of long sums: every
+    value of heckeops' symmetrizer walker is added into one.
     """
     for beta, cf in terms.items():
         p = acc.get(beta)

@@ -1,5 +1,9 @@
 """CLI surface tests: argument handling, exit codes, and JSON output."""
+import contextlib
+import io
 import json
+
+from hypothesis import given, settings, strategies as st
 
 from dlhecke import cli
 
@@ -92,8 +96,9 @@ def test_malformed_vectors_are_usage_errors(capsys):
 
 
 def test_library_errors_have_their_own_exit_code(capsys):
+    # the first length layer of the affine A2 Weyl group has 3 elements
     code, _, err = run(capsys, "--layer-cap", "2", "whittaker", "--spec",
-                       "A3", "--labels", "1,1,1")
+                       "A2!", "--labels", "0,0,1", "--depth", "2")
     assert code == cli.EXIT_ERROR == 3 and "exceeds cap" in err
     code, _, err = run(capsys, "verify", "recursion", "--spec", "A2",
                        "--labels", "1,1", "--wprime", "1,1", "--i", "2")
@@ -106,12 +111,26 @@ def test_bad_rational_q(capsys):
     assert code == 64
 
 
-
 def test_hecke_relations_count_below_one_is_usage_error(capsys):
     for count in ("0", "-5"):
         code, out, err = run(capsys, "verify", "hecke-relations", "--spec",
                              "A2", "--count", count)
         assert code == 64 and "--count" in err and out == ""
+
+
+def test_layer_cap_below_one_is_usage_error(capsys):
+    for cap in ("0", "-5"):
+        code, out, err = run(capsys, "--layer-cap", cap, "whittaker",
+                             "--spec", "A1", "--labels", "2")
+        assert code == 64 and "--layer-cap" in err and out == ""
+
+
+def test_finite_layer_cap_bounds_a_coset_layer(capsys):
+    # the chain holds one coset layer at a time, at most 1 element on A3,
+    # though W's largest length layer has 5
+    code, out, _ = run(capsys, "--format", "json", "--layer-cap", "2",
+                       "whittaker", "--spec", "A3", "--labels", "1,1,1")
+    assert code == 0 and json.loads(out)["achieved_L"] == 6
 
 
 def test_verify_all_rejects_options_it_ignores(capsys):
@@ -120,3 +139,110 @@ def test_verify_all_rejects_options_it_ignores(capsys):
                  ["--spec", "A2", "--labels", "1,1"]):
         code, out, err = run(capsys, "verify", "all", *argv)
         assert code == 64 and argv[0] in err and out == ""
+
+
+# -- fuzzing the argument grammar ------------------------------------------
+
+SPECS = {"A1": 1, "A2": 2, "A3": 3, "D4": 4, "A1!": 2, "A2!": 3}
+BAD_SPECS = ["A0", "D2", "E5", "E9", "A-1", "B2", "A", "a2", "A2!!", "",
+             " ", "A1 !", "D!"]
+LARGE = st.sampled_from([10 ** 9, -10 ** 9, 2 ** 64])
+SMALL = st.integers(-2, 3)
+JUNK = st.text(alphabet="x,;-! ", max_size=4)
+
+
+def _mostly(good, *bad):
+    """good, drawn six times as often as each of the bad strategies."""
+    return st.sampled_from([good] * 6 + list(bad)).flatmap(lambda x: x)
+
+
+def _joined(ints):
+    return ints.map(lambda xs: ",".join(map(str, xs)))
+
+
+def _vector(entries, n):
+    """Comma-separated ints, mostly n of them, sometimes junk."""
+    return _mostly(_joined(st.lists(entries, min_size=n, max_size=n)),
+                   _joined(st.lists(entries, max_size=5)), JUNK)
+
+
+@st.composite
+def argvs(draw):
+    """argv drawn from the parser's grammar, with bad values mixed in.
+
+    Every well-formed request is kept cheap: depths stay <= 3 and layer
+    caps small, labels stay <= 2 (<= 1 on D4), the symmetrizer window
+    (depth - buffer) stays <= 1, and gk-limit, whose labels double from
+    ht(nu) upwards, takes no D4 (its finite sums at labels 2 take 2 s)."""
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["text", "json"]))]
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(SMALL | LARGE))]
+    argv += ["--layer-cap",
+             str(draw(_mostly(st.integers(1, 6), st.integers(-1, 0))))]
+    command = draw(st.sampled_from(["roots", "exponents", "weyl",
+                                    "character", "whittaker", "verify"]))
+    what = draw(st.sampled_from([
+        "finite-cs", "affine-cs", "recursion", "symmetrizer", "gk-limit",
+        "hecke-relations", "denominator-identity", "proportionality",
+        "all"])) if command == "verify" else None
+    specs = [s for s in SPECS if what != "gk-limit" or s != "D4"]
+    if command in ("roots", "exponents"):
+        specs += ["E6", "E6!"]
+    spec = draw(_mostly(st.sampled_from(specs), st.sampled_from(BAD_SPECS)))
+    n = SPECS.get(spec, 2)
+    labels = _vector(st.integers(-1, 1 if spec == "D4" else 2), n)
+    depth = st.integers(-2, 3)
+    options = {"--spec": st.just(spec)}
+    if command in ("roots", "character", "whittaker"):
+        options["--depth"] = depth
+    if command == "weyl":
+        options["--max-length"] = st.integers(-2, 8)
+    if command in ("character", "whittaker") or what in (
+            "finite-cs", "affine-cs", "recursion", "symmetrizer",
+            "proportionality"):
+        options["--labels"] = labels
+    if command == "whittaker" or what in ("affine-cs", "symmetrizer",
+                                          "gk-limit", "proportionality"):
+        options["--margin"] = st.integers(-1, 3)
+    if what not in (None, "all", "symmetrizer"):
+        options["--depth"] = depth
+    if what == "affine-cs":
+        options["--q"] = st.sampled_from(["2", "-3/2", "0", "1/0", "x",
+                                          str(10 ** 9)])
+    if what == "recursion":
+        options["--wprime"] = _vector(SMALL | LARGE, 2)
+        options["--i"] = SMALL | LARGE
+    if what == "gk-limit":
+        options["--nu"] = _vector(SMALL | LARGE, n)
+    if what == "hecke-relations":
+        options["--count"] = SMALL
+    if what == "all":
+        # it refuses any of these
+        options = {"--spec": st.just(spec)} if draw(st.booleans()) else {}
+    argv += [command] + ([what] if what else [])
+    for name, values in options.items():
+        if draw(_mostly(st.just(False), st.just(True))):
+            continue  # leave a (maybe required) option out
+        value = str(draw(values))
+        if draw(st.booleans()):
+            argv.append(f"{name}={value}")
+        else:
+            argv += [name, value]  # "-1,2" then reads as an option
+    if what == "symmetrizer":
+        d = draw(depth)
+        argv += ["--depth", str(d), "--buffer",
+                 str(d - draw(st.integers(-1, 1)))]
+    if draw(_mostly(st.just(False), st.just(True))):
+        argv.append(draw(st.sampled_from(["--bogus", "x", "--depth", "7"])))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_any_argv_exits_with_a_documented_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run(argv)
+    assert code in (0, 1, 2, 3, 64)

@@ -81,23 +81,24 @@ def test_quadratic_relation_on_awkward_monomials():
     for labels in [(-3, 2), (0, 0), (4, -1)]:
         s = _mono(A2, labels)
         for i in (1, 2):
-            assert heckeops.check_quadratic(A2, i, s, T_KIND)
-            assert heckeops.check_quadratic(A2, i, s, TPRIME_KIND)
+            for kind in (T_KIND, TPRIME_KIND):
+                assert heckeops.quadratic_difference(A2, i, s, kind) is None
 
 
 def test_quadratic_relation_affine_double_bond():
     for labels in [(0, 1), (2, -2), (-1, 3)]:
         for i in (1, 2):
-            assert heckeops.check_quadratic(A1A, i, _mono(A1A, labels))
+            assert heckeops.quadratic_difference(
+                A1A, i, _mono(A1A, labels)) is None
 
 
 def test_braid_relation_a2():
-    assert heckeops.check_braid(A2, 1, 2, _mono(A2, (2, -1)))
+    assert heckeops.braid_difference(A2, 1, 2, _mono(A2, (2, -1))) is None
 
 
 def test_conjugation_identity():
-    assert heckeops.check_conjugation(A2, 1, _mono(A2, (1, -2)))
-    assert heckeops.check_conjugation(A1A, 2, _mono(A1A, (0, 1)))
+    assert heckeops.conjugation_difference(A2, 1, _mono(A2, (1, -2))) is None
+    assert heckeops.conjugation_difference(A1A, 2, _mono(A1A, (0, 1))) is None
 
 
 def test_word_operator_composes_right_to_left():
@@ -108,8 +109,8 @@ def test_word_operator_composes_right_to_left():
 
 
 def test_symmetrizer_partial_finite_a1():
-    total, deltas = heckeops.symmetrizer_partial(A1, (2,), 10)
-    assert len(deltas) == 2          # identity layer plus one reflection
+    total, length = heckeops.symmetrizer_chain(A1, (2,))
+    assert length == 1               # identity plus one reflection
     assert dict(total.terms) == {
         (0,): VP_ONE, (1,): 1 - VINV, (2,): 1 - VINV, (3,): -VINV}
 
@@ -131,9 +132,10 @@ def test_symmetrizer_stabilized_affine_flags():
 
 
 def test_layer_cap_enforced():
-    with pytest.raises(HeckeError):
-        heckeops.symmetrizer_partial(RootSystemSpec.parse("A3"), (1, 1, 1),
-                                     10, layer_cap=2)
+    # the first layer of the affine A2 Weyl group holds 3 reflections
+    spec = RootSystemSpec.parse("A2!")
+    with pytest.raises(HeckeError, match="layer of size 3 exceeds cap 2"):
+        heckeops.symmetrizer_stabilized(spec, (0, 0, 1), 2, layer_cap=2)
 
 
 # -- random multi-term series ----------------------------------------------
@@ -234,18 +236,25 @@ def test_reachable_terms_keep_every_shallow_output(data, s, kind, depth):
     assert _shallow_part(part, depth) == _shallow_part(full, depth)
 
 
-def _stabilized_by_exact_layers(spec, seed, depth, margin, kind, max_length):
-    """The stabilized sum with every layer's T_w(seed) built exactly."""
-    layers = weyl.enumerate_layers(spec, max_length)
+def _exact_layers(spec, seed, kind, max_length):
+    """Yield the values T_w(seed) of each length layer 1..max_length of W,
+    every one built exactly as T_i of its parent's value."""
     values = {(): seed}
-    total = seed.truncate(depth)
-    quiet = 0
-    for length, layer in enumerate(layers[1:], 1):
+    for layer in weyl.enumerate_layers(spec, max_length)[1:]:
         # the first letter of a BFS word is a left descent
         values = {w.word: heckeops.apply_T(spec, w.word[0],
                                            values[w.word[1:]], kind)
                   for w in layer}
-        pieces = [v.truncate(depth) for v in values.values()]
+        yield list(values.values())
+
+
+def _stabilized_by_exact_layers(spec, seed, depth, margin, kind, max_length):
+    """The stabilized sum with every layer's T_w(seed) built exactly."""
+    total = seed.truncate(depth)
+    quiet = 0
+    for length, values in enumerate(
+            _exact_layers(spec, seed, kind, max_length), 1):
+        pieces = [v.truncate(depth) for v in values]
         pieces = [p for p in pieces if not p.is_zero()]
         for p in pieces:
             total = total + p
@@ -253,6 +262,18 @@ def _stabilized_by_exact_layers(spec, seed, depth, margin, kind, max_length):
         if quiet >= margin:
             return total, length, True
     raise AssertionError(f"no stabilization within {max_length} layers")
+
+
+def _summed_by_exact_layers(spec, labels):
+    """(sum_{w in W} T_w(e^labels), l(w0)) over a finite W, every
+    T_w(e^labels) built exactly and added as a series."""
+    total = seed = _mono(spec, labels)
+    length = 0
+    for length, values in enumerate(
+            _exact_layers(spec, seed, T_KIND, 10 ** 9), 1):
+        for v in values:
+            total = total + v
+    return total, length
 
 
 WALK_CASES = [("A1!", (0, 1), 6, T_KIND, 16),
@@ -302,30 +323,49 @@ def test_last_layer_skips_the_full_parent_values(monkeypatch):
 
 # -- the parabolic chain ---------------------------------------------------
 
-def _walked(spec, labels):
-    total, deltas = heckeops.symmetrizer_partial(spec, labels, 10 ** 9)
-    return total, len(deltas) - 1
-
-
 @pytest.mark.parametrize("text, labels", [("A4", (2, 1, 1, 0)),
                                           ("A4", (1, 1, 1, 1)),
                                           ("D4", (1, 0, 1, 0)),
                                           ("D4", (0, 1, 0, 0))])
 def test_chain_matches_walker(text, labels):
-    """The chain's series and l(w0) equal the walker's.  Acceptance
-    criterion 1 checks the chain on the A3 and D4 label grids against the
-    Casselman-Shalika product, so the slower walker runs only here."""
+    """The chain's series and l(w0) equal a BFS over all of W that adds
+    every T_w(e^L) as a series.  Acceptance criterion 1 checks the chain
+    on the A3 and D4 label grids against the Casselman-Shalika product, so
+    the slower BFS runs only here."""
     spec = RootSystemSpec.parse(text)
-    assert heckeops.symmetrizer_chain(spec, labels) == _walked(spec, labels)
+    assert heckeops.symmetrizer_chain(spec, labels) == \
+        _summed_by_exact_layers(spec, labels)
+
+
+def _cosets(cartan):
+    """The orbit layers of each coset of the chain J_k = {1..k}."""
+    return [list(weyl.orbit_layers(tuple(row[:k] for row in cartan[:k]),
+                                   (0,) * (k - 1) + (1,)))
+            for k in range(1, len(cartan) + 1)]
 
 
 @pytest.mark.parametrize("text", ["A1", "A2", "A3", "A4", "A5", "D4", "D5"])
 def test_parabolic_cosets_multiply_to_the_layer_sizes(text):
+    # the cosets are the minimal coset representatives: their layer-size
+    # polynomials multiply to W's Poincare polynomial
     spec = RootSystemSpec.parse(text)
-    cosets, sizes = heckeops._parabolic_cosets(rootdata.build_cartan(spec))
-    assert len(cosets) == spec.num_nodes
+    sizes = [1]
+    for coset in _cosets(rootdata.build_cartan(spec)):
+        product = [0] * (len(sizes) + len(coset))
+        for a, x in enumerate(sizes):
+            for b, y in enumerate([1] + [len(layer) for layer in coset]):
+                product[a + b] += x * y
+        sizes = product
     assert sizes == [len(layer)
                      for layer in weyl.enumerate_layers(spec, 10 ** 9)]
+
+
+@pytest.mark.parametrize("text", ["A1", "A2", "A3", "A4", "A5", "D4"])
+def test_chain_length_is_the_number_of_positive_coroots(text):
+    # l(w0) = |positive coroots|, as the sum of the cosets' lengths
+    spec = RootSystemSpec.parse(text)
+    _, length = heckeops.symmetrizer_chain(spec, (0,) * spec.num_nodes)
+    assert length == len(rootdata.positive_coroots_up_to(spec, 10 ** 9))
 
 
 def _error(run):
@@ -337,21 +377,20 @@ def _error(run):
     return None
 
 
-@pytest.mark.parametrize("text, caps", [("A3", range(8)),
-                                        ("D4", (0, 3, 4, 29, 30))])
+@pytest.mark.parametrize("text, caps", [("A3", (0, 1)), ("D4", (1, 2))])
 def test_chain_layer_cap_error_is_the_walkers(text, caps):
+    """The chain's cap bounds one coset layer, the most it holds at once.
+    The largest holds m elements (caps = (m - 1, m)): the walker raises at
+    cap m - 1, when it reaches that layer, and the sum runs at cap m."""
     spec = RootSystemSpec.parse(text)
     labels = (0,) * spec.num_nodes
-    _, sizes = heckeops._parabolic_cosets(rootdata.build_cartan(spec))
-    for cap in caps:
-        chain = _error(lambda: heckeops.symmetrizer_chain(spec, labels, cap))
-        walk = _error(lambda: heckeops.symmetrizer_partial(
-            spec, labels, 10 ** 9, layer_cap=cap))
-        assert chain == walk
-        assert (chain is None) == (cap >= max(sizes))
-    # the first layer holds the n simple reflections
-    assert _error(lambda: heckeops.symmetrizer_chain(spec, labels, 2)) == \
-        f"layer of size {spec.num_nodes} exceeds cap 2"
+    below, largest = caps
+    assert max(len(layer) for coset in _cosets(rootdata.build_cartan(spec))
+               for layer in coset) == largest
+    assert _error(lambda: heckeops.symmetrizer_chain(spec, labels, below)) \
+        == f"layer of size {largest} exceeds cap {below}"
+    assert heckeops.symmetrizer_chain(spec, labels, largest) == \
+        heckeops.symmetrizer_chain(spec, labels)
 
 
 def test_chain_refuses_an_affine_spec():
