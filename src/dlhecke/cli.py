@@ -255,6 +255,10 @@ def run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse reads "--opt=--" as an empty list; no option takes one
+        empty = [name for name, value in vars(args).items() if value == []]
+        if empty:
+            raise UsageError(f"--{empty[0].replace('_', '-')} needs a value")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -118,6 +118,17 @@ def test_hecke_relations_count_below_one_is_usage_error(capsys):
         assert code == 64 and "--count" in err and out == ""
 
 
+def test_double_dash_values_are_usage_errors(capsys):
+    # argparse reads "--opt=--" as an empty list, not a string
+    for argv in (["--layer-cap=--", "roots", "--spec", "A1"],
+                 ["roots", "--spec", "A1", "--depth=--"],
+                 ["character", "--spec", "A1", "--labels=--"],
+                 ["verify", "affine-cs", "--spec", "A1!", "--labels", "0,1",
+                  "--q=--"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and "needs a value" in err and out == ""
+
+
 def test_layer_cap_below_one_is_usage_error(capsys):
     for cap in ("0", "-5"):
         code, out, err = run(capsys, "--layer-cap", cap, "whittaker",
@@ -172,7 +183,7 @@ def argvs(draw):
 
     Every well-formed request is kept cheap: depths stay <= 3 and layer
     caps small, labels stay <= 2 (<= 1 on D4), the symmetrizer window
-    (depth - buffer) stays <= 1, and gk-limit, whose labels double from
+    (depth - buffer) stays <= 0, and gk-limit, whose labels double from
     ht(nu) upwards, takes no D4 (its finite sums at labels 2 take 2 s)."""
     argv = []
     if draw(st.booleans()):
@@ -233,7 +244,7 @@ def argvs(draw):
     if what == "symmetrizer":
         d = draw(depth)
         argv += ["--depth", str(d), "--buffer",
-                 str(d - draw(st.integers(-1, 1)))]
+                 str(d - draw(st.integers(-1, 0)))]
     if draw(_mostly(st.just(False), st.just(True))):
         argv.append(draw(st.sampled_from(["--bogus", "x", "--depth", "7"])))
     return argv
