@@ -17,14 +17,13 @@ class CharacterError(ValueError):
     """Non-dominant labels or malformed character requests."""
 
 
-def _binomial_factor(spec, u, beta, depth, negate_exponent=False):
+def _binomial_factor(spec, u, beta, depth):
     """(1 - u e^{-beta}) as a truncated series at anchor 0."""
     n = spec.num_nodes
     terms = {(0,) * n: VP_ONE}
     if ht(beta) <= depth:
         terms[tuple(beta)] = -u if isinstance(u, VPoly) else VPoly(-u)
-    return AnchoredSeries(spec, (0,) * n, terms, depth=depth, exact=False,
-                          _trusted=True)
+    return AnchoredSeries(spec, (0,) * n, terms, depth=depth, _trusted=True)
 
 
 def denominator(spec, depth, deformed=False):
@@ -117,8 +116,7 @@ def character_numerator(spec, labels, depth):
     labels = _dominant(labels)
     terms = {b: VPoly(sign)
              for b, sign in _signed_orbit(spec, labels, depth).items()}
-    return AnchoredSeries(spec, labels, terms, depth=depth, exact=False,
-                          _trusted=True)
+    return AnchoredSeries(spec, labels, terms, depth=depth, _trusted=True)
 
 
 def weyl_kac_character(spec, labels, depth):
@@ -140,10 +138,9 @@ def finite_character_exact(spec, labels):
     labels = _dominant(labels)
     terms = {b: VPoly(sign)
              for b, sign in _signed_orbit(spec, labels).items()}
-    for cr in rootdata.positive_coroots_up_to(spec, 10 ** 9):
+    for cr in rootdata.positive_coroots_up_to(spec, None):
         terms = divide_exact(terms, cr.coords)
-    return AnchoredSeries(spec, labels, terms, depth=None, exact=True,
-                          _trusted=True)
+    return AnchoredSeries(spec, labels, terms, _trusted=True)
 
 
 def denominator_wtwist_difference(spec, i, depth):

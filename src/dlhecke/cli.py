@@ -4,15 +4,13 @@ series, and the identity-verification suite.
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 a check did
 not stabilize under the layer cap, 3 the library could not carry out the
 request (for example a layer-cap overflow), 64 usage error.  All
-arithmetic is exact; the spot-check parameter q is parsed as an exact
-rational.
+arithmetic is exact.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__, characters, heckeops, rootdata, verify, weyl
 from .rootdata import RootDataError, RootSystemSpec
@@ -49,21 +47,12 @@ def _parse_ints(text, what, n=None):
     return vec
 
 
-def _parse_q(text):
-    try:
-        q = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"cannot parse rational {text!r}")
-    if q == 0:
-        raise UsageError("q must be nonzero")
-    return q
-
-
 def build_parser():
     p = _Parser(prog="dlhecke", description=__doc__.splitlines()[0])
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--layer-cap", type=int, default=20000)
+    p.add_argument("--layer-cap", type=int,
+                   default=heckeops.DEFAULT_LAYER_CAP)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("roots", help="positive coroots up to a height")
@@ -85,8 +74,10 @@ def build_parser():
     sp = sub.add_parser("whittaker", help="normalized Whittaker sum")
     sp.add_argument("--spec", required=True)
     sp.add_argument("--labels", required=True)
-    sp.add_argument("--depth", type=int, default=6)
-    sp.add_argument("--margin", type=int, default=2)
+    # affine sums only; a finite sum is exact and refuses both
+    sp.add_argument("--depth", type=int, help="default 6")
+    sp.add_argument("--margin", type=int,
+                    help=f"default {heckeops.DEFAULT_MARGIN}")
 
     sp = sub.add_parser("verify", help="run identity checks")
     sp.add_argument("what", choices=(
@@ -95,9 +86,8 @@ def build_parser():
     sp.add_argument("--spec")
     sp.add_argument("--labels")
     sp.add_argument("--depth", type=int, default=6)
-    sp.add_argument("--margin", type=int, default=2)
+    sp.add_argument("--margin", type=int, default=heckeops.DEFAULT_MARGIN)
     sp.add_argument("--buffer", type=int, default=3)
-    sp.add_argument("--q", default="2")
     sp.add_argument("--nu", help="displacement vector for gk-limit")
     sp.add_argument("--wprime", help="reduced word for recursion, e.g. 2,1")
     sp.add_argument("--i", type=int, help="generator for recursion")
@@ -175,11 +165,9 @@ def _run_verify(args):
     elif what == "affine-cs":
         spec = _spec_of(args)
         labels = _parse_ints(args.labels, "labels", spec.num_nodes)
-        q = _parse_q(args.q)
         reports = [verify.verify_affine_cs(spec, labels, args.depth,
                                            margin=args.margin,
-                                           layer_cap=args.layer_cap,
-                                           qs=(q,))]
+                                           layer_cap=args.layer_cap)]
     elif what == "recursion":
         spec = _spec_of(args)
         labels = _parse_ints(args.labels, "labels", spec.num_nodes)
@@ -223,7 +211,7 @@ def _run_verify(args):
     return _reports_exit(reports)
 
 
-def acceptance_reports(layer_cap=20000, seed=0):
+def acceptance_reports(layer_cap=heckeops.DEFAULT_LAYER_CAP, seed=0):
     """The default `verify all` battery (a superset is in the test suite)."""
     reports = []
     a1 = RootSystemSpec.parse("A1")
@@ -295,9 +283,18 @@ def run(argv):
             _emit(args, payload)
         elif args.command == "whittaker":
             labels = _parse_ints(args.labels, "labels", spec.num_nodes)
+            if spec.affine:
+                depth = 6 if args.depth is None else args.depth
+                margin = (heckeops.DEFAULT_MARGIN if args.margin is None
+                          else args.margin)
+            elif args.depth is not None or args.margin is not None:
+                raise UsageError("a finite Whittaker sum is exact and takes "
+                                 "no --depth or --margin")
+            else:
+                depth = margin = None
             s, achieved, stabilized = verify.whittaker_normalized(
-                spec, labels, depth=args.depth if spec.affine else None,
-                margin=args.margin, layer_cap=args.layer_cap)
+                spec, labels, depth=depth, margin=margin,
+                layer_cap=args.layer_cap)
             payload = {"header": _header(args, spec),
                        "prefactor": "q^<rho,anchor> (symbolic, not folded in)",
                        "achieved_L": achieved, "stabilized": stabilized,

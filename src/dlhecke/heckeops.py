@@ -33,6 +33,10 @@ class HeckeError(ValueError):
 
 T_KIND = "T"
 TPRIME_KIND = "Tprime"
+# defaults: a stabilized sum's quiet-layer margin, and the largest layer
+# of exact values a walk may hold
+DEFAULT_MARGIN = 2
+DEFAULT_LAYER_CAP = 20000
 
 
 def _pairings(cartan, anchor, terms, i):
@@ -101,8 +105,7 @@ def apply_T(spec, i, s, kind=T_KIND):
         raise HeckeError("apply_T needs an exact (finite) series")
     cartan = rootdata.build_cartan(spec)
     out = apply_T_raw(cartan, s.anchor, s.terms, i, kind)
-    return AnchoredSeries(spec, s.anchor, out, depth=None, exact=True,
-                          _trusted=True)
+    return AnchoredSeries(spec, s.anchor, out, _trusted=True)
 
 
 def apply_T_word(spec, word, s, kind=T_KIND):
@@ -138,18 +141,16 @@ def conjugation_difference(spec, i, s):
     label by one; exponent displacements are untouched.
     """
     shifted = AnchoredSeries(spec, tuple(a + 1 for a in s.anchor),
-                             dict(s.terms), depth=None, exact=True,
-                             _trusted=True)
+                             dict(s.terms), _trusted=True)
     lhs_raw = apply_T(spec, i, shifted, TPRIME_KIND)
-    lhs = AnchoredSeries(spec, s.anchor, dict(lhs_raw.terms), depth=None,
-                         exact=True, _trusted=True)
+    lhs = AnchoredSeries(spec, s.anchor, dict(lhs_raw.terms), _trusted=True)
     rhs = apply_T(spec, i, s, T_KIND).scale(-V)
     return lhs.first_difference(rhs)
 
 
-def symmetrizer_stabilized(spec, anchor_labels, depth, margin=2,
-                           layer_cap=20000, seed=None, kind=T_KIND,
-                           max_layers=500):
+def symmetrizer_stabilized(spec, anchor_labels, depth, margin=DEFAULT_MARGIN,
+                           layer_cap=DEFAULT_LAYER_CAP, seed=None,
+                           kind=T_KIND, max_layers=500):
     """Partial symmetrizer truncated to `depth`, run until stabilization.
 
     Layers are added until `margin` consecutive layers contribute nothing
@@ -226,9 +227,8 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, kind,
     if not seed.exact:
         raise HeckeError("the symmetrizer needs an exact (finite) seed")
     anchor = seed.anchor
-    exact = depth is None
     acc = {}
-    add_into(acc, (seed if exact else seed.truncate(depth)).terms)
+    add_into(acc, (seed if depth is None else seed.truncate(depth)).terms)
     layer = {(0,) * len(cartan): seed}  # orbit key -> T_w(seed)
     layers = weyl.orbit_layers(cartan, labels)
     length = quiet = 0
@@ -251,7 +251,8 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, kind,
                  for child, i, parent in steps}
         loud = False
         for value in layer.values():
-            terms = value.terms if exact else value.truncate(depth).terms
+            terms = (value.terms if depth is None
+                     else value.truncate(depth).terms)
             loud = loud or bool(terms)
             add_into(acc, terms)
         quiet = 0 if loud else quiet + 1
@@ -259,7 +260,7 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, kind,
             stabilized = True
             break
     total = AnchoredSeries(spec, anchor, freeze(acc), depth=depth,
-                           exact=exact, _trusted=True)
+                           _trusted=True)
     return total, length, stabilized
 
 

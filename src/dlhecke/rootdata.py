@@ -143,7 +143,7 @@ def highest_root(spec):
     """theta^vee of a finite spec (simply-laced: same coords as theta)."""
     if spec.affine:
         raise RootDataError("finite spec required")
-    roots = [r.coords for r in positive_coroots_up_to(spec, 10 ** 9)]
+    roots = [r.coords for r in positive_coroots_up_to(spec, None)]
     top = max(roots, key=sum)
     # sanity: unique maximum in dominance order
     assert all(all(t - b >= 0 for t, b in zip(top, beta)) for beta in roots)
@@ -160,25 +160,35 @@ def minimal_imaginary_coroot(spec):
 
 
 def positive_coroots_up_to(spec, depth):
-    """All positive coroots of height <= depth, with multiplicities.
+    """All positive coroots of height <= depth, with multiplicities; with
+    depth None, every positive coroot of a finite spec (an affine spec has
+    infinitely many, so it needs a depth).
 
     Real coroots come from a height-bounded BFS orbit of the simples under
     the simple reflections; imaginary coroots (affine only) are the
     multiples j*c, each of multiplicity l = finite rank.
     """
-    if depth < 0:
+    if depth is None:
+        if spec.affine:
+            raise RootDataError(f"{spec} has infinitely many positive "
+                                "coroots; give a height bound")
+    elif depth < 0:
         raise RootDataError("depth must be >= 0")
+
+    def kept(beta):
+        return depth is None or sum(beta) <= depth
+
     cartan = build_cartan(spec)
     n = spec.num_nodes
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    seen = set(b for b in simples if sum(b) <= depth)
+    seen = set(b for b in simples if kept(b))
     frontier = list(seen)
     while frontier:
         nxt = []
         for beta in frontier:
             for i in range(1, n + 1):
                 img = _reflect_coroot(cartan, beta, i)
-                if (all(x >= 0 for x in img) and sum(img) <= depth
+                if (all(x >= 0 for x in img) and kept(img)
                         and img not in seen):
                     seen.add(img)
                     nxt.append(img)
@@ -205,7 +215,7 @@ def exponents(spec):
     if spec.affine:
         raise RootDataError("finite spec required")
     hist = {}
-    for root in positive_coroots_up_to(spec, 10 ** 9):
+    for root in positive_coroots_up_to(spec, None):
         hist[root.height] = hist.get(root.height, 0) + 1
     parts = sorted(hist.values(), reverse=True)
     conj = [sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1)]

@@ -4,9 +4,10 @@ depth-truncated formal series over the coroot lattice.
 A series is a finite sparse map beta -> VPoly, where beta is a nonnegative
 integer vector over the simple coroots and the pair (anchor, beta) encodes
 the exponent e^{anchor - beta}.  Truncation is by total height
-ht(beta) = sum(beta).  Finite Laurent polynomials carry an exact flag
-certifying that no truncation ever occurred; only exact series may hold
-beta vectors with negative entries (images under Weyl reflections).
+ht(beta) = sum(beta).  A finite Laurent polynomial has depth None, which
+certifies that no truncation ever occurred, and reads as exact; only exact
+series may hold beta vectors with negative entries (images under Weyl
+reflections).
 """
 from __future__ import annotations
 
@@ -178,23 +179,24 @@ class AnchoredSeries:
     depth None and complete support.
     """
 
-    __slots__ = ("spec", "anchor", "terms", "depth", "exact")
+    __slots__ = ("spec", "anchor", "terms", "depth")
 
-    def __init__(self, spec, anchor, terms, depth=None, exact=False, _trusted=False):
+    def __init__(self, spec, anchor, terms, depth=None, _trusted=False):
         self.spec = spec
         self.anchor = tuple(int(x) for x in anchor)
         self.terms = terms if _trusted else _coerce_terms(terms)
         self.depth = depth
-        self.exact = bool(exact)
         if not _trusted:
             self._validate()
 
+    @property
+    def exact(self):
+        """True iff the series was never truncated: its depth is None."""
+        return self.depth is None
+
     def _validate(self):
-        if self.exact:
-            if self.depth is not None:
-                raise SeriesError("exact series carry no truncation depth")
-        else:
-            if self.depth is None or self.depth < 0:
+        if self.depth is not None:
+            if self.depth < 0:
                 raise SeriesError("truncated series need a depth >= 0")
             for beta in self.terms:
                 if any(b < 0 for b in beta):
@@ -207,20 +209,15 @@ class AnchoredSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def monomial(cls, spec, anchor, beta=None, coeff=1, depth=None, exact=True):
+    def monomial(cls, spec, anchor, beta=None, coeff=1, depth=None):
         n = len(anchor)
         if beta is None:
             beta = (0,) * n
-        return cls(spec, anchor, {tuple(beta): VPoly(coeff)},
-                   depth=depth, exact=exact)
+        return cls(spec, anchor, {tuple(beta): VPoly(coeff)}, depth=depth)
 
     @classmethod
-    def one(cls, spec, nvars, depth=None, exact=True):
-        return cls.monomial(spec, (0,) * nvars, depth=depth, exact=exact)
-
-    @classmethod
-    def zero(cls, spec, anchor, depth=None, exact=True):
-        return cls(spec, anchor, {}, depth=depth, exact=exact)
+    def one(cls, spec, nvars, depth=None):
+        return cls.monomial(spec, (0,) * nvars, depth=depth)
 
     # -- basic queries -----------------------------------------------------
 
@@ -242,27 +239,25 @@ class AnchoredSeries:
     # -- arithmetic --------------------------------------------------------
 
     def _common_depth(self, other):
-        if self.exact and other.exact:
-            return None, True
-        ds = [s.depth for s in (self, other) if not s.exact]
-        return min(ds), False
+        return min((s.depth for s in (self, other) if s.depth is not None),
+                   default=None)
 
     def __add__(self, other):
         if self.spec != other.spec:
             raise SeriesError("spec mismatch in add")
         if self.anchor != other.anchor:
             raise SeriesError("anchor mismatch in add")
-        depth, exact = self._common_depth(other)
+        depth = self._common_depth(other)
         out = add_maps(self.terms, other.terms)
         if depth is not None:
             out = {b: c for b, c in out.items() if ht(b) <= depth}
         return AnchoredSeries(self.spec, self.anchor, out,
-                              depth=depth, exact=exact, _trusted=True)
+                              depth=depth, _trusted=True)
 
     def __neg__(self):
         out = {b: -c for b, c in self.terms.items()}
         return AnchoredSeries(self.spec, self.anchor, out,
-                              depth=self.depth, exact=self.exact, _trusted=True)
+                              depth=self.depth, _trusted=True)
 
     def __sub__(self, other):
         return self + (-other)
@@ -270,11 +265,11 @@ class AnchoredSeries:
     def __mul__(self, other):
         if self.spec != other.spec:
             raise SeriesError("spec mismatch in mul")
-        depth, exact = self._common_depth(other)
+        depth = self._common_depth(other)
         anchor = tuple(a + b for a, b in zip(self.anchor, other.anchor))
         out = mul_maps(self.terms, other.terms, depth)
         return AnchoredSeries(self.spec, anchor, out,
-                              depth=depth, exact=exact, _trusted=True)
+                              depth=depth, _trusted=True)
 
     def scale(self, coef):
         """Multiply every coefficient by a VPoly (or int)."""
@@ -282,11 +277,10 @@ class AnchoredSeries:
             coef = VPoly(coef)
         if not coef:
             return AnchoredSeries(self.spec, self.anchor, {},
-                                  depth=self.depth, exact=self.exact,
-                                  _trusted=True)
+                                  depth=self.depth, _trusted=True)
         out = {b: c * coef for b, c in self.terms.items()}
         return AnchoredSeries(self.spec, self.anchor, out,
-                              depth=self.depth, exact=self.exact, _trusted=True)
+                              depth=self.depth, _trusted=True)
 
     def shifted(self, delta_beta, delta_anchor=None):
         """Multiply by e^{-delta_beta} (and optionally move the anchor)."""
@@ -301,7 +295,7 @@ class AnchoredSeries:
                 continue
             out[nb] = cf
         return AnchoredSeries(self.spec, anchor, out,
-                              depth=self.depth, exact=self.exact, _trusted=True)
+                              depth=self.depth, _trusted=True)
 
     def truncate(self, depth):
         """Forget terms beyond ht = depth; the result is flagged truncated."""
@@ -310,12 +304,12 @@ class AnchoredSeries:
         out = {b: c for b, c in self.terms.items()
                if ht(b) <= depth and all(x >= 0 for x in b)}
         return AnchoredSeries(self.spec, self.anchor, out,
-                              depth=depth, exact=False, _trusted=True)
+                              depth=depth, _trusted=True)
 
     def as_exact(self):
         """Re-flag as exact; caller certifies the support is complete."""
         return AnchoredSeries(self.spec, self.anchor, dict(self.terms),
-                              depth=None, exact=True, _trusted=True)
+                              _trusted=True)
 
     # -- comparison --------------------------------------------------------
 
@@ -348,7 +342,7 @@ class AnchoredSeries:
         if not isinstance(other, AnchoredSeries):
             return NotImplemented
         return (self.spec == other.spec and self.anchor == other.anchor
-                and self.exact == other.exact and self.depth == other.depth
+                and self.depth == other.depth
                 and self.terms == other.terms)
 
     # -- evaluation and serialization -------------------------------------
@@ -380,10 +374,13 @@ class AnchoredSeries:
         from . import rootdata
         if spec is None:
             spec = rootdata.RootSystemSpec.parse(data["spec"])
+        if bool(data["exact"]) != (data["depth"] is None):
+            raise SeriesError(f"record's exact flag {data['exact']!r} "
+                              f"disagrees with its depth {data['depth']!r}")
         terms = {tuple(t["beta"]): VPoly.from_pairs(t["coeff"])
                  for t in data["terms"]}
         return cls(spec, tuple(data["anchor_labels"]), terms,
-                   depth=data["depth"], exact=data["exact"])
+                   depth=data["depth"])
 
 
 def mul_maps(t1, t2, depth):
@@ -566,5 +563,4 @@ def geometric_inverse(spec, u, beta, depth):
         power = power * u
         j += 1
     n = len(beta)
-    return AnchoredSeries(spec, (0,) * n, terms, depth=depth, exact=False,
-                          _trusted=True)
+    return AnchoredSeries(spec, (0,) * n, terms, depth=depth, _trusted=True)

@@ -127,5 +127,4 @@ def act_on_series(spec, w, s):
     terms = dict(s.terms)
     for i in reversed(word):
         terms = reflect_terms(cartan, s.anchor, terms, i)
-    return AnchoredSeries(s.spec, s.anchor, terms, depth=None, exact=True,
-                          _trusted=True)
+    return AnchoredSeries(s.spec, s.anchor, terms, _trusted=True)

@@ -62,8 +62,7 @@ def test_criterion_02_hand_verified_anchor_case():
     lhs, _, _ = verify.whittaker_normalized(A1, (2,))
     expected = {(0,): VP_ONE, (1,): 1 - VINV, (2,): 1 - VINV, (3,): -VINV}
     rhs = characters.finite_character_exact(A1, (2,)) * \
-        verify.AnchoredSeries(A1, (0,), {(0,): VP_ONE, (1,): -VINV},
-                              exact=True)
+        verify.AnchoredSeries(A1, (0,), {(0,): VP_ONE, (1,): -VINV})
     ok = dict(lhs.terms) == expected and dict(rhs.terms) == expected
     _emit(2, ok, "hand-verified A1 anchor case e^a + (1-v^-1) + ...")
     assert ok

@@ -137,7 +137,7 @@ def _weyl_dimension(spec, labels):
     """prod_{a > 0} <a, Lambda + rho> / <a, rho> (simply-laced: a root and
     its coroot have the same coordinates)."""
     dim = Fraction(1)
-    for cr in rootdata.positive_coroots_up_to(spec, 10 ** 9):
+    for cr in rootdata.positive_coroots_up_to(spec, None):
         dim *= Fraction(sum(c * (x + 1) for c, x in zip(cr.coords, labels)),
                         cr.height)
     return dim

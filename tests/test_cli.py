@@ -2,7 +2,11 @@
 import contextlib
 import io
 import json
+import pathlib
+import re
+import shlex
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dlhecke import cli
@@ -105,10 +109,60 @@ def test_library_errors_have_their_own_exit_code(capsys):
     assert code == 3 and "not reduced" in err
 
 
-def test_bad_rational_q(capsys):
-    code, _, err = run(capsys, "verify", "affine-cs", "--spec", "A1!",
-                       "--labels", "0,1", "--q", "zebra")
-    assert code == 64
+def test_removed_q_option_is_usage_error(capsys):
+    # equal coefficients in Z[v, v^-1] agree at every v = q, so affine-cs
+    # takes no spot value
+    for value in ("2", "zebra"):
+        code, out, err = run(capsys, "verify", "affine-cs", "--spec", "A1!",
+                             "--labels", "0,1", "--depth", "2", "--q", value)
+        assert code == 64 and "--q" in err and out == ""
+
+
+def test_finite_whittaker_refuses_depth_and_margin(capsys):
+    for argv in (["--depth", "3"], ["--margin", "1"],
+                 ["--margin", "-1", "--depth", "-2"]):
+        code, out, err = run(capsys, "whittaker", "--spec", "A2", "--labels",
+                             "1,1", *argv)
+        assert code == 64 and "--depth or --margin" in err and out == ""
+
+
+def test_affine_whittaker_defaults_to_depth_6_margin_2(capsys):
+    base = ["--format", "json", "whittaker", "--spec", "A1!", "--labels",
+            "0,1"]
+    code, default, _ = run(capsys, *base)
+    assert code == 0 and json.loads(default)["series"]["depth"] == 6
+    code, explicit, _ = run(capsys, *base, "--depth", "6", "--margin", "2")
+    assert code == 0 and explicit == default
+
+
+@pytest.mark.parametrize("argv", [
+    ["affine-cs", "--spec", "A1!", "--labels", "0,1", "--depth", "0"],
+    ["proportionality", "--spec", "A1!", "--labels", "0,1", "--depth", "0"],
+    ["proportionality", "--spec", "A2", "--labels", "1,1", "--depth", "0"],
+    ["denominator-identity", "--spec", "A1!", "--depth", "0"],
+    ["symmetrizer", "--spec", "A1!", "--labels", "0,1", "--depth", "3",
+     "--buffer", "3"],
+])
+def test_check_of_the_beta_zero_coefficient_alone_is_refused(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == cli.EXIT_ERROR and "beta = 0" in err and out == ""
+
+
+def _readme_commands():
+    """Every `dlhecke ...` line of the README's shell blocks but
+    `verify all`, as an argv."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(), re.S)
+    lines = [line.strip() for block in blocks for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("dlhecke ") and line != "dlhecke verify all"]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands_run(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_FAIL), err
+    assert out
 
 
 def test_hecke_relations_count_below_one_is_usage_error(capsys):
@@ -124,7 +178,7 @@ def test_double_dash_values_are_usage_errors(capsys):
                  ["roots", "--spec", "A1", "--depth=--"],
                  ["character", "--spec", "A1", "--labels=--"],
                  ["verify", "affine-cs", "--spec", "A1!", "--labels", "0,1",
-                  "--q=--"]):
+                  "--margin=--"]):
         code, out, err = run(capsys, *argv)
         assert code == 64 and "needs a value" in err and out == ""
 
@@ -182,9 +236,12 @@ def argvs(draw):
     """argv drawn from the parser's grammar, with bad values mixed in.
 
     Every well-formed request is kept cheap: depths stay <= 3 and layer
-    caps small, labels stay <= 2 (<= 1 on D4), the symmetrizer window
-    (depth - buffer) stays <= 0, and gk-limit, whose labels double from
-    ht(nu) upwards, takes no D4 (its finite sums at labels 2 take 2 s)."""
+    caps small, labels stay <= 2 (<= 1 on D4), and gk-limit, whose labels
+    double from ht(nu) upwards, takes no D4 (its finite sums at labels 2
+    take 2 s).  The symmetrizer window (depth - buffer) stays <= 0, which
+    the check refuses with exit 3, as affine-cs, proportionality and
+    denominator-identity refuse depth 0: each would compare the beta = 0
+    coefficient alone."""
     argv = []
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["text", "json"]))]
@@ -219,9 +276,6 @@ def argvs(draw):
         options["--margin"] = st.integers(-1, 3)
     if what not in (None, "all", "symmetrizer"):
         options["--depth"] = depth
-    if what == "affine-cs":
-        options["--q"] = st.sampled_from(["2", "-3/2", "0", "1/0", "x",
-                                          str(10 ** 9)])
     if what == "recursion":
         options["--wprime"] = _vector(SMALL | LARGE, 2)
         options["--i"] = SMALL | LARGE

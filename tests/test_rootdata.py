@@ -69,9 +69,9 @@ def test_minimal_imaginary_coroot():
 def test_finite_positive_coroot_count():
     # |R_+| = n(n+1)/2 for An, 12 for D4
     assert len(rootdata.positive_coroots_up_to(
-        RootSystemSpec.parse("A3"), 10 ** 9)) == 6
+        RootSystemSpec.parse("A3"), None)) == 6
     assert len(rootdata.positive_coroots_up_to(
-        RootSystemSpec.parse("D4"), 10 ** 9)) == 12
+        RootSystemSpec.parse("D4"), None)) == 12
 
 
 def test_affine_catalogue_heights_and_multiplicities():
@@ -160,7 +160,7 @@ def test_finite_catalogue_against_classification(text):
     assert len(exps) == spec.rank
     assert prod(m + 1 for m in exps) == order
     assert sum(exps) == positive == len(
-        rootdata.positive_coroots_up_to(spec, 10 ** 9))
+        rootdata.positive_coroots_up_to(spec, None))
     assert _det(rootdata.build_cartan(spec)) == det
     if order <= ENUMERATE_UP_TO:
         # the length generating function of W is prod_i [m_i + 1]_q
@@ -168,6 +168,17 @@ def test_finite_catalogue_against_classification(text):
             rootdata.build_cartan(spec), (1,) * spec.rank)]
         assert sum(sizes) == order
         assert sizes == _poincare(exps)
+
+
+@pytest.mark.parametrize("text", sorted(CATALOGUE))
+def test_no_height_bound_is_every_positive_coroot(text):
+    # None is the one unbounded height; a huge bound gives the same list
+    spec = RootSystemSpec.parse(text)
+    assert rootdata.positive_coroots_up_to(spec, None) == \
+        rootdata.positive_coroots_up_to(spec, 10 ** 9)
+    with pytest.raises(RootDataError, match="infinitely many"):
+        rootdata.positive_coroots_up_to(RootSystemSpec.parse(text + "!"),
+                                        None)
 
 
 @pytest.mark.parametrize("text", sorted(CATALOGUE))

@@ -96,8 +96,7 @@ def test_divide_deep_end_matches_shallow_end():
     give the same quotient of a T_1 numerator by (1 - e^{a_1}); the
     numerator is built by series arithmetic, as verify_recursion does."""
     s = AnchoredSeries.monomial(A2, (2, 1))
-    cnum = AnchoredSeries(A2, (0, 0), {(0, 0): VP_ONE, (1, 0): -VINV},
-                          exact=True)
+    cnum = AnchoredSeries(A2, (0, 0), {(0, 0): VP_ONE, (1, 0): -VINV})
     num = cnum * weyl.act_on_series(A2, (1,), s) + s.scale(VINV - 1)
     shallow = divide_exact(num.terms, (-1, 0))
     deep = divide_exact(num.terms, (-1, 0), from_deep=True)

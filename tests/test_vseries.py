@@ -86,10 +86,10 @@ def test_truncation_depth_tracking():
 
 
 def test_negative_beta_requires_exact():
-    s = AnchoredSeries(A2, (0, 0), {(-1, 0): VP_ONE}, exact=True)
+    s = AnchoredSeries(A2, (0, 0), {(-1, 0): VP_ONE})
     assert s.coefficient((-1, 0)) == VP_ONE
     with pytest.raises(SeriesError):
-        AnchoredSeries(A2, (0, 0), {(-1, 0): VP_ONE}, depth=4, exact=False)
+        AnchoredSeries(A2, (0, 0), {(-1, 0): VP_ONE}, depth=4)
 
 
 def test_first_difference_and_eq_up_to_depth():
@@ -108,14 +108,35 @@ def test_shifted_moves_support():
 
 
 def test_evaluate_v_maps_betas_to_rationals():
-    s = AnchoredSeries(A2, (0, 0), {(0, 0): 1 - VINV}, exact=True)
+    s = AnchoredSeries(A2, (0, 0), {(0, 0): 1 - VINV})
     vals = s.evaluate_v(Fraction(2))
     assert vals == {(0, 0): Fraction(1, 2)}
 
 
+def test_exact_is_depth_none():
+    s = AnchoredSeries.monomial(A2, (1, 0))
+    t = s.truncate(3)
+    assert s.exact and s.depth is None
+    assert not t.exact and t.depth == 3
+    assert not (s * t).exact and (s + t).depth == 3
+    assert t.as_exact().exact and t.as_exact().depth is None
+    with pytest.raises(AttributeError):
+        s.exact = False
+
+
+def test_json_record_with_disagreeing_exact_flag_is_refused():
+    for s, flag in ((AnchoredSeries.monomial(A2, (1, 0)), False),
+                    (AnchoredSeries.monomial(A2, (1, 0)).truncate(3), True)):
+        record = s.to_json_dict()
+        assert AnchoredSeries.from_json_dict(record) == s
+        record["exact"] = flag
+        with pytest.raises(SeriesError, match="disagrees with its depth"):
+            AnchoredSeries.from_json_dict(record)
+
+
 def test_json_roundtrip():
     s = AnchoredSeries(A1A, (0, 1), {(0, 0): VP_ONE, (1, 1): 1 - VINV},
-                       depth=3, exact=False)
+                       depth=3)
     back = AnchoredSeries.from_json_dict(s.to_json_dict())
     assert back.first_difference(s) is None
     assert back.anchor == s.anchor and back.depth == s.depth
@@ -124,7 +145,7 @@ def test_json_roundtrip():
 def test_geometric_inverse_is_inverse():
     inv = geometric_inverse(A1A, VINV, (1, 1), 6)
     factor = AnchoredSeries(A1A, (0, 0), {(0, 0): VP_ONE, (1, 1): -VINV},
-                            depth=6, exact=False)
+                            depth=6)
     prod = inv * factor
     assert prod.first_difference(AnchoredSeries.one(A1A, 2).truncate(6)) is None
 
