@@ -285,8 +285,7 @@ def run(argv):
             labels = _parse_ints(args.labels, "labels", spec.num_nodes)
             if spec.affine:
                 depth = 6 if args.depth is None else args.depth
-                margin = (heckeops.DEFAULT_MARGIN if args.margin is None
-                          else args.margin)
+                margin = args.margin
             elif args.depth is not None or args.margin is not None:
                 raise UsageError("a finite Whittaker sum is exact and takes "
                                  "no --depth or --margin")

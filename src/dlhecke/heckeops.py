@@ -195,7 +195,8 @@ def symmetrizer_chain(spec, anchor_labels, layer_cap=None):
 def _walk(spec, cartan, labels, seed, max_layers, layer_cap, kind,
           depth=None, margin=None):
     """Sum T_w(seed) over the w of weyl.orbit_layers(cartan, labels), one
-    BFS layer at a time; cartan is a leading block of spec's matrix.
+    BFS layer at a time; cartan is a leading block of spec's matrix, all
+    of it when a margin is given.
 
     Returns (total, length, stabilized), length being the number of
     layers walked.  The walk extends by left multiplication: w = s_i w'
@@ -211,18 +212,29 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, kind,
     contribute nothing there; stabilized is False when max_layers runs
     out first.
 
-    The layer that would be the margin-th quiet one is first tried without
-    its exact values: each element's truncated contribution is computed
-    from the part of its parent's value that _reachable_terms keeps, the
-    terms beta with ht(beta) + min(0, k, k + s) < depth, where
-    k = <a_i, anchor - beta> and s = +1 for T, -1 for T'.  This is exact.
-    T_i is linear.  The numerator of one monomial lies on a single
-    a_i-string, at heights ht(beta), ht(beta) + k and ht(beta) + k + s,
-    and its coefficients sum to zero.  The quotient, summed from the
-    shallow end of the string, vanishes at and above the shallowest
-    numerator position, so a dropped term has no output at ht <= depth.
-    If every contribution is zero the walk ends there, that layer
-    counted; otherwise the layer is built exactly.
+    The last layers of a stop are settled without their exact values,
+    from the values of the layer before them.  When one more quiet layer
+    would stop the walk, layer L is settled: T_i is applied only to the
+    a_i-strings of each parent's value that _strings_reaching keeps
+    (_loud).  When two would, layers L and L + 1 are settled together:
+    for each child s_j c of c = s_i p, that image of p's value is tested
+    in turn with T_j.  If every contribution is zero the walk ends there,
+    the settled layers counted; otherwise layer L is built exactly.
+
+    This is exact.  T_i is linear and maps each a_i-string (the terms
+    that differ only in beta_i) into itself.  A term beta, with
+    k = <a_i, anchor - beta> and s = +1 for T, -1 for T', has its
+    numerator at beta_i, beta_i + k and beta_i + k + s, with coefficients
+    summing to zero, and the quotient, summed from the shallow end of the
+    string, vanishes at and above the shallowest numerator position b0 of
+    the string.  So T_i of a kept string is exact and lies deeper than b0.
+    Along a string ht rises by one per step, and ht + min(0, k_j, k_j + s)
+    rises too for j != i, as k_j changes by -a_ji >= 0.  A string is
+    therefore dropped only if, one step deeper than b0, ht > depth and
+    ht + min(0, k_j, k_j + s) >= depth for every child j: its image then
+    holds no term at ht <= depth and no term that is j-reachable, and only
+    j-reachable terms (_reachable_terms: ht(beta) + min(0, k, k + s)
+    < depth, by the same argument) have a T_j image at ht <= depth.
     """
     if not seed.exact:
         raise HeckeError("the symmetrizer needs an exact (finite) seed")
@@ -230,23 +242,31 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, kind,
     acc = {}
     add_into(acc, (seed if depth is None else seed.truncate(depth)).terms)
     layer = {(0,) * len(cartan): seed}  # orbit key -> T_w(seed)
-    layers = weyl.orbit_layers(cartan, labels)
+    # [(orbit key, letter, parent's key)] per layer, capped
+    layers = (_capped(steps, layer_cap)
+              for steps in weyl.orbit_layers(cartan, labels))
+    ahead = None  # the next layer's steps, taken by a look-ahead
     length = quiet = 0
     stabilized = False
     while max_layers is None or length < max_layers:
-        steps = next(layers, None)  # [(orbit key, letter, parent's key)]
+        steps = next(layers, None) if ahead is None else ahead
+        ahead = None
         if steps is None:
             stabilized = True  # finite orbit exhausted
             break
-        if layer_cap is not None and len(steps) > layer_cap:
-            raise HeckeError(
-                f"layer of size {len(steps)} exceeds cap {layer_cap}")
         length += 1
-        if (margin is not None and quiet == margin - 1
-                and _quiet_from_reachable(rootdata.build_cartan(spec),
-                                          anchor, steps, layer, kind, depth)):
+        if margin is not None and quiet == margin - 1 and _quiet(
+                cartan, anchor, steps, (), layer, kind, depth):
             stabilized = True
             break
+        if (margin is not None and quiet == margin - 2
+                and length != max_layers):
+            ahead = next(layers, None)
+            if ahead is not None and _quiet(cartan, anchor, steps, ahead,
+                                            layer, kind, depth):
+                length += 1
+                stabilized = True
+                break
         layer = {child: apply_T(spec, i, layer[parent], kind)
                  for child, i, parent in steps}
         loud = False
@@ -264,6 +284,14 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, kind,
     return total, length, stabilized
 
 
+def _capped(steps, layer_cap):
+    """steps, or HeckeError if the layer is larger than layer_cap."""
+    if layer_cap is not None and len(steps) > layer_cap:
+        raise HeckeError(
+            f"layer of size {len(steps)} exceeds cap {layer_cap}")
+    return steps
+
+
 def _reachable_terms(cartan, anchor, terms, i, kind, depth):
     """The terms of a map whose T_i (or T'_i) image can reach ht <= depth:
     those with ht(beta) + min(0, k, k + s) < depth; see _walk."""
@@ -273,12 +301,53 @@ def _reachable_terms(cartan, anchor, terms, i, kind, depth):
         if sum(beta) + min(0, k, k + s) < depth}
 
 
-def _quiet_from_reachable(cartan, anchor, steps, layer, kind, depth):
-    """True iff no new element contributes at ht <= depth, computed from
-    the reachable part of each parent's value (layer[parent]) alone."""
-    for _, i, parent in steps:
-        out = apply_T_raw(cartan, anchor, _reachable_terms(
-            cartan, anchor, layer[parent].terms, i, kind, depth), i, kind)
-        if any(sum(b) <= depth and min(b) >= 0 for b in out):
-            return False
-    return True
+def _loud(cartan, anchor, terms, i, kind, depth, js=()):
+    """True iff T_i(terms), or T_j T_i(terms) for some j in js, has a term
+    at ht <= depth with nonnegative displacement; T_i is applied to the
+    a_i-strings that _strings_reaching keeps."""
+    out = apply_T_raw(cartan, anchor, _strings_reaching(
+        cartan, anchor, terms, i, js, kind, depth), i, kind)
+    return (any(sum(b) <= depth and min(b) >= 0 for b in out)
+            or any(_loud(cartan, anchor, out, j, kind, depth) for j in js))
+
+
+def _strings_reaching(cartan, anchor, terms, i, js, kind, depth):
+    """The a_i-strings of a map on which T_i can leave a term at
+    ht <= depth, or a term that is j-reachable for some j in js, each
+    tested at the shallowest position its image can hold; see _walk.
+
+    s_i reverses a string, b -> c - b with b = beta_i, where c is
+    <a_i, anchor - beta> at b = 0 (a_ii = 2).  So the shallowest numerator
+    position on it is the lower of its least b and of its greatest b
+    reflected and moved by min(0, s), and the image starts one step
+    deeper."""
+    shift = 1 if kind == T_KIND else 0  # 1 + min(0, s)
+    ii = i - 1
+    keys, span = [], {}
+    for beta in terms:
+        key = beta[:ii] + beta[ii + 1:]
+        b = beta[ii]
+        lo, hi = span.get(key, (b, b))
+        span[key] = min(lo, b), max(hi, b)
+        keys.append(key)
+    cs = _pairings(cartan, anchor,
+                   [key[:ii] + (0,) + key[ii:] for key in span], i)
+    ends = {key[:ii] + (min(lo + 1, c - hi + shift),) + key[ii:]: key
+            for (key, (lo, hi)), c in zip(span.items(), cs)}
+    kept = {key for end, key in ends.items() if sum(end) <= depth}
+    kept.update(key for j in js for key in _reachable_terms(
+        cartan, anchor, ends, j, kind, depth).values())
+    return {beta: cf for (beta, cf), key in zip(terms.items(), keys)
+            if key in kept}
+
+
+def _quiet(cartan, anchor, steps, ahead, layer, kind, depth):
+    """True iff no element of the layer of steps, nor of the layer ahead
+    of it (() for none), contributes at ht <= depth, computed from the
+    values of the layer before them (layer[parent]) alone; see _walk."""
+    children = {}
+    for _, j, c in ahead:
+        children.setdefault(c, []).append(j)
+    return not any(_loud(cartan, anchor, layer[p].terms, i, kind, depth,
+                         children.get(c, ()))
+                   for c, i, p in steps)

@@ -96,10 +96,11 @@ def _compared_depth(name, depth):
 
 # -- Whittaker sums --------------------------------------------------------
 
-def whittaker_normalized(spec, labels, depth=None, margin=DEFAULT_MARGIN,
+def whittaker_normalized(spec, labels, depth=None, margin=None,
                          layer_cap=DEFAULT_LAYER_CAP):
     """sum_w T_w(e^anchor): exact over the full group for finite specs,
-    stabilized to the depth for affine ones.
+    which take no depth or margin, and stabilized to the depth for affine
+    ones (margin None: DEFAULT_MARGIN).
 
     Returns (series, achieved_length, stabilized).  The symbolic
     prefactor q^{<rho, anchor>} is deliberately not folded in.
@@ -108,12 +109,26 @@ def whittaker_normalized(spec, labels, depth=None, margin=DEFAULT_MARGIN,
     if any(x < 0 for x in labels):
         raise VerifyError("dominant labels required")
     if not spec.affine:
+        if depth is not None or margin is not None:
+            raise VerifyError("a finite Whittaker sum is exact and takes "
+                              "no depth or margin")
         total, achieved = heckeops.symmetrizer_chain(spec, labels, layer_cap)
         return total, achieved, True
     if depth is None:
         raise VerifyError("affine Whittaker sums need a truncation depth")
     return heckeops.symmetrizer_stabilized(
-        spec, labels, depth, margin=margin, layer_cap=layer_cap)
+        spec, labels, depth,
+        margin=DEFAULT_MARGIN if margin is None else margin,
+        layer_cap=layer_cap)
+
+
+def _whittaker_to_depth(spec, labels, depth, margin, layer_cap):
+    """whittaker_normalized, passing depth and margin on to an affine spec
+    only: a finite sum is exact, and whole at every depth."""
+    if not spec.affine:
+        depth = margin = None
+    return whittaker_normalized(spec, labels, depth=depth, margin=margin,
+                                layer_cap=layer_cap)
 
 
 # -- Casselman-Shalika -----------------------------------------------------
@@ -147,8 +162,8 @@ def verify_affine_cs(spec, labels, depth, margin=DEFAULT_MARGIN,
     start = time.perf_counter()
     _compared_depth("depth", depth)
     labels = tuple(labels)
-    lhs, achieved, stabilized = whittaker_normalized(
-        spec, labels, depth=depth, margin=margin, layer_cap=layer_cap)
+    lhs, achieved, stabilized = _whittaker_to_depth(
+        spec, labels, depth, margin, layer_cap)
     params = {"labels": list(labels), "depth": depth, "margin": margin}
     if not stabilized:
         return _report("affine-cs", spec, params, start, None, achieved,
@@ -240,8 +255,8 @@ def verify_symmetrizer_properties(spec, labels, depth, buffer=3,
     window = depth - buffer
     _compared_depth("the window depth - buffer", window)
     internal = 3 * window + max(labels) + 2
-    p, achieved, stabilized = whittaker_normalized(
-        spec, labels, depth=internal, margin=margin, layer_cap=layer_cap)
+    p, achieved, stabilized = _whittaker_to_depth(
+        spec, labels, internal, margin, layer_cap)
     if not stabilized:
         return _report("symmetrizer", spec, params, start, None, achieved,
                        stabilized=False)
@@ -346,8 +361,8 @@ def extract_proportionality(spec, labels, depth, margin=DEFAULT_MARGIN,
     _compared_depth("depth", depth)
     labels = tuple(labels)
     params = {"labels": list(labels), "depth": depth}
-    p, achieved, stabilized = whittaker_normalized(
-        spec, labels, depth=depth, margin=margin, layer_cap=layer_cap)
+    p, achieved, stabilized = _whittaker_to_depth(
+        spec, labels, depth, margin, layer_cap)
     if not stabilized:
         return None, _report("proportionality", spec, params, start, None,
                              achieved, stabilized=False)
@@ -397,6 +412,9 @@ def verify_gk_limit(spec, nu, depth, margin=DEFAULT_MARGIN,
     GK_MAX_DOUBLINGS doublings."""
     start = time.perf_counter()
     nu = _vector("nu", nu, spec)
+    if not any(nu):
+        raise VerifyError("nu must be nonzero; at nu = 0 only the beta = 0 "
+                          "coefficient, 1 on both sides, is compared")
     if ht(nu) > depth:
         raise VerifyError("ht(nu) must be <= depth")
     params = {"nu": list(nu), "depth": depth}
@@ -415,9 +433,8 @@ def verify_gk_limit(spec, nu, depth, margin=DEFAULT_MARGIN,
         base *= 2
     for k in range(GK_MAX_DOUBLINGS + 1):
         labels = tuple(base * 2 ** k for _ in range(n))
-        w, aL, stabilized = whittaker_normalized(
-            spec, labels, depth=depth if spec.affine else None,
-            margin=margin, layer_cap=layer_cap)
+        w, aL, stabilized = _whittaker_to_depth(spec, labels, depth, margin,
+                                                layer_cap)
         if not stabilized:
             return _report("gk-limit", spec, params, start, None, aL,
                            stabilized=False)

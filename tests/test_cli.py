@@ -148,6 +148,12 @@ def test_check_of_the_beta_zero_coefficient_alone_is_refused(capsys, argv):
     assert code == cli.EXIT_ERROR and "beta = 0" in err and out == ""
 
 
+def test_gk_limit_at_nu_zero_is_refused(capsys):
+    code, out, err = run(capsys, "verify", "gk-limit", "--spec", "A1!",
+                         "--nu", "0,0", "--depth", "6")
+    assert code == cli.EXIT_ERROR and "beta = 0" in err and out == ""
+
+
 def _readme_commands():
     """Every `dlhecke ...` line of the README's shell blocks but
     `verify all`, as an argv."""

@@ -235,6 +235,30 @@ def test_reachable_terms_keep_every_shallow_output(data, s, kind, depth):
     assert _shallow_part(part, depth) == _shallow_part(full, depth)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data(), exact_series([RootSystemSpec.parse(t) for t in (
+    "A1!", "A2!", "D4!", "A2", "D4")]), KINDS, st.integers(0, 8))
+def test_reaching_strings_keep_every_shallow_output_two_steps_on(
+        data, s, kind, depth):
+    # T_i of the kept a_i-strings is whole at ht <= depth, and T_j of its
+    # j-reachable part is T_j T_i of the whole map there; j != i, as a
+    # child s_j c of c = s_i p in the walk is never p
+    n = s.spec.num_nodes
+    i = data.draw(st.integers(1, n))
+    j = data.draw(st.integers(1, n).filter(lambda j: j != i))
+    cartan = rootdata.build_cartan(s.spec)
+
+    def T(terms, g):
+        return heckeops.apply_T_raw(cartan, s.anchor, terms, g, kind)
+    kept = T(heckeops._strings_reaching(cartan, s.anchor, s.terms, i, (j,),
+                                        kind, depth), i)
+    full = T(s.terms, i)
+    assert _shallow_part(kept, depth) == _shallow_part(full, depth)
+    part = T(heckeops._reachable_terms(cartan, s.anchor, kept, j, kind,
+                                       depth), j)
+    assert _shallow_part(part, depth) == _shallow_part(T(full, j), depth)
+
+
 def _exact_layers(spec, seed, kind, max_length):
     """Yield the values T_w(seed) of each length layer 1..max_length of W,
     every one built exactly as T_i of its parent's value."""
@@ -316,8 +340,37 @@ def test_last_layer_skips_the_full_parent_values(monkeypatch):
     got = heckeops.symmetrizer_stabilized(spec, labels, depth)
     assert got == expected and got[2]
     layers = weyl.enumerate_layers(spec, got[1])
-    # every layer but the final, quiet one is built exactly
-    assert len(calls) == sum(len(layer) for layer in layers[1:-1])
+    # every layer but the final two, quiet ones is built exactly
+    assert len(calls) == sum(len(layer) for layer in layers[1:-2])
+
+
+@pytest.mark.parametrize("text, labels, depth, kind, max_length",
+                         WALK_CASES)
+def test_stop_is_the_same_at_the_edges_of_max_layers_and_layer_cap(
+        text, labels, depth, kind, max_length):
+    """The last `margin` layers of a stop are quiet, so the series is
+    already whole one layer earlier: max_layers = L - 1 returns it
+    unstabilized, and max_layers = L stabilized.  The final layer L, the
+    one settled ahead of the layer before it when margin >= 2, is still
+    capped: a cap below its size raises, and a cap of its size changes
+    nothing."""
+    spec = RootSystemSpec.parse(text)
+    layers = weyl.orbit_layers(rootdata.build_cartan(spec),
+                               (1,) * spec.num_nodes)
+    sizes = [len(steps) for _, steps in zip(range(max_length + 3), layers)]
+    for margin in (1, 2, 3):
+        def walk(**kw):
+            return heckeops.symmetrizer_stabilized(
+                spec, labels, depth, margin=margin, kind=kind, **kw)
+        total, length, stabilized = walk()
+        assert stabilized and sizes[length - 1] == max(sizes[:length])
+        assert walk(max_layers=length - 1) == (total, length - 1, False)
+        assert walk(max_layers=length) == (total, length, True)
+        size = sizes[length - 1]
+        with pytest.raises(HeckeError, match=f"^layer of size {size} "
+                           f"exceeds cap {size - 1}$"):
+            walk(layer_cap=size - 1)
+        assert walk(layer_cap=size) == (total, length, True)
 
 
 # -- the parabolic chain ---------------------------------------------------

@@ -43,6 +43,19 @@ def test_whittaker_affine_needs_depth():
         verify.whittaker_normalized(A1A, (0, 1))
 
 
+@pytest.mark.parametrize("options", [{"depth": 3}, {"margin": 2},
+                                     {"depth": -5, "margin": -1}])
+def test_whittaker_finite_refuses_depth_and_margin(options):
+    with pytest.raises(verify.VerifyError, match="takes no depth or margin"):
+        verify.whittaker_normalized(A2, (1, 1), **options)
+
+
+def test_whittaker_affine_margin_defaults():
+    assert verify.whittaker_normalized(A1A, (0, 1), depth=4) == \
+        verify.whittaker_normalized(A1A, (0, 1), depth=4,
+                                    margin=heckeops.DEFAULT_MARGIN)
+
+
 def test_whittaker_matches_golden_regression():
     data = json.loads((GOLDEN / "whittaker_A1aff_0_1_depth4.json").read_text())
     achieved_golden = data.pop("achieved_L")
@@ -155,8 +168,10 @@ def test_finite_proportionality_is_one():
 
 
 def test_gk_limit_trivial_displacement():
-    assert verify.verify_gk_limit(A1, (0,), 2).passed
-    assert verify.verify_gk_limit(A1A, (0, 0), 2).passed
+    # at nu = 0 both sides are [e^0] = 1, whatever the identity says
+    for spec, nu in ((A1, (0,)), (A1A, (0, 0))):
+        with pytest.raises(verify.VerifyError, match="nu must be nonzero"):
+            verify.verify_gk_limit(spec, nu, 2)
 
 
 def test_gk_limit_finite_a1_simple_root():
