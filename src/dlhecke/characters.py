@@ -9,8 +9,8 @@ only reading that type-checks inside the coweight group algebra.
 from __future__ import annotations
 
 from . import rootdata, weyl
-from .vseries import (AnchoredSeries, VPoly, VP_ONE, VINV, divide_exact,
-                      geometric_inverse, ht)
+from .vseries import (AnchoredSeries, VPoly, VP_ONE, VINV, add_maps,
+                      divide_exact, geometric_inverse, ht)
 
 
 class CharacterError(ValueError):
@@ -88,9 +88,9 @@ def _dominant(labels):
     return labels
 
 
-def _signed_orbit(spec, labels, depth=None):
+def _signed_orbit(spec, labels, depth):
     """{displacement of w(labels + rho): (-1)^{l(w)}} over the Weyl group,
-    keeping the displacements of height <= depth (all when depth is None).
+    keeping the displacements of height <= depth.
 
     labels + rho is regular dominant, so w -> w(labels + rho) is injective
     and weyl.orbit_layers may deduplicate on displacements.  Every
@@ -100,10 +100,10 @@ def _signed_orbit(spec, labels, depth=None):
     depth."""
     cartan = rootdata.build_cartan(spec)
     shifted = tuple(x + 1 for x in labels)
-    keep = None if depth is None else (lambda beta: ht(beta) <= depth)
     orbit = {(0,) * spec.num_nodes: 1}
     sign = 1
-    for layer in weyl.orbit_layers(cartan, shifted, keep):
+    for layer in weyl.orbit_layers(cartan, shifted,
+                                   lambda beta: ht(beta) <= depth):
         sign = -sign
         for child, _, _ in layer:
             orbit[child] = sign
@@ -126,21 +126,33 @@ def weyl_kac_character(spec, labels, depth):
 
 
 def finite_character_exact(spec, labels):
-    """Exact finite Weyl character by exact division.
+    """Exact finite Weyl character by the Demazure character formula,
+    chi_Lambda = pi_{w0}(e^Lambda) (Demazure 1974; Kumar 2002, ch. VIII).
 
-    The exact Weyl numerator sum_w (-1)^{l(w)} e^{w(anchor + rho) - rho} is
-    anti-invariant, hence divisible by every factor (1 - e^{-a}) of the
-    denominator, and these factors are pairwise coprime; dividing by them
-    one positive coroot at a time along a-strings therefore leaves a zero
-    remainder at every step, which vseries.divide_exact asserts."""
+    pi_i f = (f - e^{-a_i} s_i f) / (1 - e^{-a_i}) is one exact division
+    along a_i-strings (vseries.divide_exact), and pi_{w0} is the product
+    of the pi_i along any reduced word of w0.  The word is a greedy walk
+    up from rho^vee, on its orbit key: while some <a_i, w rho^vee> > 0,
+    s_i w is one longer than w, and at w0 every such pairing is negative."""
     if spec.affine:
         raise CharacterError("finite spec required")
     labels = _dominant(labels)
-    terms = {b: VPoly(sign)
-             for b, sign in _signed_orbit(spec, labels).items()}
-    for cr in rootdata.positive_coroots_up_to(spec, None):
-        terms = divide_exact(terms, cr.coords)
-    return AnchoredSeries(spec, labels, terms, _trusted=True)
+    cartan = rootdata.build_cartan(spec)
+    n = spec.num_nodes
+    key, ones = (0,) * n, (1,) * n
+    terms = {key: VP_ONE}
+    while True:
+        i = next((j for j in range(1, n + 1)
+                  if weyl.pairing(cartan, ones, key, j) > 0), None)
+        if i is None:
+            return AnchoredSeries(spec, labels, terms, _trusted=True)
+        key = weyl.reflect(cartan, ones, key, i)
+        unit = tuple(int(j == i - 1) for j in range(n))
+        # e^{-a_i} s_i f: the reflected displacements moved by +a_i
+        image = weyl.reflect_terms(cartan, labels, terms, i)
+        terms = divide_exact(add_maps(terms, {
+            tuple(b + u for b, u in zip(beta, unit)): -cf
+            for beta, cf in image.items()}), unit)
 
 
 def denominator_wtwist_difference(spec, i, depth):

@@ -95,8 +95,7 @@ def apply_T_raw(cartan, anchor, terms, i, kind=T_KIND):
         for d, x in c.items():
             p[d + e] = p.get(d + e, 0) + x
             p[d] = p.get(d, 0) - x
-    alpha = tuple(-1 if j == ii else 0 for j in range(len(cartan)))
-    return _divide_strings(strings, alpha)
+    return _divide_strings(strings, ii, -1)
 
 
 def apply_T(spec, i, s, kind=T_KIND):

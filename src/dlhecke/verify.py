@@ -415,6 +415,9 @@ def verify_gk_limit(spec, nu, depth, margin=DEFAULT_MARGIN,
     if not any(nu):
         raise VerifyError("nu must be nonzero; at nu = 0 only the beta = 0 "
                           "coefficient, 1 on both sides, is compared")
+    if min(nu) < 0:
+        raise VerifyError(f"nu must be nonnegative, got {list(nu)}; both "
+                          "sides vanish at a negative displacement")
     if ht(nu) > depth:
         raise VerifyError("ht(nu) must be <= depth")
     params = {"nu": list(nu), "depth": depth}

@@ -221,9 +221,6 @@ class AnchoredSeries:
 
     # -- basic queries -----------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def coefficient(self, beta):
         """[e^{anchor - beta}] of the series; errors beyond the depth."""
         beta = tuple(beta)
@@ -450,75 +447,65 @@ def freeze(acc):
 def divide_exact(terms, alpha, from_deep=False):
     """Exact quotient of a raw term map by (1 - e^{-alpha}).
 
-    alpha is a positive coroot or its negative, in simple-coroot
-    coordinates.  Multiplying by e^{-alpha} moves a displacement beta to
-    beta + alpha, so along each alpha-string beta = key + t*alpha the
-    numerator and quotient satisfy N_t = Q_t - Q_{t-1}.  The quotient is
-    summed from the shallow end of every string (lower height; the
-    expansion in e^{-alpha} for positive alpha) or, with from_deep=True,
-    from the deep end.  The two agree exactly when the division is exact;
-    a nonzero remainder on any string raises SeriesError.  The map is
-    grouped into strings here and divided by _divide_strings, which
-    heckeops.apply_T_raw fills directly.
+    alpha is a simple coroot a_i or its negative (any other direction
+    raises SeriesError).  Multiplying by e^{-alpha} moves beta to
+    beta + alpha, so along each a_i-string (keyed by beta without
+    coordinate i, as heckeops.apply_T_raw keys them) the numerator and
+    quotient satisfy N_t = Q_t - Q_{t-1}.  The quotient is summed from the
+    shallow end of every string (lower height; the expansion in e^{-alpha}
+    for positive alpha) or, with from_deep=True, from the deep end.  The
+    two agree exactly when the division is exact; a nonzero remainder on
+    any string raises SeriesError.  The strings are divided by
+    _divide_strings, which apply_T_raw fills directly.
     """
-    alpha = tuple(alpha)
-    pivot, step, simple = _direction(alpha)
+    pivot, sign = _direction(tuple(alpha))
     strings = {}
-    if simple:
-        # a simple coroot direction: the key is beta without the pivot
-        for beta, cf in terms.items():
-            key = beta[:pivot] + beta[pivot + 1:]
-            strings.setdefault(key, {})[beta[pivot] * step] = cf.c
-    else:
-        for beta, cf in terms.items():
-            t = beta[pivot] // step
-            key = tuple(b - t * a for b, a in zip(beta, alpha))
-            strings.setdefault(key, {})[t] = cf.c
-    return _divide_strings(strings, alpha, from_deep)
+    for beta, cf in terms.items():
+        key = beta[:pivot] + beta[pivot + 1:]
+        strings.setdefault(key, {})[beta[pivot] * sign] = cf.c
+    return _divide_strings(strings, pivot, sign, from_deep)
 
 
 def _direction(alpha):
-    """(pivot, step, simple) of a division direction: the first nonzero
-    coordinate, its value, and whether alpha is a simple coroot or its
-    negative (then a string key is beta without the pivot coordinate)."""
-    pivot = next((j for j, a in enumerate(alpha) if a), None)
-    if pivot is None or sum(alpha) == 0:
-        raise SeriesError(f"cannot divide along {alpha}")
-    step = alpha[pivot]
-    return pivot, step, abs(step) == 1 == sum(1 for a in alpha if a)
+    """(pivot, sign) of alpha = sign * a_{pivot+1}; SeriesError unless
+    alpha is a simple coroot or its negative."""
+    pivots = [j for j, a in enumerate(alpha) if a]
+    if len(pivots) != 1 or abs(alpha[pivots[0]]) != 1:
+        raise SeriesError(f"cannot divide along {alpha}: strings run along "
+                          "a simple coroot or its negative only")
+    return pivots[0], alpha[pivots[0]]
 
 
-def _divide_strings(strings, alpha, from_deep=False):
-    """The one exact string division behind divide_exact and apply_T_raw.
+def _divide_strings(strings, pivot, sign, from_deep=False):
+    """The one exact string division behind divide_exact and apply_T_raw,
+    by (1 - e^{-alpha}) with alpha = sign * a_{pivot+1}.
 
-    strings maps a string key to {t: {v-degree: int}}, the numerator
-    coefficients at key + t*alpha (for a simple direction, at beta with
-    beta[pivot] = t*step and the key's entries elsewhere); t is
-    beta[pivot] // step, and the coefficient dicts may hold zeros and are
-    only read.  Along a string the quotient is constant between
-    neighbouring numerator positions: from the low-t end Q_t =
-    sum_{s <= t} N_s, from the high-t end Q_t = -sum_{s > t} N_s, and the
-    sum over the whole string, the remainder, must vanish (else
-    SeriesError).  The running sum is kept as an int dict, with the sign
-    of the high-t end folded into it, and one VPoly is stored per run of
-    equal coefficients, across numerator positions that sum to zero too
-    (VPolys are never mutated in place, so the sharing is safe).
+    strings maps a string key (beta without the pivot coordinate) to
+    {t: {v-degree: int}}, the numerator coefficients at the beta with
+    beta[pivot] = t * sign and the key's entries elsewhere; the
+    coefficient dicts may hold zeros and are only read.  Along a string
+    the quotient is constant between neighbouring numerator positions:
+    from the low-t end Q_t = sum_{s <= t} N_s, from the high-t end
+    Q_t = -sum_{s > t} N_s, and the sum over the whole string, the
+    remainder, must vanish (else SeriesError).  The running sum is kept
+    as an int dict, with the sign of the high-t end folded into it, and
+    one VPoly is stored per run of equal coefficients, across numerator
+    positions that sum to zero too (VPolys are never mutated in place, so
+    the sharing is safe).
     """
-    pivot, step, simple = _direction(alpha)
     # the shallow end of a string is its low-t end iff alpha is positive
-    from_low_t = (sum(alpha) > 0) != from_deep
-    sign = 1 if from_low_t else -1
+    from_low_t = (sign > 0) != from_deep
+    run_sign = 1 if from_low_t else -1
     out = {}
     for key, string in strings.items():
         ts = sorted(string, reverse=not from_low_t)
-        if simple:
-            head, tail = key[:pivot], key[pivot:]
+        head, tail = key[:pivot], key[pivot:]
         run = {}
         q = None
         last = len(ts) - 1
         for j, t in enumerate(ts):
             for d, c in string[t].items():
-                m = run.get(d, 0) + sign * c
+                m = run.get(d, 0) + run_sign * c
                 if m:
                     run[d] = m
                 else:
@@ -530,15 +517,11 @@ def _divide_strings(strings, alpha, from_deep=False):
                     q = VPoly()
                     q.c = dict(run.items())
                 lo, hi = (t, ts[j + 1]) if from_low_t else (ts[j + 1], t)
-                if simple:
-                    for u in range(lo, hi):
-                        out[head + (u * step,) + tail] = q
-                else:
-                    for u in range(lo, hi):
-                        out[tuple(k + u * a for k, a in zip(key, alpha))] = q
+                for u in range(lo, hi):
+                    out[head + (u * sign,) + tail] = q
         if run:
-            raise SeriesError(
-                f"nonzero remainder dividing by (1 - e^{{-{alpha}}})")
+            raise SeriesError(f"nonzero remainder dividing along "
+                              f"{'+' if sign > 0 else '-'}a_{pivot + 1}")
     return out
 
 

@@ -17,6 +17,7 @@ A1 = RootSystemSpec.parse("A1")
 A2 = RootSystemSpec.parse("A2")
 A1A = RootSystemSpec.parse("A1!")
 A2A = RootSystemSpec.parse("A2!")
+E6 = RootSystemSpec.parse("E6")
 
 
 def test_denominator_a1_affine_low_terms():
@@ -169,9 +170,42 @@ def test_signed_orbit_pruning_keeps_every_shallow_element(text, labels):
     length-increasing step raises the height, so every kept element is
     reached through kept ones."""
     spec = RootSystemSpec.parse(text)
-    full = characters._signed_orbit(spec, labels)
+    # no displacement of the orbit of labels + rho is higher than the w0 one
+    full = characters._signed_orbit(
+        spec, labels, _w0_height(spec, tuple(x + 1 for x in labels)))
     assert len(full) == {"A3": 24, "D4": 192}[text]
     for depth in (0, 1, 3, 6, 10):
         pruned = characters._signed_orbit(spec, labels, depth)
         assert pruned == {b: sign for b, sign in full.items()
                           if ht(b) <= depth}
+
+
+@pytest.mark.parametrize("labels, dim", [((1, 0, 0, 0, 0, 0), 27),
+                                         ((0, 1, 0, 0, 0, 0), 78)])
+def test_e6_characters_by_the_demazure_chain(labels, dim):
+    chi = characters.finite_character_exact(E6, labels)
+    assert sum(c.evaluate(1) for c in chi.terms.values()) == dim == \
+        _weyl_dimension(E6, labels)
+    cartan = rootdata.build_cartan(E6)
+    for i in range(1, 7):
+        assert weyl.reflect_terms(cartan, labels, chi.terms, i) == chi.terms
+
+
+@settings(max_examples=20, deadline=None)
+@given(dominant_labels().filter(lambda case: _w0_height(*case) <= 12))
+def test_demazure_chain_matches_the_undivided_routes(case):
+    """The Demazure chain against two routes that divide nothing: the
+    truncated Weyl-Kac product (geometric inverses) at the w0 height, and
+    chi * prod_{a > 0} (1 - e^{-a}) = the Weyl numerator, both exact."""
+    spec, labels = case
+    chi = characters.finite_character_exact(spec, labels)
+    assert chi == characters.weyl_kac_character(
+        spec, labels, _w0_height(spec, labels)).as_exact()
+    zero = (0,) * spec.num_nodes
+    product = chi
+    for cr in rootdata.positive_coroots_up_to(spec, None):
+        product = product * AnchoredSeries(spec, zero,
+                                           {zero: 1, cr.coords: -1})
+    numerator = characters.character_numerator(
+        spec, labels, _w0_height(spec, tuple(x + 1 for x in labels)))
+    assert product == numerator.as_exact()

@@ -154,6 +154,17 @@ def test_gk_limit_at_nu_zero_is_refused(capsys):
     assert code == cli.EXIT_ERROR and "beta = 0" in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["--spec", "A1", "--nu", "-2", "--depth", "3"],
+    ["--spec", "A2", "--nu", "1,-1"],
+    ["--spec", "A1!", "--nu", "2,-1", "--depth", "4"],
+])
+def test_gk_limit_at_a_negative_nu_is_refused(capsys, argv):
+    code, out, err = run(capsys, "--format", "json", "verify", "gk-limit",
+                         *argv)
+    assert code == cli.EXIT_ERROR and "nonnegative" in err and out == ""
+
+
 def _readme_commands():
     """Every `dlhecke ...` line of the README's shell blocks but
     `verify all`, as an argv."""

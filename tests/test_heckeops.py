@@ -278,7 +278,7 @@ def _stabilized_by_exact_layers(spec, seed, depth, margin, kind, max_length):
     for length, values in enumerate(
             _exact_layers(spec, seed, kind, max_length), 1):
         pieces = [v.truncate(depth) for v in values]
-        pieces = [p for p in pieces if not p.is_zero()]
+        pieces = [p for p in pieces if p.terms]
         for p in pieces:
             total = total + p
         quiet = 0 if pieces else quiet + 1

@@ -174,6 +174,14 @@ def test_gk_limit_trivial_displacement():
             verify.verify_gk_limit(spec, nu, 2)
 
 
+def test_gk_limit_refuses_a_negative_entry():
+    # both sides live on nonnegative displacements, so they would compare
+    # 0 with 0 there
+    for spec, nu, depth in ((A1, (-2,), 3), (A1A, (2, -1), 4)):
+        with pytest.raises(verify.VerifyError, match="nonnegative"):
+            verify.verify_gk_limit(spec, nu, depth)
+
+
 def test_gk_limit_finite_a1_simple_root():
     assert verify.verify_gk_limit(A1, (1,), 2).passed
 

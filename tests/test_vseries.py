@@ -165,13 +165,14 @@ DIVISION_SPECS = [RootSystemSpec.parse(t) for t in ("A2", "A3", "D4", "A1!",
 
 @st.composite
 def division_problems(draw):
-    """(alpha, Q): alpha = +- a positive coroot (imaginary ones included),
-    Q a random multi-term map with negative displacements allowed."""
+    """(alpha, Q): alpha = +- a simple coroot, the only directions
+    divide_exact takes, and Q a random multi-term map with negative
+    displacements allowed."""
     spec = draw(st.sampled_from(DIVISION_SPECS))
-    root = draw(st.sampled_from(rootdata.positive_coroots_up_to(spec, 4)))
-    sign = draw(st.sampled_from((1, -1)))
-    alpha = tuple(sign * x for x in root.coords)
     n = spec.num_nodes
+    pivot = draw(st.integers(0, n - 1))
+    sign = draw(st.sampled_from((1, -1)))
+    alpha = tuple(sign if j == pivot else 0 for j in range(n))
     betas = st.tuples(*[st.integers(-3, 3)] * n)
     coeffs = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3),
                              max_size=3).map(VPoly)
@@ -229,3 +230,22 @@ def test_divide_exact_simple_direction_by_hand():
     assert divide_exact(num, (-1, 0)) == {(2, 0): -VP_ONE, (3, 0): -VP_ONE}
     with pytest.raises(SeriesError):
         divide_exact(num, (0, 0))
+
+
+@pytest.mark.parametrize("spec", DIVISION_SPECS, ids=str)
+def test_divide_exact_refuses_every_non_simple_direction(spec):
+    # (1 - e^{-alpha}) over itself would divide exactly along alpha, so
+    # the refusal is the direction's, not a remainder's
+    n = spec.num_nodes
+    zero = (0,) * n
+    coroots = [cr for cr in rootdata.positive_coroots_up_to(spec, 4)
+               if cr.height > 1]
+    assert spec.affine == any(cr.kind == "imaginary" for cr in coroots)
+    for cr in coroots:
+        for alpha in (cr.coords, tuple(-x for x in cr.coords)):
+            for from_deep in (False, True):
+                with pytest.raises(SeriesError, match="simple coroot"):
+                    divide_exact({zero: VP_ONE, alpha: -VP_ONE}, alpha,
+                                 from_deep=from_deep)
+    with pytest.raises(SeriesError, match="simple coroot"):
+        divide_exact({zero: VP_ONE}, (2,) + zero[1:])
