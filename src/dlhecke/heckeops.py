@@ -5,15 +5,20 @@ apply_T realizes, per monomial e^mu with k = <a_i, mu>,
     T_i(e^mu)  = [ (1 - v^-1 e^{-a_i}) e^{s_i mu} + (v^-1 - 1) e^mu ] / (1 - e^{a_i})
     T'_i(e^mu) = [ (1 - v    e^{+a_i}) e^{s_i mu} + (v    - 1) e^mu ] / (1 - e^{a_i})
 
-with the division carried out exactly in the Laurent ring.  apply_T_raw
-builds the numerator in one pass, string by string: the three numerator
-positions of a monomial lie on its a_i-string, and their coefficients
-are added as plain integers per v-degree.  It then hands the strings to
-vseries._divide_strings, the same routine behind vseries.divide_exact,
-which sums each string from its shallow end and asserts the zero
-remainder of every string on every call.  Word operators compose
-right-to-left, so the first letter of a BFS word (a left descent) is
-applied last.
+with the division carried out exactly in the Laurent ring.  One kernel,
+_kernel, does it on packed coefficients (vseries._pack: u -> 2^width
+with u = v^-1 for T and v for T', Kronecker substitution), so that every
+coefficient is one int.  It builds the numerator string by string: the
+three numerator positions of a monomial lie on its a_i-string, and each
+is one big-int addition, the factor u a left shift.  It then hands the
+strings to vseries._divide_strings, the same routine behind
+vseries.divide_exact, which sums each string from its shallow end and
+asserts the zero remainder of every string on every call.  Every packed
+value carries a bound on its coefficients, which the kernel keeps below
+half its width (_kernel).  apply_T_raw and apply_T on an AnchoredSeries
+pack, run the kernel and decode once per run of equal coefficients; the
+walker keeps its values packed.  Word operators compose right-to-left,
+so the first letter of a BFS word (a left descent) is applied last.
 
 Every sum of T_w(seed) over a Weyl orbit runs through one walker, _walk:
 the stabilized sum over an affine W (symmetrizer_stabilized), and each
@@ -22,9 +27,11 @@ coset of the parabolic chain that sums over a finite W
 """
 from __future__ import annotations
 
+from operator import mul
+
 from . import rootdata, weyl
-from .vseries import (AnchoredSeries, VINV, V, _divide_strings, add_into,
-                      freeze)
+from .vseries import (AnchoredSeries, VINV, V, _check_width, _digits,
+                      _divide_strings, _pack, _unpack)
 
 
 class HeckeError(ValueError):
@@ -39,70 +46,167 @@ DEFAULT_MARGIN = 2
 DEFAULT_LAYER_CAP = 20000
 
 
-def _pairings(cartan, anchor, terms, i):
-    """[k for each beta of terms], k = <a_i, anchor - beta>, computed from
-    the nonzero entries of Cartan row i; i must lie in 1..n."""
+class PackedSeries:
+    """An exact series with packed coefficients (vseries._pack), the form
+    in which the walker holds its values: terms maps beta to the packed
+    int of its coefficient at (width, low, var), and bound >= every
+    v-coefficient of every term, below 2^(width-1) (vseries._check_width).
+    """
+
+    __slots__ = ("anchor", "terms", "width", "bound", "low", "var")
+    exact = True
+
+    def __init__(self, anchor, terms, width, bound, low, var):
+        self.anchor, self.terms, self.var = anchor, terms, var
+        self.width, self.bound, self.low = width, bound, low
+
+    @classmethod
+    def pack(cls, anchor, terms, var):
+        return cls(anchor, *_pack(terms, var), var)
+
+    def unpack(self):
+        """The raw term map {beta: VPoly}, zero terms dropped."""
+        return _unpack(self.terms, self.width, self.bound, self.low,
+                       self.var)
+
+    def add(self, other, depth=None):
+        """Add other's terms into this series in place, only those at
+        ht <= depth with nonnegative displacement if a depth is given;
+        True iff any.  other has this series' low and var.  The bounds add,
+        and the width is widened first if the sum could outgrow it."""
+        terms = other.terms
+        if depth is not None:
+            terms = {b: x for b, x in terms.items()
+                     if sum(b) <= depth and min(b) >= 0}
+        if not terms:
+            return False
+        bound = self.bound + other.bound
+        width = max(self.width, other.width)
+        if bound >> (width - 1):
+            width = max(2 * width, bound.bit_length() + 1)
+        if width != self.width:
+            self.terms = _repacked(self.terms, self.width, self.bound, width)
+        if width != other.width:
+            terms = _repacked(terms, other.width, other.bound, width)
+        self.width, self.bound = width, bound
+        acc = self.terms
+        for beta, x in terms.items():
+            acc[beta] = acc.get(beta, 0) + x
+        return True
+
+
+def _repacked(terms, width, bound, wider):
+    """A packed map {key: x} of one width, within bound, repacked at a
+    wider one."""
+    _check_width(bound, width)
+    return {key: sum(d << (wider * j) for j, d in enumerate(_digits(x, width)))
+            for key, x in terms.items()}
+
+
+def _row(cartan, i):
+    """Cartan row i; i must lie in 1..n."""
     if not 1 <= i <= len(cartan):
         raise weyl.WeylError(f"generator index {i} out of range")
-    row = [(j, a) for j, a in enumerate(cartan[i - 1]) if a]
+    return cartan[i - 1]
+
+
+def _pairings(cartan, anchor, terms, i):
+    """[k for each beta of terms], k = <a_i, anchor - beta>."""
+    row = _row(cartan, i)
     label = anchor[i - 1]
-    return [label - sum(a * beta[j] for j, a in row) for beta in terms]
+    return [label - sum(map(mul, row, beta)) for beta in terms]
 
 
-def apply_T_raw(cartan, anchor, terms, i, kind=T_KIND):
-    """Operator application on a raw term map; see module docstring.
-
-    One pass over the a_i-strings, keyed by beta without coordinate i.  A
-    monomial cf e^{anchor - beta} with b = beta_i and
-    k = <a_i, anchor - beta> puts cf at b + k (its reflection), -u cf at
-    b + k + s and (u - 1) cf at b (u = v^-1, s = +1 for T; u = v,
-    s = -1 for T'; a factor u shifts v-degrees).  They are added straight
-    into {v-degree: int} dicts.  Each string is then divided by
-    (1 - e^{a_i}), that is by (1 - e^{-alpha}) with alpha = -a_i, from
-    its shallow end by vseries._divide_strings, which raises SeriesError
-    on a nonzero remainder.  A generator outside 1..n raises WeylError.
-    """
+def _sign(kind):
+    """s = +1 for T and -1 for T'; the kernel's u is v^-s."""
     if kind == T_KIND:
-        e, s = -1, 1
-    elif kind == TPRIME_KIND:
-        e, s = 1, -1
-    else:
-        raise HeckeError(f"unknown operator kind {kind!r}")
+        return 1
+    if kind == TPRIME_KIND:
+        return -1
+    raise HeckeError(f"unknown operator kind {kind!r}")
+
+
+def _strings(cartan, anchor, terms, i):
+    """A term map grouped by a_i-string: {beta without coordinate i:
+    (c, {beta_i: coefficient})}, with c = <a_i, anchor - beta> at
+    beta_i = 0, so that a term at beta_i = b pairs to k = c - 2b
+    (a_ii = 2)."""
     ii = i - 1
+    row = _row(cartan, i)
+    row = row[:ii] + row[ii + 1:]
+    label = anchor[ii]
     strings = {}
-    # t = -beta_i is the string coordinate along alpha = -a_i
-    for (beta, cf), k in zip(terms.items(),
-                             _pairings(cartan, anchor, terms, i)):
+    for beta, x in terms.items():
         key = beta[:ii] + beta[ii + 1:]
         string = strings.get(key)
         if string is None:
-            strings[key] = string = {}
-        t = -beta[ii]
-        c = cf.c
-        p = string.get(t - k)
-        if p is None:
-            string[t - k] = p = {}
-        for d, x in c.items():
-            p[d] = p.get(d, 0) + x
-        p = string.get(t - k - s)
-        if p is None:
-            string[t - k - s] = p = {}
-        for d, x in c.items():
-            p[d + e] = p.get(d + e, 0) - x
-        p = string.get(t)
-        if p is None:
-            string[t] = p = {}
-        for d, x in c.items():
-            p[d + e] = p.get(d + e, 0) + x
-            p[d] = p.get(d, 0) - x
-    return _divide_strings(strings, ii, -1)
+            strings[key] = string = (label - sum(map(mul, row, key)), {})
+        string[1][beta[ii]] = x
+    return strings
+
+
+def apply_T_raw(cartan, anchor, terms, i, kind=T_KIND):
+    """Operator application on a raw term map {beta: VPoly}; see the module
+    docstring.  A generator outside 1..n raises WeylError."""
+    p = PackedSeries.pack(anchor, terms, -_sign(kind))
+    return _kernel(p, _strings(cartan, anchor, p.terms, i), i,
+                   kind).unpack()
+
+
+def _kernel(p, strings, i, kind):
+    """T_i (or T'_i) of the a_i-strings of a PackedSeries p (all of them,
+    or some, as _strings groups them), as a PackedSeries.
+
+    A term x e^{anchor - beta} with b = beta_i and k = <a_i, anchor - beta>
+    = c - 2b, c the string's pairing at b = 0, puts x at b + k (its
+    reflection), -u x at b + k + s and (u - 1) x at b (u = v^-1, s = +1
+    for T; u = v, s = -1 for T'); p packs u, so u x is x << width.  Each
+    string is then divided by (1 - e^{a_i}), that is by (1 - e^{-alpha})
+    with alpha = -a_i, from its shallow end by vseries._divide_strings.
+
+    The bound: the partial sums of one term's three numerator
+    contributions, in any order along its string, are x, -u x, (u - 1) x,
+    x - u x, u x or -x, each of absolute value at most 2M per v-degree,
+    M = p.bound; the last is 0.  A quotient coefficient of a string, and
+    its remainder, are sums of such partial sums, one per input term, so
+    they are at most 2 M P, P the most input terms on one string.  If that
+    does not fit p's width, the strings, still within M, are first
+    repacked at a wider one.
+    """
+    s = _sign(kind)
+    if p.var != -s:
+        raise HeckeError("a series packed for the other operator kind")
+    width = p.width
+    bound = 2 * p.bound * max((len(st) for _, st in strings.values()),
+                              default=0)
+    if bound >> (width - 1):
+        wider = max(2 * width, bound.bit_length() + 1)
+        strings = {key: (c, _repacked(string, width, p.bound, wider))
+                   for key, (c, string) in strings.items()}
+        width = wider
+    nums = {}
+    # t = -b is the string coordinate along alpha = -a_i
+    for key, (c, string) in strings.items():
+        nums[key] = num = {}
+        for b, x in string.items():
+            y = x << width
+            t = b - c  # -(b + k)
+            num[t] = num.get(t, 0) + x
+            num[t - s] = num.get(t - s, 0) - y
+            num[-b] = num.get(-b, 0) + y - x
+    return PackedSeries(p.anchor, _divide_strings(nums, i - 1, -1, width,
+                                                  bound),
+                        width, bound, p.low, p.var)
 
 
 def apply_T(spec, i, s, kind=T_KIND):
-    """T_i (or T'_i) applied to a finite exact series."""
+    """T_i (or T'_i) applied to a finite exact series.  An AnchoredSeries
+    gives an AnchoredSeries; the PackedSeries of a walk stays packed."""
     if not s.exact:
         raise HeckeError("apply_T needs an exact (finite) series")
     cartan = rootdata.build_cartan(spec)
+    if isinstance(s, PackedSeries):
+        return _kernel(s, _strings(cartan, s.anchor, s.terms, i), i, kind)
     out = apply_T_raw(cartan, s.anchor, s.terms, i, kind)
     return AnchoredSeries(spec, s.anchor, out, _trusted=True)
 
@@ -202,8 +306,14 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, kind,
     with the length adding, so T_w(seed) = T_i(T_{w'}(seed)), and each
     layer's exact values are built from its parents' and kept until the
     next layer has been built from them.  A layer of more than layer_cap
-    elements raises HeckeError.  Every value is added straight into one
-    vseries.add_into accumulator.  With depth None the sum is exact and
+    elements raises HeckeError.  The values stay packed (PackedSeries;
+    each is still built by apply_T), and every value is added straight
+    into one packed accumulator, decoded once at the end.  The bounds
+    certify both: a value's bound is 2 M P for a parent's bound M
+    (_kernel), the accumulator's is the sum of the bounds added, and each
+    is widened before it could reach half its width, the condition for
+    decoding and for the zero-remainder test.  With depth None the sum is
+    exact and
     the walk runs max_layers layers (None: no limit) or to the end of a
     finite orbit.  With a depth every value is truncated to ht <= depth
     (and to nonnegative displacements), and the walk stops, stabilized,
@@ -238,9 +348,10 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, kind,
     if not seed.exact:
         raise HeckeError("the symmetrizer needs an exact (finite) seed")
     anchor = seed.anchor
-    acc = {}
-    add_into(acc, (seed if depth is None else seed.truncate(depth)).terms)
-    layer = {(0,) * len(cartan): seed}  # orbit key -> T_w(seed)
+    packed = PackedSeries.pack(anchor, seed.terms, -_sign(kind))
+    acc = PackedSeries(anchor, {}, packed.width, 0, packed.low, packed.var)
+    acc.add(packed, depth)
+    layer = {(0,) * len(cartan): packed}  # orbit key -> T_w(seed)
     # [(orbit key, letter, parent's key)] per layer, capped
     layers = (_capped(steps, layer_cap)
               for steps in weyl.orbit_layers(cartan, labels))
@@ -255,14 +366,14 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, kind,
             break
         length += 1
         if margin is not None and quiet == margin - 1 and _quiet(
-                cartan, anchor, steps, (), layer, kind, depth):
+                cartan, steps, (), layer, kind, depth):
             stabilized = True
             break
         if (margin is not None and quiet == margin - 2
                 and length != max_layers):
             ahead = next(layers, None)
-            if ahead is not None and _quiet(cartan, anchor, steps, ahead,
-                                            layer, kind, depth):
+            if ahead is not None and _quiet(cartan, steps, ahead, layer,
+                                            kind, depth):
                 length += 1
                 stabilized = True
                 break
@@ -270,15 +381,12 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, kind,
                  for child, i, parent in steps}
         loud = False
         for value in layer.values():
-            terms = (value.terms if depth is None
-                     else value.truncate(depth).terms)
-            loud = loud or bool(terms)
-            add_into(acc, terms)
+            loud = acc.add(value, depth) or loud
         quiet = 0 if loud else quiet + 1
         if margin is not None and quiet >= margin:
             stabilized = True
             break
-    total = AnchoredSeries(spec, anchor, freeze(acc), depth=depth,
+    total = AnchoredSeries(spec, anchor, acc.unpack(), depth=depth,
                            _trusted=True)
     return total, length, stabilized
 
@@ -300,20 +408,21 @@ def _reachable_terms(cartan, anchor, terms, i, kind, depth):
         if sum(beta) + min(0, k, k + s) < depth}
 
 
-def _loud(cartan, anchor, terms, i, kind, depth, js=()):
-    """True iff T_i(terms), or T_j T_i(terms) for some j in js, has a term
-    at ht <= depth with nonnegative displacement; T_i is applied to the
-    a_i-strings that _strings_reaching keeps."""
-    out = apply_T_raw(cartan, anchor, _strings_reaching(
-        cartan, anchor, terms, i, js, kind, depth), i, kind)
-    return (any(sum(b) <= depth and min(b) >= 0 for b in out)
-            or any(_loud(cartan, anchor, out, j, kind, depth) for j in js))
+def _loud(cartan, p, i, kind, depth, js=()):
+    """True iff T_i(p), or T_j T_i(p) for some j in js, has a term at
+    ht <= depth with nonnegative displacement, p a PackedSeries; T_i is
+    applied to the a_i-strings that _strings_reaching keeps."""
+    out = _kernel(p, _strings_reaching(cartan, p, i, js, kind, depth), i,
+                  kind)
+    return (any(sum(b) <= depth and min(b) >= 0 for b in out.terms)
+            or any(_loud(cartan, out, j, kind, depth) for j in js))
 
 
-def _strings_reaching(cartan, anchor, terms, i, js, kind, depth):
-    """The a_i-strings of a map on which T_i can leave a term at
-    ht <= depth, or a term that is j-reachable for some j in js, each
-    tested at the shallowest position its image can hold; see _walk.
+def _strings_reaching(cartan, p, i, js, kind, depth):
+    """The a_i-strings of a PackedSeries, grouped as _strings groups them,
+    on which T_i can leave a term at ht <= depth, or a term that is
+    j-reachable for some j in js, each tested at the shallowest position
+    its image can hold; see _walk.
 
     s_i reverses a string, b -> c - b with b = beta_i, where c is
     <a_i, anchor - beta> at b = 0 (a_ii = 2).  So the shallowest numerator
@@ -322,31 +431,22 @@ def _strings_reaching(cartan, anchor, terms, i, js, kind, depth):
     deeper."""
     shift = 1 if kind == T_KIND else 0  # 1 + min(0, s)
     ii = i - 1
-    keys, span = [], {}
-    for beta in terms:
-        key = beta[:ii] + beta[ii + 1:]
-        b = beta[ii]
-        lo, hi = span.get(key, (b, b))
-        span[key] = min(lo, b), max(hi, b)
-        keys.append(key)
-    cs = _pairings(cartan, anchor,
-                   [key[:ii] + (0,) + key[ii:] for key in span], i)
-    ends = {key[:ii] + (min(lo + 1, c - hi + shift),) + key[ii:]: key
-            for (key, (lo, hi)), c in zip(span.items(), cs)}
+    strings = _strings(cartan, p.anchor, p.terms, i)
+    ends = {key[:ii] + (min(min(string) + 1, c - max(string) + shift),)
+            + key[ii:]: key for key, (c, string) in strings.items()}
     kept = {key for end, key in ends.items() if sum(end) <= depth}
     kept.update(key for j in js for key in _reachable_terms(
-        cartan, anchor, ends, j, kind, depth).values())
-    return {beta: cf for (beta, cf), key in zip(terms.items(), keys)
-            if key in kept}
+        cartan, p.anchor, ends, j, kind, depth).values())
+    return {key: string for key, string in strings.items() if key in kept}
 
 
-def _quiet(cartan, anchor, steps, ahead, layer, kind, depth):
+def _quiet(cartan, steps, ahead, layer, kind, depth):
     """True iff no element of the layer of steps, nor of the layer ahead
     of it (() for none), contributes at ht <= depth, computed from the
     values of the layer before them (layer[parent]) alone; see _walk."""
     children = {}
     for _, j, c in ahead:
         children.setdefault(c, []).append(j)
-    return not any(_loud(cartan, anchor, layer[p].terms, i, kind, depth,
+    return not any(_loud(cartan, layer[p], i, kind, depth,
                          children.get(c, ()))
                    for c, i, p in steps)

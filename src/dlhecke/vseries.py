@@ -415,31 +415,65 @@ def add_maps(t1, t2):
     return out
 
 
-def add_into(acc, terms):
-    """Add a raw term map into acc, in place and over plain integers.
+def _digits(x, width):
+    """The balanced base-2^width digits of x, lowest first, each in
+    [-2^(width-1), 2^(width-1))."""
+    full = 1 << width
+    half, mask = full >> 1, full - 1
+    out = []
+    while x:
+        d = x & mask
+        if d >= half:
+            d -= full
+        out.append(d)
+        x = (x >> width) + (d < 0)
+    return out
 
-    acc maps beta to {v-degree: int}; entries may reach zero there, and
-    freeze drops them.  It is the one accumulator of long sums: every
-    value of heckeops' symmetrizer walker is added into one.
+
+def _check_width(bound, width):
+    """SeriesError unless bound < 2^(width-1): a packed coefficient whose
+    v-coefficients all lie within bound then decodes uniquely (_digits),
+    and is 0 only if they all are."""
+    if bound >> (width - 1):
+        raise SeriesError(f"coefficient bound {bound} does not fit "
+                          f"packed width {width}")
+
+
+def _pack(terms, var=1):
+    """(packed, width, bound, low) for a raw term map {beta: VPoly}.
+
+    Kronecker substitution: with u = v^var, u -> 2^width is a ring
+    homomorphism Z[u] -> Z, so c = sum_d c_d v^d packs to the int
+    sum_d c_d 2^(width*(var*d - low)); sums of coefficients are sums of
+    ints, and a factor u is a left shift by width.  bound is the largest
+    |c_d|, and the width leaves room for 2 * bound * len(terms).
     """
-    for beta, cf in terms.items():
-        p = acc.get(beta)
-        if p is None:
-            acc[beta] = dict(cf.c)
-        else:
-            for d, x in cf.c.items():
-                p[d] = p.get(d, 0) + x
+    cs = [cf.c for cf in terms.values()]
+    low = min((var * d for c in cs for d in c), default=0)
+    bound = max((abs(n) for c in cs for n in c.values()), default=0)
+    width = max(64, (2 * bound * len(cs)).bit_length() + 1)
+    return {beta: sum(n << (width * (var * d - low)) for d, n in c.items())
+            for beta, c in zip(terms, cs)}, width, bound, low
 
 
-def freeze(acc):
-    """The raw term map {beta: VPoly} of an add_into accumulator, with
-    zero coefficients and empty terms dropped."""
+def _unpack(packed, width, bound, low, var=1):
+    """The raw term map of a packed one (_pack) whose v-coefficients lie
+    within bound, zero terms dropped; decoded once per run of equal
+    coefficients, which share one VPoly (VPolys are never mutated in
+    place)."""
+    _check_width(bound, width)
+    # one int object per degree, shared by every coefficient
+    top = max(map(abs, packed.values()), default=0).bit_length() // width
+    degrees = [var * (low + j) for j in range(top + 1)]
     out = {}
-    for beta, p in acc.items():
-        c = {d: x for d, x in p.items() if x}
-        if c:
+    last = q = None
+    for beta, x in packed.items():
+        if x != last:
+            last = x
             q = VPoly()
-            q.c = c
+            q.c = {degrees[j]: d
+                   for j, d in enumerate(_digits(x, width)) if d}
+        if x:
             out[beta] = q
     return out
 
@@ -450,20 +484,24 @@ def divide_exact(terms, alpha, from_deep=False):
     alpha is a simple coroot a_i or its negative (any other direction
     raises SeriesError).  Multiplying by e^{-alpha} moves beta to
     beta + alpha, so along each a_i-string (keyed by beta without
-    coordinate i, as heckeops.apply_T_raw keys them) the numerator and
-    quotient satisfy N_t = Q_t - Q_{t-1}.  The quotient is summed from the
+    coordinate i, as heckeops keys them) the numerator and quotient
+    satisfy N_t = Q_t - Q_{t-1}.  The quotient is summed from the
     shallow end of every string (lower height; the expansion in e^{-alpha}
     for positive alpha) or, with from_deep=True, from the deep end.  The
     two agree exactly when the division is exact; a nonzero remainder on
-    any string raises SeriesError.  The strings are divided by
-    _divide_strings, which apply_T_raw fills directly.
+    any string raises SeriesError.  The map is packed, and its strings
+    divided by _divide_strings: each quotient coefficient sums at most
+    the terms of one string, hence the bound.
     """
     pivot, sign = _direction(tuple(alpha))
+    packed, width, bound, low = _pack(terms)
     strings = {}
-    for beta, cf in terms.items():
+    for beta, x in packed.items():
         key = beta[:pivot] + beta[pivot + 1:]
-        strings.setdefault(key, {})[beta[pivot] * sign] = cf.c
-    return _divide_strings(strings, pivot, sign, from_deep)
+        strings.setdefault(key, {})[beta[pivot] * sign] = x
+    bound *= max(map(len, strings.values()), default=0)
+    return _unpack(_divide_strings(strings, pivot, sign, width, bound,
+                                   from_deep), width, bound, low)
 
 
 def _direction(alpha):
@@ -476,50 +514,39 @@ def _direction(alpha):
     return pivots[0], alpha[pivots[0]]
 
 
-def _divide_strings(strings, pivot, sign, from_deep=False):
-    """The one exact string division behind divide_exact and apply_T_raw,
-    by (1 - e^{-alpha}) with alpha = sign * a_{pivot+1}.
+def _divide_strings(strings, pivot, sign, width, bound, from_deep=False):
+    """The one exact string division behind divide_exact and heckeops'
+    T_i kernel, by (1 - e^{-alpha}) with alpha = sign * a_{pivot+1}, over
+    packed coefficients of the given width.
 
     strings maps a string key (beta without the pivot coordinate) to
-    {t: {v-degree: int}}, the numerator coefficients at the beta with
-    beta[pivot] = t * sign and the key's entries elsewhere; the
-    coefficient dicts may hold zeros and are only read.  Along a string
-    the quotient is constant between neighbouring numerator positions:
-    from the low-t end Q_t = sum_{s <= t} N_s, from the high-t end
-    Q_t = -sum_{s > t} N_s, and the sum over the whole string, the
-    remainder, must vanish (else SeriesError).  The running sum is kept
-    as an int dict, with the sign of the high-t end folded into it, and
-    one VPoly is stored per run of equal coefficients, across numerator
-    positions that sum to zero too (VPolys are never mutated in place, so
-    the sharing is safe).
+    {t: x}, the packed numerator coefficient at the beta with
+    beta[pivot] = t * sign and the key's entries elsewhere (zeros may
+    occur).  Along a string the quotient is constant between neighbouring
+    numerator positions: from the low-t end Q_t = sum_{s <= t} N_s, from
+    the high-t end Q_t = -sum_{s > t} N_s, and the sum over the whole
+    string, the remainder, must vanish (else SeriesError).  bound must
+    bound every coefficient of those partial sums and be below
+    2^(width-1) (_check_width): only then is a zero packed remainder a
+    zero polynomial.  Returns the packed quotient {beta: x}; a run of
+    positions with one coefficient shares one int.
     """
+    _check_width(bound, width)
     # the shallow end of a string is its low-t end iff alpha is positive
     from_low_t = (sign > 0) != from_deep
-    run_sign = 1 if from_low_t else -1
     out = {}
     for key, string in strings.items():
         ts = sorted(string, reverse=not from_low_t)
         head, tail = key[:pivot], key[pivot:]
-        run = {}
-        q = None
-        last = len(ts) - 1
-        for j, t in enumerate(ts):
-            for d, c in string[t].items():
-                m = run.get(d, 0) + run_sign * c
-                if m:
-                    run[d] = m
-                else:
-                    run.pop(d, None)
-            if run and j < last:
-                if q is None or q.c != run:
-                    # copied item by item: dict(run) would keep the spare
-                    # slots run's deleted entries left
-                    q = VPoly()
-                    q.c = dict(run.items())
-                lo, hi = (t, ts[j + 1]) if from_low_t else (ts[j + 1], t)
+        run = 0
+        for t, nxt in zip(ts, ts[1:]):
+            run += string[t]
+            if run:
+                q = run if from_low_t else -run
+                lo, hi = (t, nxt) if from_low_t else (nxt, t)
                 for u in range(lo, hi):
                     out[head + (u * sign,) + tail] = q
-        if run:
+        if run + string[ts[-1]]:
             raise SeriesError(f"nonzero remainder dividing along "
                               f"{'+' if sign > 0 else '-'}a_{pivot + 1}")
     return out

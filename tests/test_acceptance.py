@@ -72,7 +72,7 @@ def test_criterion_03_affine_casselman_shalika():
     """Sum_w T_w(e^L) = m_v·D_v·chi_L coefficientwise: affine A1 at depth 6
     for labels (0,1), (1,1), (2,1); affine A2 at depth 4 for (0,0,1),
     (1,0,1); stabilization margin 2."""
-    failures = []
+    failures, witnesses = [], []
     for spec, labels, depth in AFFINE_CONFIGS:
         lhs, achieved, stabilized = _whittaker(spec, labels, depth)
         if not stabilized:
@@ -84,14 +84,17 @@ def test_criterion_03_affine_casselman_shalika():
         diff = lhs.first_difference(rhs)
         if diff is not None:
             failures.append((str(spec), labels, diff[0]))
+            witnesses.append(f"{spec} {labels} at {diff[0]}: lhs {diff[1]}, "
+                             f"rhs {diff[2]}")
     ok = not failures
     _emit(3, ok, "affine Casselman-Shalika, five label configurations")
-    assert ok, f"affine CS differs first at {failures}"
+    assert ok, (f"affine CS differs first at {failures}; "
+                f"witnesses: {'; '.join(witnesses)}")
 
 
 def test_criterion_04_v_equals_q_specialization():
     """Criterion-3 identities after exact substitution v := 2 and v := 3."""
-    failures = []
+    failures, witnesses = [], []
     for spec, labels, depth in AFFINE_CONFIGS:
         lhs, _, stabilized = _whittaker(spec, labels, depth)
         if not stabilized:
@@ -105,10 +108,15 @@ def test_criterion_04_v_equals_q_specialization():
             bad = [b for b in set(lv) | set(rv)
                    if lv.get(b, 0) != rv.get(b, 0)]
             if bad:
-                failures.append((str(spec), labels, int(q), sorted(bad)[0]))
+                beta = sorted(bad)[0]
+                failures.append((str(spec), labels, int(q), beta))
+                witnesses.append(f"{spec} {labels} v={q} at {beta}: "
+                                 f"lhs {lv.get(beta, 0)}, "
+                                 f"rhs {rv.get(beta, 0)}")
     ok = not failures
     _emit(4, ok, "v = q specialization at q in {2, 3}, exact rationals")
-    assert ok, f"specialized identity differs: {failures[:3]}"
+    assert ok, (f"specialized identity differs: {failures[:3]}; "
+                f"witnesses: {'; '.join(witnesses[:3])}")
 
 
 def test_criterion_05_hecke_relations():
@@ -134,7 +142,7 @@ def test_criterion_06_proportionality_constant():
         got = gamma.coefficient((1, 1))
         want = characters.m_factor(A1A, 6).coefficient((1, 1))
         assert ok, (f"factor differs at c: extracted {got!r}, "
-                    f"m_factor has {want!r}")
+                    f"m_factor has {want!r}; witness {report.witness}")
     assert ok
 
 
@@ -193,12 +201,16 @@ def test_criterion_10_gindikin_karpelevich_limit():
     c = rootdata.minimal_imaginary_coroot(A1A).coords
     a1 = (1, 0)
     a1c = tuple(x + y for x, y in zip(a1, c))
+    witnesses = []
     for nu in (c, a1, a1c):
-        if not verify.verify_gk_limit(A1A, nu, 6).passed:
+        report = verify.verify_gk_limit(A1A, nu, 6)
+        if not report.passed:
             failures.append(("A1!", nu))
+            witnesses.append(f"A1! {nu}: {report.witness}")
     ok = not failures
     _emit(10, ok, "Gindikin-Karpelevich limit, finite and affine probes")
-    assert ok, f"limit mismatches at {failures}"
+    assert ok, (f"limit mismatches at {failures}; "
+                f"witnesses: {'; '.join(witnesses)}")
 
 
 def test_criterion_11_polynomiality():

@@ -216,6 +216,91 @@ def test_conjugation_identity_on_multi_term_series(data, s):
     assert heckeops.conjugation_difference(s.spec, i, s) is None
 
 
+# -- the packed kernel -----------------------------------------------------
+
+def _per_degree_T(cartan, anchor, terms, i, kind):
+    """T_i (or T'_i) of a raw term map by the per-degree loop that the
+    packed kernel replaced, kept as its oracle: each a_i-string's
+    numerator in {v-degree: int} dicts, summed from the shallow end."""
+    e, s = (-1, 1) if kind == T_KIND else (1, -1)
+    ii = i - 1
+    strings = {}
+    for beta, cf in terms.items():
+        k = anchor[ii] - sum(a * b for a, b in zip(cartan[ii], beta))
+        t = -beta[ii]
+        string = strings.setdefault(beta[:ii] + beta[ii + 1:], {})
+        # cf at b + k, -u cf at b + k + s, (u - 1) cf at b; u moves d by e
+        for pos, shift, sign in ((t - k, 0, 1), (t - k - s, e, -1),
+                                 (t, e, 1), (t, 0, -1)):
+            p = string.setdefault(pos, {})
+            for d, x in cf.c.items():
+                p[d + shift] = p.get(d + shift, 0) + sign * x
+    out = {}
+    for key, string in strings.items():
+        # along -a_i the shallow end is the high-t end: Q_t = -sum_{r > t}
+        run = {}
+        ts = sorted(string, reverse=True)
+        for j, t in enumerate(ts):
+            for d, x in string[t].items():
+                run[d] = run.get(d, 0) - x
+            if j + 1 < len(ts) and VPoly(run):
+                for u in range(ts[j + 1], t):
+                    out[key[:ii] + (-u,) + key[ii:]] = VPoly(run)
+        assert not any(run.values())
+    return out
+
+
+def _big_term_maps(n):
+    """Term maps with v-degrees of both signs and coefficients up to
+    2^80 in absolute value."""
+    betas = st.tuples(*[st.integers(-3, 3)] * n)
+    coeffs = st.dictionaries(st.integers(-4, 4),
+                             st.integers(-2 ** 80, 2 ** 80),
+                             min_size=1, max_size=4).map(VPoly)
+    return st.dictionaries(betas, coeffs, min_size=1, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([RootSystemSpec.parse(t) for t in (
+    "A2", "D4", "A1!", "A2!", "D4!")]), KINDS)
+def test_packed_kernel_matches_the_per_degree_loop(data, spec, kind):
+    n = spec.num_nodes
+    terms = {b: c for b, c in data.draw(_big_term_maps(n)).items() if c}
+    anchor = data.draw(st.tuples(*[st.integers(-3, 3)] * n))
+    cartan = rootdata.build_cartan(spec)
+    packed = heckeops.PackedSeries.pack(anchor, terms, -heckeops._sign(kind))
+    for i in range(1, n + 1):
+        want = _per_degree_T(cartan, anchor, terms, i, kind)
+        assert heckeops.apply_T_raw(cartan, anchor, terms, i, kind) == want
+        out = heckeops.apply_T(spec, i, packed, kind)
+        assert out.unpack() == want
+        # the carried bound covers every coefficient it vouches for
+        assert all(abs(x) <= out.bound
+                   for cf in want.values() for x in cf.c.values())
+
+
+def test_a_width_too_small_for_the_step_is_widened():
+    # four terms on one a_1-string with coefficients up to 3 fit width 4
+    # (below 2^3), but their image needs up to 2 * 3 * 4: the kernel
+    # repacks them wider first, and the accumulator widens the same way
+    cartan = rootdata.build_cartan(A1)
+    anchor = (6,)
+    terms = {(b,): VPoly({0: 3, -1: -2}) for b in range(4)}
+    p = heckeops.PackedSeries.pack(anchor, terms, -1)
+    narrow = heckeops.PackedSeries(anchor, heckeops._repacked(
+        p.terms, p.width, 3, 4), 4, 3, p.low, p.var)
+    assert narrow.unpack() == terms
+    out = heckeops.apply_T(A1, 1, narrow)
+    want = _per_degree_T(cartan, anchor, terms, 1, T_KIND)
+    assert out.width > 4 and out.unpack() == want
+    assert max(abs(x) for cf in want.values() for x in cf.c.values()) >= 8
+    acc = heckeops.PackedSeries(anchor, {}, 4, 0, p.low, p.var)
+    for _ in range(3):
+        acc.add(narrow)
+    assert acc.width > 4
+    assert acc.unpack() == {b: cf * 3 for b, cf in terms.items()}
+
+
 # -- the stabilized walk ---------------------------------------------------
 
 def _shallow_part(terms, depth):
@@ -250,8 +335,10 @@ def test_reaching_strings_keep_every_shallow_output_two_steps_on(
 
     def T(terms, g):
         return heckeops.apply_T_raw(cartan, s.anchor, terms, g, kind)
-    kept = T(heckeops._strings_reaching(cartan, s.anchor, s.terms, i, (j,),
-                                        kind, depth), i)
+    p = heckeops.PackedSeries.pack(s.anchor, s.terms, -heckeops._sign(kind))
+    strings = heckeops._strings_reaching(cartan, p, i, (j,), kind, depth)
+    kept = T({b: cf for b, cf in s.terms.items()
+              if b[:i - 1] + b[i:] in strings}, i)
     full = T(s.terms, i)
     assert _shallow_part(kept, depth) == _shallow_part(full, depth)
     part = T(heckeops._reachable_terms(cartan, s.anchor, kept, j, kind,
@@ -342,6 +429,29 @@ def test_last_layer_skips_the_full_parent_values(monkeypatch):
     layers = weyl.enumerate_layers(spec, got[1])
     # every layer but the final two, quiet ones is built exactly
     assert len(calls) == sum(len(layer) for layer in layers[1:-2])
+
+
+def test_walker_values_have_the_terms_of_the_exact_route(monkeypatch):
+    """The walker hands apply_T packed values.  Each one it passes, and
+    each one it gets back, holds exactly the terms of the VPoly route, so
+    whatever counts the terms of apply_T calls counts the same terms."""
+    checked = []
+    apply_T = heckeops.apply_T
+
+    def checking_apply_T(spec, i, s, kind=T_KIND):
+        out = apply_T(spec, i, s, kind)
+        terms = s.unpack()
+        exact = apply_T(spec, i, AnchoredSeries(spec, s.anchor, terms), kind)
+        checked.append(set(s.terms) == set(terms)
+                       and set(out.terms) == set(exact.terms)
+                       and out.unpack() == exact.terms)
+        return out
+
+    monkeypatch.setattr(heckeops, "apply_T", checking_apply_T)
+    heckeops.symmetrizer_stabilized(A1A, (0, 1), 6, kind=TPRIME_KIND)
+    heckeops.symmetrizer_stabilized(RootSystemSpec.parse("A2!"), (0, 0, 1), 3)
+    heckeops.symmetrizer_chain(RootSystemSpec.parse("A3"), (1, 0, 1))
+    assert len(checked) > 20 and all(checked)
 
 
 @pytest.mark.parametrize("text, labels, depth, kind, max_length",

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from dlhecke import rootdata
 from dlhecke.rootdata import RootSystemSpec
+from dlhecke.heckeops import PackedSeries
 from dlhecke.vseries import (AnchoredSeries, SeriesError, VPoly, VP_ONE,
-                             VP_ZERO, V, VINV, add_into, add_maps,
-                             divide_exact, freeze, geometric_inverse, ht,
+                             VP_ZERO, V, VINV, _divide_strings, _unpack,
+                             add_maps, divide_exact, geometric_inverse, ht,
                              mul_maps)
 
 A2 = RootSystemSpec.parse("A2")
@@ -161,21 +162,24 @@ def test_raw_map_helpers():
 
 DIVISION_SPECS = [RootSystemSpec.parse(t) for t in ("A2", "A3", "D4", "A1!",
                                                     "A2!")]
+BIG_SPECS = [RootSystemSpec.parse(t) for t in ("A2", "D4", "A1!", "A2!", "D4!")]
 
 
 @st.composite
-def division_problems(draw):
+def division_problems(draw, big=False):
     """(alpha, Q): alpha = +- a simple coroot, the only directions
     divide_exact takes, and Q a random multi-term map with negative
-    displacements allowed."""
-    spec = draw(st.sampled_from(DIVISION_SPECS))
+    displacements allowed; with big, coefficients up to 2^80 and
+    v-degrees up to 4 in absolute value."""
+    spec = draw(st.sampled_from(BIG_SPECS if big else DIVISION_SPECS))
     n = spec.num_nodes
     pivot = draw(st.integers(0, n - 1))
     sign = draw(st.sampled_from((1, -1)))
     alpha = tuple(sign if j == pivot else 0 for j in range(n))
     betas = st.tuples(*[st.integers(-3, 3)] * n)
-    coeffs = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3),
-                             max_size=3).map(VPoly)
+    top, degree = (2 ** 80, 4) if big else (3, 2)
+    coeffs = st.dictionaries(st.integers(-degree, degree),
+                             st.integers(-top, top), max_size=3).map(VPoly)
     q = draw(st.dictionaries(betas, coeffs, max_size=6))
     return alpha, {b: c for b, c in q.items() if c}
 
@@ -213,13 +217,73 @@ def test_divide_exact_rejects_inexact_input(problem, offset):
 @given(division_problems())
 def test_accumulator_matches_map_arithmetic(problem):
     _, q = problem
-    acc = {}
-    add_into(acc, q)
-    add_into(acc, {b: -c for b, c in q.items()})
-    assert freeze(acc) == {}  # cancelled terms leave no zeros behind
-    add_into(acc, q)
-    add_into(acc, q)
-    assert freeze(acc) == add_maps(q, q)
+    p = PackedSeries.pack((), q, 1)
+    minus = PackedSeries((), {b: -x for b, x in p.terms.items()}, p.width,
+                         p.bound, p.low, p.var)
+    acc = PackedSeries((), {}, p.width, 0, p.low, p.var)
+    acc.add(p)
+    acc.add(minus)
+    assert acc.unpack() == {}  # cancelled terms leave no zeros behind
+    acc.add(p)
+    acc.add(p)
+    assert acc.unpack() == add_maps(q, q)
+
+
+def _per_degree_divide(terms, alpha, from_deep=False):
+    """divide_exact by the per-degree loop that the packed division
+    replaced, kept as its oracle: each string summed in {v-degree: int}
+    dicts from its shallow end (or its deep end)."""
+    pivot = next(j for j, a in enumerate(alpha) if a)
+    sign = alpha[pivot]
+    strings = {}
+    for beta, cf in terms.items():
+        strings.setdefault(beta[:pivot] + beta[pivot + 1:], {})[
+            beta[pivot] * sign] = cf.c
+    from_low_t = (sign > 0) != from_deep
+    out = {}
+    for key, string in strings.items():
+        run = {}
+        ts = sorted(string, reverse=not from_low_t)
+        for j, t in enumerate(ts):
+            for d, x in string[t].items():
+                run[d] = run.get(d, 0) + (x if from_low_t else -x)
+            if j + 1 < len(ts) and VPoly(run):
+                lo, hi = sorted((t, ts[j + 1]))
+                for u in range(lo, hi):
+                    out[key[:pivot] + (u * sign,) + key[pivot:]] = VPoly(run)
+        if any(run.values()):
+            raise SeriesError("nonzero remainder")
+    return out
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except SeriesError:
+        return SeriesError
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_problems(big=True), st.booleans())
+def test_packed_division_matches_the_per_degree_loop(problem, from_deep):
+    alpha, q = problem
+    num = _times_one_minus(alpha, q)
+    assert divide_exact(num, alpha, from_deep) == q
+    assert _per_degree_divide(num, alpha, from_deep) == q
+    # a map that is not a numerator: the same quotient or the same refusal
+    assert (_outcome(divide_exact, q, alpha, from_deep)
+            == _outcome(_per_degree_divide, q, alpha, from_deep))
+
+
+def test_packed_decoding_and_remainder_refuse_a_bound_too_wide():
+    # balanced digits of width 8 lie in [-2^7, 2^7): 128 = v - 128 there
+    assert _unpack({(0,): 128}, 8, 127, 0) == {(0,): VPoly({1: 1, 0: -128})}
+    with pytest.raises(SeriesError, match="does not fit packed width 8"):
+        _unpack({(0,): 128}, 8, 128, 0)
+    string = {(): {0: 1, 1: -1}}  # 1 - e^{-a_1} over itself
+    assert _divide_strings(string, 0, 1, 8, 127) == {(0,): 1}
+    with pytest.raises(SeriesError, match="does not fit packed width 8"):
+        _divide_strings(string, 0, 1, 8, 128)
 
 
 def test_divide_exact_simple_direction_by_hand():
