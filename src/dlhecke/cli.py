@@ -302,7 +302,7 @@ def run(argv):
             if not stabilized:
                 return EXIT_UNSTABILIZED
         return EXIT_OK
-    except UsageError as exc:
+    except (UsageError, verify.SpecKindError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (RootDataError, SeriesError, verify.VerifyError,

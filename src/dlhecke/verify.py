@@ -17,11 +17,16 @@ from dataclasses import dataclass
 from . import characters, heckeops, rootdata, weyl
 from .heckeops import DEFAULT_LAYER_CAP, DEFAULT_MARGIN
 from .vseries import (AnchoredSeries, SeriesError, VP_ONE, VP_ZERO, VINV,
-                      add_maps, divide_exact, ht, mul_maps)
+                      _pack, _unpack, add_maps, divide_exact, ht, mul_maps)
 
 
 class VerifyError(ValueError):
     """Precondition failures: bad lengths, non-reduced words, bad depths."""
+
+
+class SpecKindError(VerifyError):
+    """A check given a spec of the wrong kind, finite or affine, refused
+    before any work runs; the CLI reads it as a usage error."""
 
 
 PASS = "pass"
@@ -133,19 +138,41 @@ def _whittaker_to_depth(spec, labels, depth, margin, layer_cap):
 
 # -- Casselman-Shalika -----------------------------------------------------
 
+def _finite_cs_rhs(spec, chi):
+    """prod_{a>0}(1 - v^-1 e^{-a}) chi exactly, on packed coefficients.
+
+    chi is packed once with u = v^-1, each factor is the packed map
+    {0: 1, a: -u} multiplied in by mul_maps, and the product is decoded
+    once at the end.  Certificate: Q_beta = F_beta - u F_{beta-a}, so one
+    factor at most doubles every per-degree coefficient, and after the N
+    factors they lie within M 2^N, M the largest |v-coefficient| of chi.
+    The width is chosen up front so that M 2^N < 2^(width-1); _unpack
+    refuses a bound that does not fit.
+    """
+    coroots = rootdata.positive_coroots_up_to(spec, None)
+    bound = max(abs(n) for cf in chi.terms.values()
+                for n in cf.c.values()) << len(coroots)
+    packed, width, _, low = _pack(chi.terms, -1, bound.bit_length() + 1)
+    zero = (0,) * spec.num_nodes
+    for cr in coroots:
+        packed = mul_maps(packed, {zero: 1, cr.coords: -(1 << width)}, None)
+    return AnchoredSeries(spec, chi.anchor,
+                          _unpack(packed, width, bound, low, -1),
+                          _trusted=True)
+
+
 def verify_finite_cs(spec, labels, layer_cap=DEFAULT_LAYER_CAP):
-    """sum_{w in W_o} T_w(e^L) = prod_{a>0}(1 - v^-1 e^{-a}) chi_L, exactly."""
+    """sum_{w in W_o} T_w(e^L) = prod_{a>0}(1 - v^-1 e^{-a}) chi_L, exactly,
+    on a finite spec."""
     start = time.perf_counter()
+    if spec.affine:
+        raise SpecKindError(f"finite-cs runs on finite specs only; {spec} "
+                            "is affine")
     labels = tuple(labels)
     lhs, achieved, _ = whittaker_normalized(spec, labels,
                                             layer_cap=layer_cap)
-    chi = characters.finite_character_exact(spec, labels)
-    rhs = chi
-    n = spec.num_nodes
-    for cr in rootdata.positive_coroots_up_to(spec, None):
-        terms = {(0,) * n: VP_ONE, cr.coords: -VINV}
-        factor = AnchoredSeries(spec, (0,) * n, terms)
-        rhs = rhs * factor
+    rhs = _finite_cs_rhs(spec,
+                         characters.finite_character_exact(spec, labels))
     diff = lhs.first_difference(rhs)
     return _report("finite-cs", spec, {"labels": list(labels)}, start, diff,
                    achieved)
@@ -154,12 +181,15 @@ def verify_finite_cs(spec, labels, layer_cap=DEFAULT_LAYER_CAP):
 def verify_affine_cs(spec, labels, depth, margin=DEFAULT_MARGIN,
                      layer_cap=DEFAULT_LAYER_CAP):
     """sum_w T_w(e^L) = m_v * D_v * chi_L coefficientwise to the depth,
-    which must be at least 1.
+    which must be at least 1, on an affine spec.
 
     The coefficients are compared exactly in Z[v, v^-1], so equal series
     stay equal at every specialization v = q; no spot value is compared
     on top."""
     start = time.perf_counter()
+    if not spec.affine:
+        raise SpecKindError(f"affine-cs runs on affine specs only; {spec} "
+                            "is finite")
     _compared_depth("depth", depth)
     labels = tuple(labels)
     lhs, achieved, stabilized = _whittaker_to_depth(

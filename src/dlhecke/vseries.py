@@ -12,6 +12,7 @@ reflections).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 
 class SeriesError(ValueError):
@@ -136,10 +137,6 @@ class VPoly:
     def pairs(self):
         """Sorted (degree, coefficient) pairs; the serialization order."""
         return sorted(self.c.items())
-
-    @classmethod
-    def from_pairs(cls, pairs):
-        return cls({int(d): int(n) for d, n in pairs})
 
     def __repr__(self):
         if not self.c:
@@ -366,33 +363,31 @@ class AnchoredSeries:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data, spec=None):
-        from . import rootdata
-        if spec is None:
-            spec = rootdata.RootSystemSpec.parse(data["spec"])
-        if bool(data["exact"]) != (data["depth"] is None):
-            raise SeriesError(f"record's exact flag {data['exact']!r} "
-                              f"disagrees with its depth {data['depth']!r}")
-        terms = {tuple(t["beta"]): VPoly.from_pairs(t["coeff"])
-                 for t in data["terms"]}
-        return cls(spec, tuple(data["anchor_labels"]), terms,
-                   depth=data["depth"])
-
 
 def mul_maps(t1, t2, depth):
-    """Raw sparse product of two term maps, dropping ht > depth products."""
+    """Raw sparse product of two term maps, dropping ht > depth products.
+
+    The one general product.  Coefficients may be VPolys or packed ints
+    of one width and var (_pack; the lows add): only *, +, truthiness
+    and == 1 are used.  The smaller map runs in the outer loop, and a
+    coefficient equal to 1 shares the other factor's coefficient instead
+    of multiplying, which is safe because no VPoly is mutated in place.
+    """
+    if len(t1) > len(t2):
+        t1, t2 = t2, t1
     out = {}
     for b1, c1 in t1.items():
+        unit = c1 == 1
         for b2, c2 in t2.items():
-            beta = tuple(x + y for x, y in zip(b1, b2))
+            beta = tuple(map(add, b1, b2))
             if depth is not None and ht(beta) > depth:
                 continue
+            c = c2 if unit else c1 * c2
             prev = out.get(beta)
             if prev is None:
-                out[beta] = c1 * c2
+                out[beta] = c
             else:
-                s = prev + c1 * c2
+                s = prev + c
                 if s:
                     out[beta] = s
                 else:
@@ -439,19 +434,20 @@ def _check_width(bound, width):
                           f"packed width {width}")
 
 
-def _pack(terms, var=1):
+def _pack(terms, var=1, width=64):
     """(packed, width, bound, low) for a raw term map {beta: VPoly}.
 
     Kronecker substitution: with u = v^var, u -> 2^width is a ring
     homomorphism Z[u] -> Z, so c = sum_d c_d v^d packs to the int
     sum_d c_d 2^(width*(var*d - low)); sums of coefficients are sums of
     ints, and a factor u is a left shift by width.  bound is the largest
-    |c_d|, and the width leaves room for 2 * bound * len(terms).
+    |c_d|; the width is at least the given one, and leaves room for
+    2 * bound * len(terms).
     """
     cs = [cf.c for cf in terms.values()]
     low = min((var * d for c in cs for d in c), default=0)
     bound = max((abs(n) for c in cs for n in c.values()), default=0)
-    width = max(64, (2 * bound * len(cs)).bit_length() + 1)
+    width = max(width, (2 * bound * len(cs)).bit_length() + 1)
     return {beta: sum(n << (width * (var * d - low)) for d, n in c.items())
             for beta, c in zip(terms, cs)}, width, bound, low
 

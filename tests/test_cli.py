@@ -126,6 +126,18 @@ def test_finite_whittaker_refuses_depth_and_margin(capsys):
         assert code == 64 and "--depth or --margin" in err and out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["finite-cs", "--spec", "A1!", "--labels", "0,1", "--depth", "4"],
+     "finite-cs runs on finite specs only; A1! is affine"),
+    (["affine-cs", "--spec", "A2", "--labels", "1,0", "--depth", "4"],
+     "affine-cs runs on affine specs only; A2 is finite"),
+])
+def test_cs_check_on_a_spec_of_the_other_kind_is_usage_error(capsys, argv,
+                                                             message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == cli.EXIT_USAGE and message in err and out == ""
+
+
 def test_affine_whittaker_defaults_to_depth_6_margin_2(capsys):
     base = ["--format", "json", "whittaker", "--spec", "A1!", "--labels",
             "0,1"]

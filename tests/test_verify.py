@@ -7,10 +7,13 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlhecke import characters, heckeops, rootdata, verify, weyl
 from dlhecke.rootdata import RootSystemSpec
-from dlhecke.vseries import AnchoredSeries, VPoly, VP_ONE, VINV, divide_exact
+from dlhecke.vseries import (AnchoredSeries, VPoly, VP_ONE, VINV, _unpack,
+                             divide_exact)
+from series_json import series_from_json
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -31,6 +34,75 @@ def test_finite_cs_at_rank_five(text, positive_roots):
     spec = RootSystemSpec.parse(text)
     report = verify.verify_finite_cs(spec, (1, 0, 0, 0, 0))
     assert report.passed and report.achieved_length == positive_roots
+
+
+def _rhs_by_series_products(spec, chi):
+    """prod_{a>0}(1 - v^-1 e^{-a}) chi by AnchoredSeries products of
+    VPolys, the route the packed right-hand side replaced."""
+    zero = (0,) * spec.num_nodes
+    rhs = chi
+    for cr in rootdata.positive_coroots_up_to(spec, None):
+        rhs = rhs * AnchoredSeries(spec, zero, {zero: VP_ONE,
+                                                cr.coords: -VINV})
+    return rhs
+
+
+@st.composite
+def finite_cs_labels(draw):
+    spec = draw(st.sampled_from(["A2", "A3", "A4", "D4"]))
+    spec = RootSystemSpec.parse(spec)
+    top = 2 if spec.num_nodes <= 3 else 1
+    return spec, tuple(draw(st.lists(st.integers(0, top),
+                                     min_size=spec.num_nodes,
+                                     max_size=spec.num_nodes)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(finite_cs_labels())
+def test_packed_finite_cs_rhs_matches_the_series_products(case):
+    spec, labels = case
+    chi = characters.finite_character_exact(spec, labels)
+    assert (verify._finite_cs_rhs(spec, chi)
+            == _rhs_by_series_products(spec, chi))
+
+
+@pytest.mark.parametrize("text, labels", [("A2", (1, 1)),
+                                          ("D4", (1, 0, 1, 0))])
+def test_packed_finite_cs_rhs_widens_past_64_bits(monkeypatch, text, labels):
+    # coefficients near 2^70 need a width of 70 + N + 1 bits or more, N
+    # the number of positive coroots
+    spec = RootSystemSpec.parse(text)
+    n = len(rootdata.positive_coroots_up_to(spec, None))
+    chi = characters.finite_character_exact(spec, labels)
+    chis = [chi.scale(2 ** 70 + 1),
+            AnchoredSeries.monomial(spec, labels, coeff=-2 ** 70)]
+    widths = []
+
+    def unpack(packed, width, bound, low, var):
+        widths.append(width)
+        return _unpack(packed, width, bound, low, var)
+
+    monkeypatch.setattr(verify, "_unpack", unpack)
+    for chi in chis:
+        assert (verify._finite_cs_rhs(spec, chi)
+                == _rhs_by_series_products(spec, chi))
+    assert min(widths) >= 70 + n + 1 > 64
+
+
+def test_cs_checks_refuse_a_spec_of_the_other_kind(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the refusal comes before any work")
+
+    monkeypatch.setattr(verify, "whittaker_normalized", no_work)
+    monkeypatch.setattr(verify, "_whittaker_to_depth", no_work)
+    with pytest.raises(verify.VerifyError,
+                       match="finite-cs runs on finite specs only; "
+                             "A1! is affine"):
+        verify.verify_finite_cs(A1A, (0, 1))
+    with pytest.raises(verify.VerifyError,
+                       match="affine-cs runs on affine specs only; "
+                             "A2 is finite"):
+        verify.verify_affine_cs(A2, (1, 0), 4)
 
 
 def test_whittaker_rejects_nondominant():
@@ -59,7 +131,7 @@ def test_whittaker_affine_margin_defaults():
 def test_whittaker_matches_golden_regression():
     data = json.loads((GOLDEN / "whittaker_A1aff_0_1_depth4.json").read_text())
     achieved_golden = data.pop("achieved_L")
-    golden = AnchoredSeries.from_json_dict(data)
+    golden = series_from_json(data)
     live, achieved, stabilized = verify.whittaker_normalized(A1A, (0, 1),
                                                              depth=4)
     assert stabilized and achieved == achieved_golden

@@ -2,15 +2,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dlhecke import rootdata
 from dlhecke.rootdata import RootSystemSpec
 from dlhecke.heckeops import PackedSeries
 from dlhecke.vseries import (AnchoredSeries, SeriesError, VPoly, VP_ONE,
-                             VP_ZERO, V, VINV, _divide_strings, _unpack,
-                             add_maps, divide_exact, geometric_inverse, ht,
-                             mul_maps)
+                             VP_ZERO, V, VINV, _divide_strings, _pack,
+                             _unpack, add_maps, divide_exact,
+                             geometric_inverse, ht, mul_maps)
+from series_json import series_from_json, vpoly_from_pairs
 
 A2 = RootSystemSpec.parse("A2")
 A1A = RootSystemSpec.parse("A1!")
@@ -48,7 +49,7 @@ def test_vpoly_v_inverse_ring_predicate():
 
 def test_vpoly_pairs_roundtrip():
     p = VPoly({-3: 4, 0: -1})
-    assert VPoly.from_pairs(p.pairs()) == p
+    assert vpoly_from_pairs(p.pairs()) == p
 
 
 def test_ht():
@@ -129,16 +130,16 @@ def test_json_record_with_disagreeing_exact_flag_is_refused():
     for s, flag in ((AnchoredSeries.monomial(A2, (1, 0)), False),
                     (AnchoredSeries.monomial(A2, (1, 0)).truncate(3), True)):
         record = s.to_json_dict()
-        assert AnchoredSeries.from_json_dict(record) == s
+        assert series_from_json(record) == s
         record["exact"] = flag
         with pytest.raises(SeriesError, match="disagrees with its depth"):
-            AnchoredSeries.from_json_dict(record)
+            series_from_json(record)
 
 
 def test_json_roundtrip():
     s = AnchoredSeries(A1A, (0, 1), {(0, 0): VP_ONE, (1, 1): 1 - VINV},
                        depth=3)
-    back = AnchoredSeries.from_json_dict(s.to_json_dict())
+    back = series_from_json(s.to_json_dict())
     assert back.first_difference(s) is None
     assert back.anchor == s.anchor and back.depth == s.depth
 
@@ -156,6 +157,104 @@ def test_raw_map_helpers():
     t2 = {(0, 0): VP_ONE, (1, 0): VP_ONE}
     assert mul_maps(t1, t2, None) == {(0, 0): VP_ONE, (2, 0): -VP_ONE}
     assert add_maps(t1, t2) == {(0, 0): VPoly(2)}
+
+
+# -- the one general product -------------------------------------------------
+
+def _parent_mul_maps(t1, t2, depth):
+    """mul_maps before the smaller map ran outside and unit coefficients
+    were shared, kept as its oracle."""
+    out = {}
+    for b1, c1 in t1.items():
+        for b2, c2 in t2.items():
+            beta = tuple(x + y for x, y in zip(b1, b2))
+            if depth is not None and ht(beta) > depth:
+                continue
+            prev = out.get(beta)
+            if prev is None:
+                out[beta] = c1 * c2
+            else:
+                s = prev + c1 * c2
+                if s:
+                    out[beta] = s
+                else:
+                    del out[beta]
+    return out
+
+
+@st.composite
+def product_problems(draw, big=False):
+    """(t1, t2, depth): two rank-2 term maps of independent sizes, so that
+    either may be the smaller, whose coefficients are often the units
+    +-1 or +-(1 - v^-1), so that products share and cancel; depth None or
+    0..6.  With big, the other coefficients reach 2^80."""
+    top = 2 ** 80 if big else 3
+    polys = st.dictionaries(st.integers(-4, 4), st.integers(-top, top),
+                            max_size=3).map(VPoly)
+    coeffs = st.sampled_from([VP_ONE, -VP_ONE, 1 - VINV, VINV - 1]) | polys
+    betas = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    t1, t2 = (draw(st.dictionaries(betas, coeffs, max_size=size))
+              for size in (3, 7))
+    if draw(st.booleans()):
+        t1, t2 = t2, t1
+    depth = draw(st.none() | st.integers(0, 6))
+    return ({b: c for b, c in t1.items() if c},
+            {b: c for b, c in t2.items() if c}, depth)
+
+
+def _snapshot(*maps):
+    """Each map's coefficient objects and their contents, to see that
+    nothing was mutated in place."""
+    return [[(b, id(c), dict(c.c)) for b, c in t.items()] for t in maps]
+
+
+# (1 + e^{-a} + e^{-b})(1 - e^{-a}): the e^{-a} terms cancel
+CANCELLING = ({(0, 0): VP_ONE, (1, 0): VP_ONE, (0, 1): VP_ONE},
+              {(0, 0): VP_ONE, (1, 0): -VP_ONE}, None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_problems())
+@example(CANCELLING)
+@example((CANCELLING[1], CANCELLING[0], 1))
+def test_mul_maps_matches_the_parent_loop(problem):
+    t1, t2, depth = problem
+    before = _snapshot(t1, t2)
+    expected = _parent_mul_maps(t1, t2, depth)
+    product = mul_maps(t1, t2, depth)
+    assert product == expected
+    assert mul_maps(t2, t1, depth) == expected
+    # a shared unit coefficient does not leak mutation, either into the
+    # inputs or back from later arithmetic on the product
+    assert mul_maps(product, t1, depth) == _parent_mul_maps(expected, t1,
+                                                            depth)
+    assert add_maps(product, product) == add_maps(expected, expected)
+    assert _snapshot(t1, t2) == before
+
+
+def _packing_bound(t1, t2):
+    """A bound on the v-coefficients of a product of t1 and t2: at most
+    min(len) pairs meet at one beta, each a product of polynomials of at
+    most 3 terms."""
+    top1, top2 = (max((abs(n) for c in t.values() for n in c.c.values()),
+                      default=0) for t in (t1, t2))
+    return top1 * top2 * min(len(t1), len(t2)) * 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_problems(big=True), st.sampled_from((1, -1)))
+def test_mul_maps_on_packed_ints_matches_the_vpoly_product(problem, var):
+    t1, t2, depth = problem
+    before = _snapshot(t1, t2)
+    bound = _packing_bound(t1, t2)
+    width = max(_pack(t, var, bound.bit_length() + 1)[1] for t in (t1, t2))
+    (p1, _, _, low1), (p2, _, _, low2) = (_pack(t, var, width)
+                                          for t in (t1, t2))
+    packed = (dict(p1), dict(p2))
+    product = mul_maps(p1, p2, depth)
+    assert (_unpack(product, width, bound, low1 + low2, var)
+            == _parent_mul_maps(t1, t2, depth))
+    assert (p1, p2) == packed and _snapshot(t1, t2) == before
 
 
 # -- exact division along root strings ---------------------------------------
@@ -280,6 +379,11 @@ def test_packed_decoding_and_remainder_refuse_a_bound_too_wide():
     assert _unpack({(0,): 128}, 8, 127, 0) == {(0,): VPoly({1: 1, 0: -128})}
     with pytest.raises(SeriesError, match="does not fit packed width 8"):
         _unpack({(0,): 128}, 8, 128, 0)
+    # the finite CS right-hand side decodes with u = v^-1
+    assert _unpack({(0,): 1 << 64}, 64, (1 << 63) - 1, 0, -1) == {
+        (0,): VPoly({-1: 1})}
+    with pytest.raises(SeriesError, match="does not fit packed width 64"):
+        _unpack({(0,): 1 << 64}, 64, 1 << 63, 0, -1)
     string = {(): {0: 1, 1: -1}}  # 1 - e^{-a_1} over itself
     assert _divide_strings(string, 0, 1, 8, 127) == {(0,): 1}
     with pytest.raises(SeriesError, match="does not fit packed width 8"):
