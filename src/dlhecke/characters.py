@@ -1,5 +1,6 @@
-"""Weyl-Kac characters, plain and deformed denominators, the
-Gindikin-Karpelevich product, and the imaginary-axis correction factor.
+"""Weyl-Kac characters, plain and deformed denominators, and the
+imaginary-axis correction factor, the last two as factor lists for
+vseries.times_factors.
 
 All results are anchored truncated series.  The weight rho appearing in
 the character and denominator-twist formulas is realized as rho^vee, the
@@ -10,75 +11,52 @@ from __future__ import annotations
 
 from . import rootdata, weyl
 from .vseries import (AnchoredSeries, VPoly, VP_ONE, VINV, add_maps,
-                      divide_exact, geometric_inverse, ht)
+                      divide_exact, ht)
 
 
 class CharacterError(ValueError):
     """Non-dominant labels or malformed character requests."""
 
 
-def _binomial_factor(spec, u, beta, depth):
-    """(1 - u e^{-beta}) as a truncated series at anchor 0."""
-    n = spec.num_nodes
-    terms = {(0,) * n: VP_ONE}
-    if ht(beta) <= depth:
-        terms[tuple(beta)] = -u if isinstance(u, VPoly) else VPoly(-u)
-    return AnchoredSeries(spec, (0,) * n, terms, depth=depth, _trusted=True)
+def denominator_factors(spec, depth, u, power):
+    """[(a, u, power * mult)] over the positive coroots a of height <= depth:
+    the factor list of prod_{a>0} (1 - u e^{-a})^(power * mult)."""
+    return [(cr.coords, u, power * cr.multiplicity)
+            for cr in rootdata.positive_coroots_up_to(spec, depth)]
 
 
 def denominator(spec, depth, deformed=False):
     """prod over positive coroots of (1 - u e^{-a})^mult to the depth;
     u = v^-1 when deformed, else 1."""
     u = VINV if deformed else VP_ONE
-    n = spec.num_nodes
-    out = AnchoredSeries.one(spec, n).truncate(depth)
-    for cr in rootdata.positive_coroots_up_to(spec, depth):
-        factor = _binomial_factor(spec, u, cr.coords, depth)
-        for _ in range(cr.multiplicity):
-            out = out * factor
-    return out
+    return AnchoredSeries.one(spec, spec.num_nodes, depth).times_factors(
+        denominator_factors(spec, depth, u, 1))
 
 
-def inverse_denominator(spec, depth, deformed=False):
-    """1/D (or 1/D_v) factor-by-factor via geometric expansions."""
-    u = VINV if deformed else VP_ONE
-    n = spec.num_nodes
-    out = AnchoredSeries.one(spec, n).truncate(depth)
-    for cr in rootdata.positive_coroots_up_to(spec, depth):
-        inv = geometric_inverse(spec, u, cr.coords, depth)
-        for _ in range(cr.multiplicity):
-            out = out * inv
-    return out
-
-
-def gk_delta(spec, depth):
-    """Delta = prod (1 - v^-1 e^{-a})^m / (1 - e^{-a})^m to the depth."""
-    return denominator(spec, depth, deformed=True) * \
-        inverse_denominator(spec, depth, deformed=False)
-
-
-def m_factor(spec, depth):
-    """The correction factor on the imaginary axis,
+def m_factors(spec, depth):
+    """The factor list of the correction factor on the imaginary axis,
 
         prod_{i=1..l} prod_{j>=1} (1 - v^{-m_i-1} e^{-jc}) / (1 - v^{-m_i} e^{-jc}),
 
-    truncated to j*ht(c) <= depth; finite exponents m_i come from the
-    underlying finite system."""
+    over j*ht(c) <= depth; finite exponents m_i come from the underlying
+    finite system."""
     if not spec.affine:
         raise CharacterError("m_factor lives on affine specs")
     exps = rootdata.exponents(spec.finite)
     c = rootdata.minimal_imaginary_coroot(spec).coords
-    hc = ht(c)
-    n = spec.num_nodes
-    out = AnchoredSeries.one(spec, n).truncate(depth)
-    j = 1
-    while j * hc <= depth:
+    out = []
+    for j in range(1, depth // ht(c) + 1):
         jc = tuple(j * x for x in c)
         for m in exps:
-            out = out * _binomial_factor(spec, VPoly.term(1, -m - 1), jc, depth)
-            out = out * geometric_inverse(spec, VPoly.term(1, -m), jc, depth)
-        j += 1
+            out += [(jc, VPoly.term(1, -m - 1), 1),
+                    (jc, VPoly.term(1, -m), -1)]
     return out
+
+
+def m_factor(spec, depth):
+    """m_v to the depth (m_factors), as a series at anchor 0."""
+    return AnchoredSeries.one(spec, spec.num_nodes, depth).times_factors(
+        m_factors(spec, depth))
 
 
 def _dominant(labels):
@@ -120,9 +98,10 @@ def character_numerator(spec, labels, depth):
 
 
 def weyl_kac_character(spec, labels, depth):
-    """chi_Lambda to the given depth: numerator times 1/D."""
-    num = character_numerator(spec, labels, depth)
-    return num * inverse_denominator(spec, depth, deformed=False)
+    """chi_Lambda to the given depth: the numerator divided by the plain
+    denominator's factors."""
+    return character_numerator(spec, labels, depth).times_factors(
+        denominator_factors(spec, depth, VP_ONE, -1))
 
 
 def finite_character_exact(spec, labels):
@@ -166,16 +145,12 @@ def denominator_wtwist_difference(spec, i, depth):
     cartan = rootdata.build_cartan(spec)
     n = spec.num_nodes
     unit = tuple(1 if j == i - 1 else 0 for j in range(n))
-    lhs = denominator(spec, depth, deformed=False)
-    rhs = _binomial_factor(spec, VP_ONE, unit, depth)
+    factors = [(unit, VP_ONE, 1)]
     for cr in rootdata.positive_coroots_up_to(spec, depth + 2):
         if cr.coords == unit:
             continue
         img = weyl.reflect(cartan, (0,) * n, cr.coords, i)
         assert all(x >= 0 for x in img)
-        if ht(img) > depth:
-            continue  # factor is 1 at this truncation
-        factor = _binomial_factor(spec, VP_ONE, img, depth)
-        for _ in range(cr.multiplicity):
-            rhs = rhs * factor
-    return lhs.first_difference(rhs)
+        factors.append((img, VP_ONE, cr.multiplicity))
+    return denominator(spec, depth, deformed=False).first_difference(
+        AnchoredSeries.one(spec, n, depth).times_factors(factors))

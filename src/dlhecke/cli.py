@@ -141,7 +141,7 @@ def _emit_text(payload, indent=0):
 def _reports_exit(reports):
     if any(r.verdict == verify.UNSTABILIZED for r in reports):
         return EXIT_UNSTABILIZED
-    if any(r.verdict == verify.FAIL for r in reports):
+    if not all(r.passed for r in reports):
         return EXIT_FAIL
     return EXIT_OK
 

@@ -260,6 +260,8 @@ def symmetrizer_stabilized(spec, anchor_labels, depth, margin=DEFAULT_MARGIN,
     at ht <= depth.  Returns (series, achieved_length, stabilized); an
     unstabilized result must be treated as unverified by callers.
     """
+    if depth < 0:
+        raise HeckeError(f"depth must be >= 0, got {depth}")
     if margin < 1:
         raise HeckeError("margin must be >= 1")
     if seed is None:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from . import characters, heckeops, rootdata, weyl
 from .heckeops import DEFAULT_LAYER_CAP, DEFAULT_MARGIN
 from .vseries import (AnchoredSeries, SeriesError, VP_ONE, VP_ZERO, VINV,
-                      _pack, _unpack, add_maps, divide_exact, ht, mul_maps)
+                      _pack, _unpack, add_maps, divide_exact, ht, mul_maps,
+                      times_factors)
 
 
 class VerifyError(ValueError):
@@ -192,15 +193,15 @@ def verify_affine_cs(spec, labels, depth, margin=DEFAULT_MARGIN,
                             "is finite")
     _compared_depth("depth", depth)
     labels = tuple(labels)
-    lhs, achieved, stabilized = _whittaker_to_depth(
-        spec, labels, depth, margin, layer_cap)
+    lhs, achieved, stabilized = whittaker_normalized(
+        spec, labels, depth=depth, margin=margin, layer_cap=layer_cap)
     params = {"labels": list(labels), "depth": depth, "margin": margin}
     if not stabilized:
         return _report("affine-cs", spec, params, start, None, achieved,
                        stabilized=False)
-    rhs = (characters.m_factor(spec, depth)
-           * characters.denominator(spec, depth, deformed=True)
-           * characters.weyl_kac_character(spec, labels, depth))
+    rhs = characters.weyl_kac_character(spec, labels, depth).times_factors(
+        characters.m_factors(spec, depth)
+        + characters.denominator_factors(spec, depth, VINV, 1))
     diff = lhs.first_difference(rhs)
     return _report("affine-cs", spec, params, start, diff, achieved)
 
@@ -236,12 +237,10 @@ def verify_recursion(spec, labels, wprime_word, i):
     f = heckeops.apply_T_word(spec, wprime_word, seed)
     fw = weyl.act_on_series(spec, (i,), f)
     unit = tuple(1 if j == i - 1 else 0 for j in range(n))
-    cnum = AnchoredSeries(spec, (0,) * n, {(0,) * n: VP_ONE, unit: -VINV})
-    numerator = (cnum * fw) + f.scale(VINV - 1)
-    neg_unit = tuple(-x for x in unit)
-    route_b = AnchoredSeries(
-        spec, labels, divide_exact(numerator.terms, neg_unit, from_deep=True),
-        _trusted=True)
+    numerator = add_maps(times_factors(fw.terms, [(unit, VINV, 1)], None),
+                         f.scale(VINV - 1).terms)
+    route_b = AnchoredSeries(spec, labels, divide_exact(
+        numerator, tuple(-x for x in unit), from_deep=True), _trusted=True)
     diff = route_a.first_difference(route_b)
     return _report("recursion", spec, params, start, diff)
 
@@ -253,7 +252,7 @@ def verify_symmetrizer_properties(spec, labels, depth, buffer=3,
                                   layer_cap=DEFAULT_LAYER_CAP):
     """Eigen/invariance properties of P = sum_w T_w on the buffered window
     (anchored-cone exponents of height <= depth - buffer, which must be
-    at least 1):
+    at least 1; buffer must be >= 0):
 
       (i)   T_i P(e^L) = v^-1 P(e^L)
       (ii)  P(T_i(e^L)) = v^-1 P(e^L)
@@ -282,6 +281,8 @@ def verify_symmetrizer_properties(spec, labels, depth, buffer=3,
     n = spec.num_nodes
     params = {"labels": list(labels), "depth": depth, "buffer": buffer,
               "margin": margin}
+    if buffer < 0:
+        raise VerifyError(f"buffer must be >= 0, got {buffer}")
     window = depth - buffer
     _compared_depth("the window depth - buffer", window)
     internal = 3 * window + max(labels) + 2
@@ -291,8 +292,9 @@ def verify_symmetrizer_properties(spec, labels, depth, buffer=3,
         return _report("symmetrizer", spec, params, start, None, achieved,
                        stabilized=False)
     pv_terms = p.scale(VINV).terms
-    inv_dv = characters.inverse_denominator(spec, internal, deformed=True)
-    s_inv = (p * inv_dv).terms
+    s_inv = times_factors(
+        p.terms, characters.denominator_factors(spec, internal, VINV, -1),
+        internal)
     diff = None
     for i in range(1, n + 1):
         unit = tuple(1 if j == i - 1 else 0 for j in range(n))
@@ -300,9 +302,9 @@ def verify_symmetrizer_properties(spec, labels, depth, buffer=3,
         refl = weyl.reflect_terms(cartan, p.anchor, p.terms, i)
         # (i), numerator form:
         #   (1 - v^-1 e^{-a_i}) P^{s_i} + (v^-1 - 1) P = v^-1 (1 - e^{a_i}) P
-        lhs = add_maps(mul_maps({(0,) * n: VP_ONE, unit: -VINV}, refl, None),
+        lhs = add_maps(times_factors(refl, [(unit, VINV, 1)], None),
                        {b: c * (VINV - 1) for b, c in p.terms.items()})
-        rhs = mul_maps({(0,) * n: VINV, neg_unit: -VINV}, p.terms, None)
+        rhs = times_factors(pv_terms, [(neg_unit, VP_ONE, 1)], None)
         diff = _cone_window_diff(lhs, rhs, window)
         if diff is not None:
             params["property"] = f"(i) generator {i}"
@@ -320,7 +322,7 @@ def verify_symmetrizer_properties(spec, labels, depth, buffer=3,
             params["property"] = f"(ii) generator {i}"
             break
         # (iv): the s_i-image of (1/D_v) P, via an independent route
-        # (geometric inverses), matches itself on the window
+        # (division by D_v's factors), matches itself on the window
         ws = weyl.reflect_terms(cartan, p.anchor, s_inv, i)
         diff = _cone_window_diff(ws, s_inv, window)
         if diff is not None:
@@ -401,7 +403,8 @@ def extract_proportionality(spec, labels, depth, margin=DEFAULT_MARGIN,
     else:
         chi = characters.finite_character_exact(spec, labels).truncate(depth)
         p = p.truncate(depth)
-    divisor = characters.denominator(spec, depth, deformed=True) * chi
+    divisor = chi.times_factors(
+        characters.denominator_factors(spec, depth, VINV, 1))
     gamma = series_divide(p, divisor, depth)
     if spec.affine:
         c = rootdata.minimal_imaginary_coroot(spec).coords
@@ -412,8 +415,7 @@ def extract_proportionality(spec, labels, depth, margin=DEFAULT_MARGIN,
                                       diff, achieved)
         expected = characters.m_factor(spec, depth)
     else:
-        n = spec.num_nodes
-        expected = AnchoredSeries.one(spec, n).truncate(depth)
+        expected = AnchoredSeries.one(spec, spec.num_nodes, depth)
     diff = gamma.first_difference(expected)
     return gamma, _report("proportionality", spec, params, start, diff,
                           achieved)
@@ -451,13 +453,13 @@ def verify_gk_limit(spec, nu, depth, margin=DEFAULT_MARGIN,
     if ht(nu) > depth:
         raise VerifyError("ht(nu) must be <= depth")
     params = {"nu": list(nu), "depth": depth}
+    # Delta = prod_{a>0} (1 - v^-1 e^{-a})^mult / (1 - e^{-a})^mult
+    factors = (characters.denominator_factors(spec, depth, VINV, 1)
+               + characters.denominator_factors(spec, depth, VP_ONE, -1))
     if spec.affine:
-        target_series = characters.m_factor(spec, depth) * \
-            characters.gk_delta(spec, depth)
-    else:
-        target_series = characters.gk_delta(spec, depth)
-    target = target_series.coefficient(nu)
+        factors += characters.m_factors(spec, depth)
     n = spec.num_nodes
+    target = times_factors({(0,) * n: VP_ONE}, factors, depth).get(nu, VP_ZERO)
     prev = None
     achieved = None
     found = None

@@ -265,6 +265,12 @@ class AnchoredSeries:
         return AnchoredSeries(self.spec, anchor, out,
                               depth=depth, _trusted=True)
 
+    def times_factors(self, factors):
+        """The series times a factor list (times_factors), to its depth."""
+        return AnchoredSeries(self.spec, self.anchor,
+                              times_factors(self.terms, factors, self.depth),
+                              depth=self.depth, _trusted=True)
+
     def scale(self, coef):
         """Multiply every coefficient by a VPoly (or int)."""
         if isinstance(coef, int):
@@ -410,6 +416,51 @@ def add_maps(t1, t2):
     return out
 
 
+def times_factors(terms, factors, depth):
+    """The raw map terms * prod (1 - u e^{-beta})^power over the
+    (beta, u, power) of factors (u a VPoly), dropping terms and factors
+    (which are 1) beyond ht = depth (None: exact).  A positive power
+    multiplies by {0: 1, beta: -u} through mul_maps; a negative one
+    divides by a running sum up each beta-string from its shallow end,
+    Q_gamma = F_gamma + u Q_{gamma - beta}, which needs a finite depth
+    and ht(beta) >= 1 (else SeriesError)."""
+    if depth is not None:
+        terms = {b: c for b, c in terms.items() if ht(b) <= depth}
+    for beta, u, power in factors:
+        beta = tuple(beta)
+        if depth is not None and ht(beta) > depth:
+            continue
+        factor = {(0,) * len(beta): VP_ONE, beta: -u}
+        for _ in range(power):
+            terms = mul_maps(terms, factor, depth)
+        for _ in range(-power):
+            terms = _divide_factor(terms, beta, u, depth)
+    return terms
+
+
+def _divide_factor(terms, beta, u, depth):
+    """terms / (1 - u e^{-beta}) to the depth; a beta-string is keyed by
+    its member gamma - t beta, t = floor(gamma_j / beta_j), beta_j != 0."""
+    h = ht(beta)
+    if depth is None or h < 1:
+        raise SeriesError(f"dividing by (1 - u e^(-{list(beta)})) needs a "
+                          "finite depth and ht(beta) >= 1")
+    j = next(k for k, b in enumerate(beta) if b)
+    strings = {}
+    for gamma, cf in terms.items():
+        t = gamma[j] // beta[j]
+        base = tuple(g - t * b for g, b in zip(gamma, beta))
+        strings.setdefault(base, {})[t] = cf
+    out = {}
+    for base, string in strings.items():
+        q = VP_ZERO
+        for t in range(min(string), (depth - ht(base)) // h + 1):
+            q = string.get(t, VP_ZERO) + q * u
+            if q:
+                out[tuple(g + t * b for g, b in zip(base, beta))] = q
+    return out
+
+
 def _digits(x, width):
     """The balanced base-2^width digits of x, lowest first, each in
     [-2^(width-1), 2^(width-1))."""
@@ -546,27 +597,3 @@ def _divide_strings(strings, pivot, sign, width, bound, from_deep=False):
             raise SeriesError(f"nonzero remainder dividing along "
                               f"{'+' if sign > 0 else '-'}a_{pivot + 1}")
     return out
-
-
-def geometric_inverse(spec, u, beta, depth):
-    """Expansion of 1/(1 - u e^{-beta}) to the given depth, anchored at 0.
-
-    u is a VPoly (or int) and beta a positive displacement; the series is
-    sum_j u^j e^{-j beta} over j with j*ht(beta) <= depth.
-    """
-    beta = tuple(beta)
-    h = ht(beta)
-    if h < 1:
-        raise SeriesError("geometric_inverse needs ht(beta) >= 1")
-    if isinstance(u, int):
-        u = VPoly(u)
-    terms = {}
-    power = VP_ONE
-    j = 0
-    while j * h <= depth:
-        if power:
-            terms[tuple(j * b for b in beta)] = power
-        power = power * u
-        j += 1
-    n = len(beta)
-    return AnchoredSeries(spec, (0,) * n, terms, depth=depth, _trusted=True)

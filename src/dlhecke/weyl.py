@@ -28,14 +28,6 @@ class WeylElement:
     word: tuple
     orbit_key: tuple
 
-    @property
-    def length(self):
-        return len(self.word)
-
-    @property
-    def sign(self):
-        return -1 if self.length % 2 else 1
-
 
 def reflect(cartan, labels, beta, i):
     """Displacement of the i-th simple reflection of e^{anchor - beta}.

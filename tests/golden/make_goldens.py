@@ -1,7 +1,7 @@
 """Regenerate the golden files in this directory.
 
 The character golden is produced by an oracle that avoids the library's
-factor-by-factor geometric-inverse route: the Weyl-Kac numerator is
+factor-by-factor division (vseries.times_factors): the Weyl-Kac numerator is
 divided by the plain denominator D via coefficient-recursion division
 (verify.series_divide), so the test that compares weyl_kac_character
 against this file cross-checks the two division strategies.

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from dlhecke import characters, rootdata, weyl
 from dlhecke.characters import CharacterError
 from dlhecke.rootdata import RootSystemSpec
-from dlhecke.vseries import AnchoredSeries, VPoly, VP_ONE, VINV, ht
+from dlhecke.vseries import (AnchoredSeries, VPoly, VP_ONE, VINV, ht,
+                             mul_maps, times_factors)
 from series_json import series_from_json
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -38,11 +39,14 @@ def test_plain_denominator_a1_affine():
 
 
 def test_inverse_denominator_inverts():
-    for deformed in (False, True):
+    one = {(0, 0): VP_ONE}
+    for deformed, u in ((False, VP_ONE), (True, VINV)):
         d = characters.denominator(A1A, 5, deformed=deformed)
-        inv = characters.inverse_denominator(A1A, 5, deformed=deformed)
-        one = AnchoredSeries.one(A1A, 2).truncate(5)
-        assert (d * inv).first_difference(one) is None
+        inv = times_factors(
+            one, characters.denominator_factors(A1A, 5, u, -1), 5)
+        assert mul_maps(d.terms, inv, 5) == one
+        assert times_factors(
+            d.terms, characters.denominator_factors(A1A, 5, u, -1), 5) == one
 
 
 def test_m_factor_a1_affine_example():
@@ -98,15 +102,26 @@ def test_wtwist_denominator_identities():
 
 
 def test_gk_delta_leading_terms():
-    delta = characters.gk_delta(A1, 4)
+    delta = times_factors({(0,): VP_ONE},
+                          characters.denominator_factors(A1, 4, VINV, 1)
+                          + characters.denominator_factors(A1, 4, VP_ONE, -1),
+                          4)
     # (1 - v^-1 e^{-a}) / (1 - e^{-a}): every depth >= 1 coefficient 1 - v^-1
-    for j in range(1, 5):
-        assert delta.coefficient((j,)) == 1 - VINV
+    assert delta == {(0,): VP_ONE, **{(j,): 1 - VINV for j in range(1, 5)}}
+
+
+def test_factor_lists_cover_the_coroots_and_the_imaginary_axis():
+    assert sorted(characters.denominator_factors(A1A, 2, VINV, -1)) == [
+        ((0, 1), VINV, -1), ((1, 0), VINV, -1), ((1, 1), VINV, -1)]
+    # one exponent m = 1 on A1!: (1 - v^-2 e^{-jc}) / (1 - v^-1 e^{-jc})
+    assert characters.m_factors(A1A, 4) == [
+        ((j, j), VPoly.term(1, -k), p)
+        for j in (1, 2) for k, p in ((2, 1), (1, -1))]
 
 
 def test_character_matches_goldens_all_depths():
-    """The geometric-inverse route reproduces the coefficient-recursion
-    oracle that generated the goldens."""
+    """The factor pass's division by the denominator reproduces the
+    coefficient-recursion oracle that generated the goldens."""
     for depth in (2, 4, 6, 8):
         data = json.loads(
             (GOLDEN / f"character_A1aff_0_1_depth{depth}.json").read_text())
@@ -196,7 +211,8 @@ def test_e6_characters_by_the_demazure_chain(labels, dim):
 @given(dominant_labels().filter(lambda case: _w0_height(*case) <= 12))
 def test_demazure_chain_matches_the_undivided_routes(case):
     """The Demazure chain against two routes that divide nothing: the
-    truncated Weyl-Kac product (geometric inverses) at the w0 height, and
+    truncated Weyl-Kac character (the numerator divided by the plain
+    denominator's factors) at the w0 height, and
     chi * prod_{a > 0} (1 - e^{-a}) = the Weyl numerator, both exact."""
     spec, labels = case
     chi = characters.finite_character_exact(spec, labels)

@@ -177,6 +177,17 @@ def test_gk_limit_at_a_negative_nu_is_refused(capsys, argv):
     assert code == cli.EXIT_ERROR and "nonnegative" in err and out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["whittaker", "--spec", "A1!", "--labels", "0,1", "--depth", "-1"],
+     "depth must be >= 0"),
+    (["verify", "symmetrizer", "--spec", "A1!", "--labels", "0,1",
+      "--depth", "5", "--buffer", "-1"], "buffer must be >= 0"),
+])
+def test_negative_depth_or_buffer_is_refused(capsys, argv, message):
+    code, out, err = run(capsys, "--format", "json", *argv)
+    assert code == cli.EXIT_ERROR and message in err and out == ""
+
+
 def _readme_commands():
     """Every `dlhecke ...` line of the README's shell blocks but
     `verify all`, as an argv."""

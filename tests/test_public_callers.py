@@ -1,0 +1,63 @@
+"""Every public function and method of the library has a caller in it.
+
+A public module-level function of src/dlhecke counts as called when some
+module there reads its name as a name or an attribute, and a public
+method of a public class when some module reads it as an attribute; a
+definition, or an import on its own, is not a use.  The names below have
+no such caller and stay for a stated reason."""
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dlhecke"
+
+ALLOWED = {
+    "in_v_inverse_ring": "acceptance criterion 8's Z[v^-1] check",
+    "shifted": "perfbench's tracer wraps it by name (SERIES_METHODS)",
+    "as_exact": "perfbench's tracer wraps it by name (SERIES_METHODS)",
+    "eq_up_to_depth": "perfbench's tracer wraps it by name (SERIES_METHODS)",
+    "evaluate_v": "perfbench's tracer wraps it by name (SERIES_METHODS); "
+                  "acceptance criterion 4's spot values",
+}
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _public(name):
+    return not name.startswith("_")
+
+
+def _uncalled():
+    """{name: "module:qualified name"} of the public functions and methods
+    that nothing in src/dlhecke reads."""
+    defs, names, attrs = [], set(), set()
+    for module, tree in _trees().items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and _public(node.name):
+                defs.append((module, node.name, node.name, False))
+            elif isinstance(node, ast.ClassDef) and _public(node.name):
+                defs += [(module, f"{node.name}.{item.name}", item.name, True)
+                         for item in node.body
+                         if isinstance(item, ast.FunctionDef)
+                         and _public(item.name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    return {name: f"{module}:{qualified}"
+            for module, qualified, name, method in defs
+            if name not in attrs and (method or name not in names)}
+
+
+def test_every_public_function_has_a_caller():
+    uncalled = sorted(where for name, where in _uncalled().items()
+                      if name not in ALLOWED)
+    assert uncalled == [], ("public functions with no caller in src/dlhecke "
+                            f"(call, delete or allowlist them): {uncalled}")
+
+
+def test_the_allowlist_names_only_uncalled_definitions():
+    assert sorted(set(ALLOWED) - set(_uncalled())) == []

@@ -9,7 +9,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dlhecke import characters, heckeops, rootdata, verify, weyl
+from dlhecke import characters, cli, heckeops, rootdata, verify, weyl
 from dlhecke.rootdata import RootSystemSpec
 from dlhecke.vseries import (AnchoredSeries, VPoly, VP_ONE, VINV, _unpack,
                              divide_exact)
@@ -103,6 +103,30 @@ def test_cs_checks_refuse_a_spec_of_the_other_kind(monkeypatch):
                        match="affine-cs runs on affine specs only; "
                              "A2 is finite"):
         verify.verify_affine_cs(A2, (1, 0), 4)
+
+
+def test_acceptance_reports_multiply_no_two_series(monkeypatch):
+    """Every right-hand side of the battery is a factor pass
+    (vseries.times_factors); none multiplies two AnchoredSeries."""
+    def unmasked(reports):
+        return [{k: v for k, v in r.to_json_dict().items() if k != "ms"}
+                for r in reports]
+
+    def refuse(self, other):
+        raise AssertionError("an AnchoredSeries product")
+
+    expected = unmasked(cli.acceptance_reports())
+    monkeypatch.setattr(AnchoredSeries, "__mul__", refuse)
+    assert unmasked(cli.acceptance_reports()) == expected
+
+
+def test_negative_depth_and_buffer_are_refused():
+    with pytest.raises(heckeops.HeckeError, match="depth must be >= 0"):
+        verify.whittaker_normalized(A1A, (0, 1), depth=-1)
+    with pytest.raises(heckeops.HeckeError, match="depth must be >= 0"):
+        heckeops.symmetrizer_stabilized(A1A, (0, 1), -1)
+    with pytest.raises(verify.VerifyError, match="buffer must be >= 0"):
+        verify.verify_symmetrizer_properties(A1A, (0, 1), 5, buffer=-1)
 
 
 def test_whittaker_rejects_nondominant():

@@ -9,8 +9,8 @@ from dlhecke.rootdata import RootSystemSpec
 from dlhecke.heckeops import PackedSeries
 from dlhecke.vseries import (AnchoredSeries, SeriesError, VPoly, VP_ONE,
                              VP_ZERO, V, VINV, _divide_strings, _pack,
-                             _unpack, add_maps, divide_exact,
-                             geometric_inverse, ht, mul_maps)
+                             _unpack, add_maps, divide_exact, ht, mul_maps,
+                             times_factors)
 from series_json import series_from_json, vpoly_from_pairs
 
 A2 = RootSystemSpec.parse("A2")
@@ -145,11 +145,92 @@ def test_json_roundtrip():
 
 
 def test_geometric_inverse_is_inverse():
-    inv = geometric_inverse(A1A, VINV, (1, 1), 6)
-    factor = AnchoredSeries(A1A, (0, 0), {(0, 0): VP_ONE, (1, 1): -VINV},
-                            depth=6)
-    prod = inv * factor
-    assert prod.first_difference(AnchoredSeries.one(A1A, 2).truncate(6)) is None
+    # power -1 is the geometric series sum_j v^-j e^{-j(1,1)} to the depth
+    one = {(0, 0): VP_ONE}
+    inv = times_factors(one, [((1, 1), VINV, -1)], 6)
+    assert inv == {(j, j): VPoly.term(1, -j) for j in range(4)}
+    factor = {(0, 0): VP_ONE, (1, 1): -VINV}
+    assert mul_maps(inv, factor, 6) == one
+    assert times_factors(inv, [((1, 1), VINV, 1)], 6) == one
+
+
+# -- the factor pass -------------------------------------------------------
+
+def _geometric(beta, u, depth):
+    """1/(1 - u e^{-beta}) as the dense truncated series
+    sum_j u^j e^{-j beta}."""
+    out, power, j = {}, VP_ONE, 0
+    while j * ht(beta) <= depth:
+        out[tuple(j * b for b in beta)] = power
+        power, j = power * u, j + 1
+    return out
+
+
+def _factors_by_products(terms, factors, depth):
+    """times_factors by the general product: each power of a factor is a
+    binomial {0: 1, beta: -u} or a truncated geometric series, multiplied
+    in by mul_maps."""
+    out = {b: c for b, c in terms.items() if ht(b) <= depth}
+    for beta, u, power in factors:
+        series = ({(0,) * len(beta): VP_ONE, beta: -u} if power > 0
+                  else _geometric(beta, u, depth))
+        for _ in range(abs(power)):
+            out = mul_maps(out, series, depth)
+    return out
+
+
+# on A1!, c = (1, 1): simple, real non-simple and imaginary (j c) coroots
+FACTOR_BETAS = ((1, 0), (0, 1), (1, 2), (2, 1), (1, 1), (2, 2), (3, 3))
+FACTOR_US = (VP_ONE, VINV, VPoly.term(1, -2), VPoly.term(1, -3))
+
+
+@st.composite
+def factor_problems(draw):
+    """(terms, factors, depth): a truncated rank-2 term map and up to four
+    factors with powers -2..2."""
+    depth = draw(st.integers(0, 6))
+    coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3),
+                             max_size=3).map(VPoly)
+    betas = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
+        lambda b: ht(b) <= depth)
+    terms = draw(st.dictionaries(betas, coeffs, max_size=6))
+    factors = draw(st.lists(st.tuples(st.sampled_from(FACTOR_BETAS),
+                                      st.sampled_from(FACTOR_US),
+                                      st.integers(-2, 2)), max_size=4))
+    return {b: c for b, c in terms.items() if c}, factors, depth
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_problems())
+def test_times_factors_matches_the_general_product(problem):
+    terms, factors, depth = problem
+    assert (times_factors(terms, factors, depth)
+            == _factors_by_products(terms, factors, depth))
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_problems())
+def test_times_factors_power_one_then_minus_one_is_identity(problem):
+    terms, factors, depth = problem
+    for beta, u, _ in factors:
+        there = times_factors(terms, [(beta, u, 1)], depth)
+        assert times_factors(there, [(beta, u, -1)], depth) == terms
+
+
+def test_times_factors_skips_deep_factors_and_drops_deep_terms():
+    terms = {(0, 0): VP_ONE, (1, 1): VINV, (2, 2): V}
+    assert times_factors(terms, [((2, 1), VINV, -1), ((3, 0), V, 2)], 2) \
+        == {(0, 0): VP_ONE, (1, 1): VINV}
+    # a one-term map times a factor keeps VPoly coefficients throughout
+    out = times_factors({(0, 0): VP_ONE}, [((1, 0), VP_ONE, 1)], None)
+    assert all(isinstance(c, VPoly) for c in out.values())
+
+
+def test_times_factors_refuses_a_division_it_cannot_truncate():
+    with pytest.raises(SeriesError, match="finite depth"):
+        times_factors({(0, 0): VP_ONE}, [((1, 0), VINV, -1)], None)
+    with pytest.raises(SeriesError, match="ht"):
+        times_factors({(0, 0): VP_ONE}, [((-1, 0), VP_ONE, -1)], 3)
 
 
 def test_raw_map_helpers():

@@ -51,12 +51,12 @@ def test_first_letter_is_left_descent():
                 w.orbit_key
 
 
-def test_element_length_and_sign():
+def test_element_length():
     layers = weyl.enumerate_layers(A2, 3)
     w0 = layers[3][0]
-    assert w0.length == 3 and w0.sign == -1
+    assert len(w0.word) == 3
     (identity,) = weyl.enumerate_layers(A2, 0)[0]
-    assert identity.length == 0 and identity.sign == 1
+    assert identity.word == ()
 
 
 def test_orbit_layers_yields_each_child_once_in_parent_order():
