@@ -15,10 +15,11 @@ strings to vseries._divide_strings, the same routine behind
 vseries.divide_exact, which sums each string from its shallow end and
 asserts the zero remainder of every string on every call.  Every packed
 value carries a bound on its coefficients, which the kernel keeps below
-half its width (_kernel).  apply_T_raw and apply_T on an AnchoredSeries
-pack, run the kernel and decode once per run of equal coefficients; the
-walker keeps its values packed.  Word operators compose right-to-left,
-so the first letter of a BFS word (a left descent) is applied last.
+half its width (_kernel).  apply_T, the one entry point, packs an
+AnchoredSeries, runs the kernel and decodes once per run of equal
+coefficients; the walker's PackedSeries stay packed.  Word operators
+compose right-to-left, so the first letter of a BFS word (a left descent)
+is applied last.
 
 Every sum of T_w(seed) over a Weyl orbit runs through one walker, _walk:
 the stabilized sum over an affine W (symmetrizer_stabilized), and each
@@ -110,13 +111,6 @@ def _row(cartan, i):
     return cartan[i - 1]
 
 
-def _pairings(cartan, anchor, terms, i):
-    """[k for each beta of terms], k = <a_i, anchor - beta>."""
-    row = _row(cartan, i)
-    label = anchor[i - 1]
-    return [label - sum(map(mul, row, beta)) for beta in terms]
-
-
 def _sign(kind):
     """s = +1 for T and -1 for T'; the kernel's u is v^-s."""
     if kind == T_KIND:
@@ -143,14 +137,6 @@ def _strings(cartan, anchor, terms, i):
             strings[key] = string = (label - sum(map(mul, row, key)), {})
         string[1][beta[ii]] = x
     return strings
-
-
-def apply_T_raw(cartan, anchor, terms, i, kind=T_KIND):
-    """Operator application on a raw term map {beta: VPoly}; see the module
-    docstring.  A generator outside 1..n raises WeylError."""
-    p = PackedSeries.pack(anchor, terms, -_sign(kind))
-    return _kernel(p, _strings(cartan, anchor, p.terms, i), i,
-                   kind).unpack()
 
 
 def _kernel(p, strings, i, kind):
@@ -200,21 +186,23 @@ def _kernel(p, strings, i, kind):
 
 
 def apply_T(spec, i, s, kind=T_KIND):
-    """T_i (or T'_i) applied to a finite exact series.  An AnchoredSeries
-    gives an AnchoredSeries; the PackedSeries of a walk stays packed."""
+    """T_i (or T'_i) applied to a finite exact series; see the module
+    docstring.  An AnchoredSeries gives an AnchoredSeries; the PackedSeries
+    of a walk stays packed.  A generator outside 1..n raises WeylError."""
     if not s.exact:
         raise HeckeError("apply_T needs an exact (finite) series")
     cartan = rootdata.build_cartan(spec)
-    if isinstance(s, PackedSeries):
-        return _kernel(s, _strings(cartan, s.anchor, s.terms, i), i, kind)
-    out = apply_T_raw(cartan, s.anchor, s.terms, i, kind)
-    return AnchoredSeries(spec, s.anchor, out, _trusted=True)
+    p = s if isinstance(s, PackedSeries) else PackedSeries.pack(
+        s.anchor, s.terms, -_sign(kind))
+    out = _kernel(p, _strings(cartan, p.anchor, p.terms, i), i, kind)
+    return out if p is s else AnchoredSeries(spec, s.anchor, out.unpack(),
+                                             _trusted=True)
 
 
-def apply_T_word(spec, word, s, kind=T_KIND):
+def apply_T_word(spec, word, s):
     """T_w for a reduced word: rightmost letter acts first."""
     for i in reversed(tuple(word)):
-        s = apply_T(spec, i, s, kind)
+        s = apply_T(spec, i, s)
     return s
 
 
@@ -228,11 +216,11 @@ def quadratic_difference(spec, i, s, kind=T_KIND):
     return t2.first_difference(rhs)
 
 
-def braid_difference(spec, i, j, s, kind=T_KIND):
+def braid_difference(spec, i, j, s):
     """First (beta, lhs, rhs) where T_i T_j T_i = T_j T_i T_j fails on s
-    (adjacent i, j; simply-laced), or None."""
-    lhs = apply_T_word(spec, (i, j, i), s, kind)
-    rhs = apply_T_word(spec, (j, i, j), s, kind)
+    (adjacent i, j; simply-laced), or None; T' is conjugate to -v T."""
+    lhs = apply_T_word(spec, (i, j, i), s)
+    rhs = apply_T_word(spec, (j, i, j), s)
     return lhs.first_difference(rhs)
 
 
@@ -253,7 +241,7 @@ def conjugation_difference(spec, i, s):
 
 def symmetrizer_stabilized(spec, anchor_labels, depth, margin=DEFAULT_MARGIN,
                            layer_cap=DEFAULT_LAYER_CAP, seed=None,
-                           kind=T_KIND, max_layers=500):
+                           max_layers=500):
     """Partial symmetrizer truncated to `depth`, run until stabilization.
 
     Layers are added until `margin` consecutive layers contribute nothing
@@ -267,7 +255,7 @@ def symmetrizer_stabilized(spec, anchor_labels, depth, margin=DEFAULT_MARGIN,
     if seed is None:
         seed = AnchoredSeries.monomial(spec, tuple(anchor_labels))
     return _walk(spec, rootdata.build_cartan(spec), (1,) * spec.num_nodes,
-                 seed, max_layers, layer_cap, kind, depth, margin)
+                 seed, max_layers, layer_cap, depth, margin)
 
 
 def symmetrizer_chain(spec, anchor_labels, layer_cap=None):
@@ -292,36 +280,34 @@ def symmetrizer_chain(spec, anchor_labels, layer_cap=None):
     for k in range(1, len(cartan) + 1):
         block = tuple(row[:k] for row in cartan[:k])
         total, coset_length, _ = _walk(spec, block, (0,) * (k - 1) + (1,),
-                                       total, None, layer_cap, T_KIND)
+                                       total, None, layer_cap)
         length += coset_length
     return total, length
 
 
-def _walk(spec, cartan, labels, seed, max_layers, layer_cap, kind,
-          depth=None, margin=None):
+def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
+          margin=None):
     """Sum T_w(seed) over the w of weyl.orbit_layers(cartan, labels), one
     BFS layer at a time; cartan is a leading block of spec's matrix, all
     of it when a margin is given.
 
-    Returns (total, length, stabilized), length being the number of
-    layers walked.  The walk extends by left multiplication: w = s_i w'
-    with the length adding, so T_w(seed) = T_i(T_{w'}(seed)), and each
-    layer's exact values are built from its parents' and kept until the
-    next layer has been built from them.  A layer of more than layer_cap
-    elements raises HeckeError.  The values stay packed (PackedSeries;
-    each is still built by apply_T), and every value is added straight
-    into one packed accumulator, decoded once at the end.  The bounds
-    certify both: a value's bound is 2 M P for a parent's bound M
-    (_kernel), the accumulator's is the sum of the bounds added, and each
-    is widened before it could reach half its width, the condition for
-    decoding and for the zero-remainder test.  With depth None the sum is
-    exact and
-    the walk runs max_layers layers (None: no limit) or to the end of a
-    finite orbit.  With a depth every value is truncated to ht <= depth
-    (and to nonnegative displacements), and the walk stops, stabilized,
-    after `margin` consecutive quiet layers, whose elements each
-    contribute nothing there; stabilized is False when max_layers runs
-    out first.
+    Returns (total, length, stabilized), length being the number of layers
+    walked.  The walk extends by left multiplication: w = s_i w' with the
+    length adding, so T_w(seed) = T_i(T_{w'}(seed)), and each layer's
+    exact values are built from its parents' and kept until the next layer
+    has been built from them.  A layer of more than layer_cap elements
+    raises HeckeError.  The values stay packed (PackedSeries; each is
+    still built by apply_T), and every value is added straight into one
+    packed accumulator, decoded once at the end.  The bounds certify both:
+    a value's bound is 2 M P for a parent's bound M (_kernel), the
+    accumulator's is the sum of the bounds added, and each is widened
+    before it could reach half its width, the condition for decoding and
+    for the zero-remainder test.  With depth None the sum is exact and the
+    walk runs max_layers layers (None: no limit) or to the end of a finite
+    orbit.  With a depth every value is truncated to ht <= depth (and to
+    nonnegative displacements), and the walk stops, stabilized, after
+    `margin` consecutive quiet layers, whose elements each contribute
+    nothing there; stabilized is False when max_layers runs out first.
 
     The last layers of a stop are settled without their exact values,
     from the values of the layer before them.  When one more quiet layer
@@ -332,25 +318,24 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, kind,
     in turn with T_j.  If every contribution is zero the walk ends there,
     the settled layers counted; otherwise layer L is built exactly.
 
-    This is exact.  T_i is linear and maps each a_i-string (the terms
-    that differ only in beta_i) into itself.  A term beta, with
-    k = <a_i, anchor - beta> and s = +1 for T, -1 for T', has its
-    numerator at beta_i, beta_i + k and beta_i + k + s, with coefficients
-    summing to zero, and the quotient, summed from the shallow end of the
-    string, vanishes at and above the shallowest numerator position b0 of
-    the string.  So T_i of a kept string is exact and lies deeper than b0.
-    Along a string ht rises by one per step, and ht + min(0, k_j, k_j + s)
-    rises too for j != i, as k_j changes by -a_ji >= 0.  A string is
-    therefore dropped only if, one step deeper than b0, ht > depth and
-    ht + min(0, k_j, k_j + s) >= depth for every child j: its image then
-    holds no term at ht <= depth and no term that is j-reachable, and only
-    j-reachable terms (_reachable_terms: ht(beta) + min(0, k, k + s)
+    This is exact.  T_i is linear and maps each a_i-string (the terms that
+    differ only in beta_i) into itself.  A term beta with
+    k = <a_i, anchor - beta> has its numerator at beta_i, beta_i + k and
+    beta_i + k + 1, the coefficients summing to zero, so the quotient,
+    summed from the shallow end of the string, vanishes at and above the
+    string's shallowest numerator position b0: T_i of a kept string is
+    exact and lies deeper than b0.  Along a string ht rises by one per
+    step, and ht + min(0, k_j) rises too for j != i, as k_j changes by
+    -a_ji >= 0.  A string is therefore dropped only if, one step deeper
+    than b0, ht > depth and ht + min(0, k_j) >= depth for every child j:
+    its image then holds no term at ht <= depth and no j-reachable term,
+    and only j-reachable terms (_reachable_terms: ht(beta) + min(0, k)
     < depth, by the same argument) have a T_j image at ht <= depth.
     """
     if not seed.exact:
         raise HeckeError("the symmetrizer needs an exact (finite) seed")
     anchor = seed.anchor
-    packed = PackedSeries.pack(anchor, seed.terms, -_sign(kind))
+    packed = PackedSeries.pack(anchor, seed.terms, -1)
     acc = PackedSeries(anchor, {}, packed.width, 0, packed.low, packed.var)
     acc.add(packed, depth)
     layer = {(0,) * len(cartan): packed}  # orbit key -> T_w(seed)
@@ -368,18 +353,18 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, kind,
             break
         length += 1
         if margin is not None and quiet == margin - 1 and _quiet(
-                cartan, steps, (), layer, kind, depth):
+                cartan, steps, (), layer, depth):
             stabilized = True
             break
         if (margin is not None and quiet == margin - 2
                 and length != max_layers):
             ahead = next(layers, None)
             if ahead is not None and _quiet(cartan, steps, ahead, layer,
-                                            kind, depth):
+                                            depth):
                 length += 1
                 stabilized = True
                 break
-        layer = {child: apply_T(spec, i, layer[parent], kind)
+        layer = {child: apply_T(spec, i, layer[parent])
                  for child, i, parent in steps}
         loud = False
         for value in layer.values():
@@ -401,26 +386,24 @@ def _capped(steps, layer_cap):
     return steps
 
 
-def _reachable_terms(cartan, anchor, terms, i, kind, depth):
-    """The terms of a map whose T_i (or T'_i) image can reach ht <= depth:
-    those with ht(beta) + min(0, k, k + s) < depth; see _walk."""
-    s = 1 if kind == T_KIND else -1
-    return {beta: cf for (beta, cf), k in zip(
-        terms.items(), _pairings(cartan, anchor, terms, i))
-        if sum(beta) + min(0, k, k + s) < depth}
+def _reachable_terms(cartan, anchor, terms, i, depth):
+    """The terms of a map whose T_i image can reach ht <= depth: those with
+    ht(beta) + min(0, k) < depth, k = <a_i, anchor - beta>; see _walk."""
+    row, label = _row(cartan, i), anchor[i - 1]
+    return {beta: cf for beta, cf in terms.items()
+            if sum(beta) + min(0, label - sum(map(mul, row, beta))) < depth}
 
 
-def _loud(cartan, p, i, kind, depth, js=()):
+def _loud(cartan, p, i, depth, js=()):
     """True iff T_i(p), or T_j T_i(p) for some j in js, has a term at
     ht <= depth with nonnegative displacement, p a PackedSeries; T_i is
     applied to the a_i-strings that _strings_reaching keeps."""
-    out = _kernel(p, _strings_reaching(cartan, p, i, js, kind, depth), i,
-                  kind)
+    out = _kernel(p, _strings_reaching(cartan, p, i, js, depth), i, T_KIND)
     return (any(sum(b) <= depth and min(b) >= 0 for b in out.terms)
-            or any(_loud(cartan, out, j, kind, depth) for j in js))
+            or any(_loud(cartan, out, j, depth) for j in js))
 
 
-def _strings_reaching(cartan, p, i, js, kind, depth):
+def _strings_reaching(cartan, p, i, js, depth):
     """The a_i-strings of a PackedSeries, grouped as _strings groups them,
     on which T_i can leave a term at ht <= depth, or a term that is
     j-reachable for some j in js, each tested at the shallowest position
@@ -429,26 +412,23 @@ def _strings_reaching(cartan, p, i, js, kind, depth):
     s_i reverses a string, b -> c - b with b = beta_i, where c is
     <a_i, anchor - beta> at b = 0 (a_ii = 2).  So the shallowest numerator
     position on it is the lower of its least b and of its greatest b
-    reflected and moved by min(0, s), and the image starts one step
-    deeper."""
-    shift = 1 if kind == T_KIND else 0  # 1 + min(0, s)
+    reflected, and the image starts one step deeper."""
     ii = i - 1
     strings = _strings(cartan, p.anchor, p.terms, i)
-    ends = {key[:ii] + (min(min(string) + 1, c - max(string) + shift),)
-            + key[ii:]: key for key, (c, string) in strings.items()}
+    ends = {key[:ii] + (min(min(string), c - max(string)) + 1,) + key[ii:]:
+            key for key, (c, string) in strings.items()}
     kept = {key for end, key in ends.items() if sum(end) <= depth}
     kept.update(key for j in js for key in _reachable_terms(
-        cartan, p.anchor, ends, j, kind, depth).values())
+        cartan, p.anchor, ends, j, depth).values())
     return {key: string for key, string in strings.items() if key in kept}
 
 
-def _quiet(cartan, steps, ahead, layer, kind, depth):
+def _quiet(cartan, steps, ahead, layer, depth):
     """True iff no element of the layer of steps, nor of the layer ahead
     of it (() for none), contributes at ht <= depth, computed from the
     values of the layer before them (layer[parent]) alone; see _walk."""
     children = {}
     for _, j, c in ahead:
         children.setdefault(c, []).append(j)
-    return not any(_loud(cartan, layer[p], i, kind, depth,
-                         children.get(c, ()))
+    return not any(_loud(cartan, layer[p], i, depth, children.get(c, ()))
                    for c, i, p in steps)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import characters, heckeops, rootdata, weyl
 from .heckeops import DEFAULT_LAYER_CAP, DEFAULT_MARGIN
 from .vseries import (AnchoredSeries, SeriesError, VP_ONE, VP_ZERO, VINV,
-                      _pack, _unpack, add_maps, divide_exact, ht, mul_maps,
+                      _pack, _unpack, add_maps, divide_exact, ht,
                       times_factors)
 
 
@@ -142,21 +142,20 @@ def _whittaker_to_depth(spec, labels, depth, margin, layer_cap):
 def _finite_cs_rhs(spec, chi):
     """prod_{a>0}(1 - v^-1 e^{-a}) chi exactly, on packed coefficients.
 
-    chi is packed once with u = v^-1, each factor is the packed map
-    {0: 1, a: -u} multiplied in by mul_maps, and the product is decoded
-    once at the end.  Certificate: Q_beta = F_beta - u F_{beta-a}, so one
-    factor at most doubles every per-degree coefficient, and after the N
-    factors they lie within M 2^N, M the largest |v-coefficient| of chi.
-    The width is chosen up front so that M 2^N < 2^(width-1); _unpack
-    refuses a bound that does not fit.
+    chi is packed once with u = v^-1, multiplied by the factor list of the
+    deformed denominator in one times_factors pass with the packed u, and
+    decoded once at the end.  Certificate: Q_beta = F_beta - u F_{beta-a},
+    so one factor at most doubles every per-degree coefficient, and after
+    the N factors they lie within M 2^N, M the largest |v-coefficient| of
+    chi.  The width is chosen up front so that M 2^N < 2^(width-1);
+    _unpack refuses a bound that does not fit.
     """
     coroots = rootdata.positive_coroots_up_to(spec, None)
     bound = max(abs(n) for cf in chi.terms.values()
                 for n in cf.c.values()) << len(coroots)
     packed, width, _, low = _pack(chi.terms, -1, bound.bit_length() + 1)
-    zero = (0,) * spec.num_nodes
-    for cr in coroots:
-        packed = mul_maps(packed, {zero: 1, cr.coords: -(1 << width)}, None)
+    packed = times_factors(packed, characters.denominator_factors(
+        spec, None, 1 << width, 1), None)
     return AnchoredSeries(spec, chi.anchor,
                           _unpack(packed, width, bound, low, -1),
                           _trusted=True)

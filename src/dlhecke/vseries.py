@@ -81,16 +81,7 @@ class VPoly:
     def __sub__(self, other):
         if isinstance(other, int):
             other = VPoly(other)
-        out = dict(self.c)
-        for d, n in other.c.items():
-            m = out.get(d, 0) - n
-            if m:
-                out[d] = m
-            else:
-                out.pop(d, None)
-        r = VPoly()
-        r.c = out
-        return r
+        return self + (-other)
 
     def __rsub__(self, other):
         return VPoly(other) + (-self)
@@ -418,9 +409,10 @@ def add_maps(t1, t2):
 
 def times_factors(terms, factors, depth):
     """The raw map terms * prod (1 - u e^{-beta})^power over the
-    (beta, u, power) of factors (u a VPoly), dropping terms and factors
-    (which are 1) beyond ht = depth (None: exact).  A positive power
-    multiplies by {0: 1, beta: -u} through mul_maps; a negative one
+    (beta, u, power) of factors (u and the coefficients VPolys, or packed
+    ints with u = 2^width), dropping terms and factors (which are 1)
+    beyond ht = depth (None: exact).  A positive power multiplies by
+    {0: 1, beta: -u} through mul_maps, the 1 of u's form; a negative one
     divides by a running sum up each beta-string from its shallow end,
     Q_gamma = F_gamma + u Q_{gamma - beta}, which needs a finite depth
     and ht(beta) >= 1 (else SeriesError)."""
@@ -430,7 +422,8 @@ def times_factors(terms, factors, depth):
         beta = tuple(beta)
         if depth is not None and ht(beta) > depth:
             continue
-        factor = {(0,) * len(beta): VP_ONE, beta: -u}
+        one = 1 if isinstance(u, int) else VP_ONE
+        factor = {(0,) * len(beta): one, beta: -u}
         for _ in range(power):
             terms = mul_maps(terms, factor, depth)
         for _ in range(-power):

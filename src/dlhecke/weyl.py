@@ -106,16 +106,15 @@ def reflect_terms(cartan, anchor, terms, i):
             for beta, cf in terms.items()}
 
 
-def act_on_series(spec, w, s):
-    """Apply w to a finite series, letter by letter from the right.
+def act_on_series(spec, word, s):
+    """Apply a word to a finite series, letter by letter from the right.
 
-    Only exact (finite-support) series are accepted; w-images may leave
+    Only exact (finite-support) series are accepted; the images may leave
     the anchor cone, which exact series are allowed to do.
     """
     if not s.exact:
         raise SeriesError("W-action is only exact on finite series")
     cartan = rootdata.build_cartan(spec)
-    word = w.word if isinstance(w, WeylElement) else tuple(w)
     terms = dict(s.terms)
     for i in reversed(word):
         terms = reflect_terms(cartan, s.anchor, terms, i)

@@ -134,7 +134,8 @@ def _w0_height(spec, labels):
     """ht(Lambda - w0 Lambda): the depth at which the truncated Weyl-Kac
     product holds the whole finite character."""
     w0 = weyl.enumerate_layers(spec, 10 ** 9)[-1][0]
-    image = weyl.act_on_series(spec, w0, AnchoredSeries.monomial(spec, labels))
+    image = weyl.act_on_series(spec, w0.word,
+                               AnchoredSeries.monomial(spec, labels))
     (beta,) = image.terms
     return ht(beta)
 

@@ -1,5 +1,6 @@
 """CLI surface tests: argument handling, exit codes, and JSON output."""
 import contextlib
+import importlib.util
 import io
 import json
 import pathlib
@@ -203,6 +204,33 @@ def test_readme_commands_run(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code in (cli.EXIT_OK, cli.EXIT_FAIL), err
     assert out
+
+
+def _cli_golden():
+    """tests/golden/make_cli_golden.py, loaded as a module."""
+    path = pathlib.Path(__file__).resolve().parent / "golden" / \
+        "make_cli_golden.py"
+    spec = importlib.util.spec_from_file_location("make_cli_golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CLI_GOLDEN = _cli_golden()
+
+
+@pytest.mark.parametrize(
+    "record", json.loads(CLI_GOLDEN.GOLDEN.read_text()),
+    ids=lambda record: record["command"])
+def test_cli_output_matches_the_golden(record):
+    """A regression pin: exit code and JSON payload, each report's ms
+    dropped, as recorded by tests/golden/make_cli_golden.py."""
+    assert CLI_GOLDEN.run_command(record["command"]) == record
+
+
+def test_cli_golden_records_every_command():
+    records = json.loads(CLI_GOLDEN.GOLDEN.read_text())
+    assert [r["command"] for r in records] == CLI_GOLDEN.COMMANDS
 
 
 def test_hecke_relations_count_below_one_is_usage_error(capsys):

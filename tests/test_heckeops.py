@@ -74,7 +74,7 @@ def test_apply_T_rejects_out_of_range_generators(text, kind):
         with pytest.raises(WeylError):
             heckeops.apply_T(spec, i, s, kind)
         with pytest.raises(WeylError):
-            heckeops.apply_T_word(spec, (1, i), s, kind)
+            heckeops.apply_T_word(spec, (1, i), s)
 
 
 def test_quadratic_relation_on_awkward_monomials():
@@ -165,7 +165,7 @@ KINDS = st.sampled_from((T_KIND, TPRIME_KIND))
 
 def _numerator(s, i, kind):
     """The numerator (1 - u e^{-/+a_i}) s^{s_i} + (u - 1) s of T_i (or
-    T'_i) on s by series arithmetic, independent of apply_T_raw."""
+    T'_i) on s by series arithmetic, independent of apply_T."""
     n = s.spec.num_nodes
     u, sign = (VINV, 1) if kind == T_KIND else (V, -1)
     shift = tuple(sign if j == i - 1 else 0 for j in range(n))
@@ -182,8 +182,7 @@ def test_apply_T_raw_divides_the_series_numerator(data, s, kind):
     i = data.draw(st.integers(1, s.spec.num_nodes))
     num = _numerator(s, i, kind).terms
     alpha = tuple(-1 if j == i - 1 else 0 for j in range(s.spec.num_nodes))
-    cartan = rootdata.build_cartan(s.spec)
-    got = heckeops.apply_T_raw(cartan, s.anchor, s.terms, i, kind)
+    got = heckeops.apply_T(s.spec, i, s, kind).terms
     assert got == divide_exact(num, alpha)
     assert got == divide_exact(num, alpha, from_deep=True)
 
@@ -203,10 +202,10 @@ def _bonds(spec):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data(), exact_series([s for s in OPERATOR_SPECS
-                                if str(s) != "A1!"]), KINDS)
-def test_braid_relation_on_multi_term_series(data, s, kind):
+                                if str(s) != "A1!"]))
+def test_braid_relation_on_multi_term_series(data, s):
     i, j = data.draw(st.sampled_from(_bonds(s.spec)))
-    assert heckeops.braid_difference(s.spec, i, j, s, kind) is None
+    assert heckeops.braid_difference(s.spec, i, j, s) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -271,7 +270,8 @@ def test_packed_kernel_matches_the_per_degree_loop(data, spec, kind):
     packed = heckeops.PackedSeries.pack(anchor, terms, -heckeops._sign(kind))
     for i in range(1, n + 1):
         want = _per_degree_T(cartan, anchor, terms, i, kind)
-        assert heckeops.apply_T_raw(cartan, anchor, terms, i, kind) == want
+        exact = AnchoredSeries(spec, anchor, terms)
+        assert heckeops.apply_T(spec, i, exact, kind).terms == want
         out = heckeops.apply_T(spec, i, packed, kind)
         assert out.unpack() == want
         # the carried bound covers every coefficient it vouches for
@@ -308,23 +308,23 @@ def _shallow_part(terms, depth):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data(), exact_series(), KINDS, st.integers(0, 8))
-def test_reachable_terms_keep_every_shallow_output(data, s, kind, depth):
+@given(st.data(), exact_series(), st.integers(0, 8))
+def test_reachable_terms_keep_every_shallow_output(data, s, depth):
     # dropping the unreachable terms changes nothing at ht <= depth
     i = data.draw(st.integers(1, s.spec.num_nodes))
     cartan = rootdata.build_cartan(s.spec)
-    kept = heckeops._reachable_terms(cartan, s.anchor, s.terms, i, kind,
-                                     depth)
-    full = heckeops.apply_T_raw(cartan, s.anchor, s.terms, i, kind)
-    part = heckeops.apply_T_raw(cartan, s.anchor, kept, i, kind)
+    kept = heckeops._reachable_terms(cartan, s.anchor, s.terms, i, depth)
+    full = heckeops.apply_T(s.spec, i, s).terms
+    part = heckeops.apply_T(s.spec, i,
+                            AnchoredSeries(s.spec, s.anchor, kept)).terms
     assert _shallow_part(part, depth) == _shallow_part(full, depth)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data(), exact_series([RootSystemSpec.parse(t) for t in (
-    "A1!", "A2!", "D4!", "A2", "D4")]), KINDS, st.integers(0, 8))
+    "A1!", "A2!", "D4!", "A2", "D4")]), st.integers(0, 8))
 def test_reaching_strings_keep_every_shallow_output_two_steps_on(
-        data, s, kind, depth):
+        data, s, depth):
     # T_i of the kept a_i-strings is whole at ht <= depth, and T_j of its
     # j-reachable part is T_j T_i of the whole map there; j != i, as a
     # child s_j c of c = s_i p in the walk is never p
@@ -334,15 +334,15 @@ def test_reaching_strings_keep_every_shallow_output_two_steps_on(
     cartan = rootdata.build_cartan(s.spec)
 
     def T(terms, g):
-        return heckeops.apply_T_raw(cartan, s.anchor, terms, g, kind)
-    p = heckeops.PackedSeries.pack(s.anchor, s.terms, -heckeops._sign(kind))
-    strings = heckeops._strings_reaching(cartan, p, i, (j,), kind, depth)
+        return heckeops.apply_T(s.spec, g,
+                                AnchoredSeries(s.spec, s.anchor, terms)).terms
+    p = heckeops.PackedSeries.pack(s.anchor, s.terms, -1)
+    strings = heckeops._strings_reaching(cartan, p, i, (j,), depth)
     kept = T({b: cf for b, cf in s.terms.items()
               if b[:i - 1] + b[i:] in strings}, i)
     full = T(s.terms, i)
     assert _shallow_part(kept, depth) == _shallow_part(full, depth)
-    part = T(heckeops._reachable_terms(cartan, s.anchor, kept, j, kind,
-                                       depth), j)
+    part = T(heckeops._reachable_terms(cartan, s.anchor, kept, j, depth), j)
     assert _shallow_part(part, depth) == _shallow_part(T(full, j), depth)
 
 
@@ -387,10 +387,10 @@ def _summed_by_exact_layers(spec, labels):
 
 
 WALK_CASES = [("A1!", (0, 1), 6, T_KIND, 16),
-              ("A1!", (2, 1), 4, TPRIME_KIND, 16),
+              ("A1!", (2, 1), 4, T_KIND, 16),
               ("A2!", (0, 0, 1), 2, T_KIND, 10),
               ("A2!", (1, 0, 1), 2, T_KIND, 10),
-              ("A2!", (0, 0, 1), 4, TPRIME_KIND, 16),
+              ("A2!", (0, 0, 1), 4, T_KIND, 16),
               ("A3!", (0, 0, 0, 1), 2, T_KIND, 8),
               ("D4!", (0, 0, 0, 0, 1), 1, T_KIND, 6)]
 
@@ -405,7 +405,7 @@ def test_stabilized_walk_matches_exact_layers(text, labels, depth, kind,
     for margin in (1, 2, 3):
         for seed in seeds:
             got = heckeops.symmetrizer_stabilized(
-                spec, labels, depth, margin=margin, seed=seed, kind=kind)
+                spec, labels, depth, margin=margin, seed=seed)
             want = _stabilized_by_exact_layers(
                 spec, monomial if seed is None else seed, depth, margin,
                 kind, max_length + margin)
@@ -448,7 +448,7 @@ def test_walker_values_have_the_terms_of_the_exact_route(monkeypatch):
         return out
 
     monkeypatch.setattr(heckeops, "apply_T", checking_apply_T)
-    heckeops.symmetrizer_stabilized(A1A, (0, 1), 6, kind=TPRIME_KIND)
+    heckeops.symmetrizer_stabilized(A1A, (0, 1), 6)
     heckeops.symmetrizer_stabilized(RootSystemSpec.parse("A2!"), (0, 0, 1), 3)
     heckeops.symmetrizer_chain(RootSystemSpec.parse("A3"), (1, 0, 1))
     assert len(checked) > 20 and all(checked)
@@ -471,7 +471,7 @@ def test_stop_is_the_same_at_the_edges_of_max_layers_and_layer_cap(
     for margin in (1, 2, 3):
         def walk(**kw):
             return heckeops.symmetrizer_stabilized(
-                spec, labels, depth, margin=margin, kind=kind, **kw)
+                spec, labels, depth, margin=margin, **kw)
         total, length, stabilized = walk()
         assert stabilized and sizes[length - 1] == max(sizes[:length])
         assert walk(max_layers=length - 1) == (total, length - 1, False)

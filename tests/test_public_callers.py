@@ -4,7 +4,8 @@ A public module-level function of src/dlhecke counts as called when some
 module there reads its name as a name or an attribute, and a public
 method of a public class when some module reads it as an attribute; a
 definition, or an import on its own, is not a use.  The names below have
-no such caller and stay for a stated reason."""
+no such caller and stay for a stated reason.  Every name that a module
+imports is read there too, re-exports marked `# noqa: F401` aside."""
 import ast
 import pathlib
 
@@ -61,3 +62,30 @@ def test_every_public_function_has_a_caller():
 
 def test_the_allowlist_names_only_uncalled_definitions():
     assert sorted(set(ALLOWED) - set(_uncalled())) == []
+
+
+def _unread_imports():
+    """["module:name"] of the names that a module of src/dlhecke imports
+    and never reads; an import marked `# noqa: F401` is a re-export."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        lines = path.read_text().splitlines()
+        tree = ast.parse("\n".join(lines))
+        imported = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    and not any("# noqa: F401" in line for line in
+                                lines[node.lineno - 1:node.end_lineno])):
+                imported.update(alias.asname or alias.name.split(".")[0]
+                                for alias in node.names)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unread += [f"{path.name}:{name}"
+                   for name in sorted(imported - read)]
+    return unread
+
+
+def test_every_import_is_read():
+    assert _unread_imports() == [], (
+        "imported names that their module never reads (use or drop them)")

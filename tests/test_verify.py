@@ -210,8 +210,7 @@ def test_divide_deep_end_matches_shallow_end():
     shallow = divide_exact(num.terms, (-1, 0))
     deep = divide_exact(num.terms, (-1, 0), from_deep=True)
     assert shallow == deep
-    cartan = rootdata.build_cartan(A2)
-    assert shallow == heckeops.apply_T_raw(cartan, s.anchor, s.terms, 1)
+    assert shallow == heckeops.apply_T(A2, 1, s).terms
 
 
 def test_recursion_rejects_bad_words():
