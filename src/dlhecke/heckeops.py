@@ -6,20 +6,22 @@ apply_T realizes, per monomial e^mu with k = <a_i, mu>,
     T'_i(e^mu) = [ (1 - v    e^{+a_i}) e^{s_i mu} + (v    - 1) e^mu ] / (1 - e^{a_i})
 
 with the division carried out exactly in the Laurent ring.  One kernel,
-_kernel, does it on packed coefficients (vseries._pack: u -> 2^width
-with u = v^-1 for T and v for T', Kronecker substitution), so that every
-coefficient is one int.  It builds the numerator string by string: the
-three numerator positions of a monomial lie on its a_i-string, and each
-is one big-int addition, the factor u a left shift.  It then hands the
-strings to vseries._divide_strings, the same routine behind
-vseries.divide_exact, which sums each string from its shallow end and
-asserts the zero remainder of every string on every call.  Every packed
-value carries a bound on its coefficients, which the kernel keeps below
-half its width (_kernel).  apply_T, the one entry point, packs an
+_kernel, does it on packed coefficients (vseries.PackedSeries: u ->
+2^width with u = v^-1 for T and v for T', Kronecker substitution), so
+that every coefficient is one int.  It builds the numerator string by
+string: the three numerator positions of a monomial lie on its
+a_i-string, and each is one big-int addition, the factor u a left shift.
+It then hands the strings to vseries._divide_strings, the same routine
+behind vseries.divide_exact, which sums each string from its shallow end
+and asserts the zero remainder of every string on every call; that is
+the one private name heckeops imports, since the numerator is built
+straight into the strings that routine takes.  Every packed value
+carries a bound on its coefficients, which the kernel keeps below half
+its width (_kernel).  apply_T, the one entry point, packs an
 AnchoredSeries, runs the kernel and decodes once per run of equal
 coefficients; the walker's PackedSeries stay packed.  Word operators
-compose right-to-left, so the first letter of a BFS word (a left descent)
-is applied last.
+compose right-to-left, so the first letter of a BFS word (a left
+descent) is applied last.
 
 Every sum of T_w(seed) over a Weyl orbit runs through one walker, _walk:
 the stabilized sum over an affine W (symmetrizer_stabilized), and each
@@ -31,8 +33,7 @@ from __future__ import annotations
 from operator import mul
 
 from . import rootdata, weyl
-from .vseries import (AnchoredSeries, VINV, V, _check_width, _digits,
-                      _divide_strings, _pack, _unpack)
+from .vseries import AnchoredSeries, PackedSeries, VINV, V, _divide_strings
 
 
 class HeckeError(ValueError):
@@ -45,63 +46,6 @@ TPRIME_KIND = "Tprime"
 # of exact values a walk may hold
 DEFAULT_MARGIN = 2
 DEFAULT_LAYER_CAP = 20000
-
-
-class PackedSeries:
-    """An exact series with packed coefficients (vseries._pack), the form
-    in which the walker holds its values: terms maps beta to the packed
-    int of its coefficient at (width, low, var), and bound >= every
-    v-coefficient of every term, below 2^(width-1) (vseries._check_width).
-    """
-
-    __slots__ = ("anchor", "terms", "width", "bound", "low", "var")
-    exact = True
-
-    def __init__(self, anchor, terms, width, bound, low, var):
-        self.anchor, self.terms, self.var = anchor, terms, var
-        self.width, self.bound, self.low = width, bound, low
-
-    @classmethod
-    def pack(cls, anchor, terms, var):
-        return cls(anchor, *_pack(terms, var), var)
-
-    def unpack(self):
-        """The raw term map {beta: VPoly}, zero terms dropped."""
-        return _unpack(self.terms, self.width, self.bound, self.low,
-                       self.var)
-
-    def add(self, other, depth=None):
-        """Add other's terms into this series in place, only those at
-        ht <= depth with nonnegative displacement if a depth is given;
-        True iff any.  other has this series' low and var.  The bounds add,
-        and the width is widened first if the sum could outgrow it."""
-        terms = other.terms
-        if depth is not None:
-            terms = {b: x for b, x in terms.items()
-                     if sum(b) <= depth and min(b) >= 0}
-        if not terms:
-            return False
-        bound = self.bound + other.bound
-        width = max(self.width, other.width)
-        if bound >> (width - 1):
-            width = max(2 * width, bound.bit_length() + 1)
-        if width != self.width:
-            self.terms = _repacked(self.terms, self.width, self.bound, width)
-        if width != other.width:
-            terms = _repacked(terms, other.width, other.bound, width)
-        self.width, self.bound = width, bound
-        acc = self.terms
-        for beta, x in terms.items():
-            acc[beta] = acc.get(beta, 0) + x
-        return True
-
-
-def _repacked(terms, width, bound, wider):
-    """A packed map {key: x} of one width, within bound, repacked at a
-    wider one."""
-    _check_width(bound, width)
-    return {key: sum(d << (wider * j) for j, d in enumerate(_digits(x, width)))
-            for key, x in terms.items()}
 
 
 def _row(cartan, i):
@@ -157,19 +101,17 @@ def _kernel(p, strings, i, kind):
     its remainder, are sums of such partial sums, one per input term, so
     they are at most 2 M P, P the most input terms on one string.  If that
     does not fit p's width, the strings, still within M, are first
-    repacked at a wider one.
+    repacked at the width of the widening rule (PackedSeries.width_for).
     """
     s = _sign(kind)
     if p.var != -s:
         raise HeckeError("a series packed for the other operator kind")
-    width = p.width
     bound = 2 * p.bound * max((len(st) for _, st in strings.values()),
                               default=0)
-    if bound >> (width - 1):
-        wider = max(2 * width, bound.bit_length() + 1)
-        strings = {key: (c, _repacked(string, width, p.bound, wider))
+    width = p.width_for(bound, p.width)
+    if width != p.width:
+        strings = {key: (c, p.repacked(string, width))
                    for key, (c, string) in strings.items()}
-        width = wider
     nums = {}
     # t = -b is the string coordinate along alpha = -a_i
     for key, (c, string) in strings.items():

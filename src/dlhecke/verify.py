@@ -11,13 +11,14 @@ labels alone.
 from __future__ import annotations
 
 import itertools
+import random
 import time
 from dataclasses import dataclass
 
 from . import characters, heckeops, rootdata, weyl
 from .heckeops import DEFAULT_LAYER_CAP, DEFAULT_MARGIN
-from .vseries import (AnchoredSeries, SeriesError, VP_ONE, VP_ZERO, VINV,
-                      _pack, _unpack, add_maps, divide_exact, ht,
+from .vseries import (AnchoredSeries, PackedSeries, SeriesError, VP_ONE,
+                      VP_ZERO, VINV, add_maps, divide_exact, ht,
                       times_factors)
 
 
@@ -148,17 +149,16 @@ def _finite_cs_rhs(spec, chi):
     so one factor at most doubles every per-degree coefficient, and after
     the N factors they lie within M 2^N, M the largest |v-coefficient| of
     chi.  The width is chosen up front so that M 2^N < 2^(width-1);
-    _unpack refuses a bound that does not fit.
+    PackedSeries.unpack refuses a bound that does not fit.
     """
-    coroots = rootdata.positive_coroots_up_to(spec, None)
+    factors = characters.denominator_factors(spec, None, 1, 1)
     bound = max(abs(n) for cf in chi.terms.values()
-                for n in cf.c.values()) << len(coroots)
-    packed, width, _, low = _pack(chi.terms, -1, bound.bit_length() + 1)
-    packed = times_factors(packed, characters.denominator_factors(
-        spec, None, 1 << width, 1), None)
-    return AnchoredSeries(spec, chi.anchor,
-                          _unpack(packed, width, bound, low, -1),
-                          _trusted=True)
+                for n in cf.c.values()) << len(factors)
+    p = PackedSeries.pack(chi.anchor, chi.terms, -1, bound.bit_length() + 1)
+    p.terms = times_factors(p.terms, [(a, 1 << p.width, power)
+                                      for a, _, power in factors], None)
+    p.bound = bound
+    return AnchoredSeries(spec, chi.anchor, p.unpack(), _trusted=True)
 
 
 def verify_finite_cs(spec, labels, layer_cap=DEFAULT_LAYER_CAP):
@@ -270,9 +270,10 @@ def verify_symmetrizer_properties(spec, labels, depth, buffer=3,
     back into a shallow window.  On the anchored cone the pairing of a
     height-h exponent is bounded by max(labels) + 2h, so every exponent
     referenced from the window is certified present once P is computed to
-    internal depth 3*window + max(labels) + 2; properties (i) and (iv) are
-    checked in that division-free numerator form.  Property (ii)
-    reruns the stabilized symmetrizer on the finite seed T_i(e^L).
+    internal depth 3*window + max(labels) + 2.  (i) is checked in the
+    division-free numerator form above; (iv) divides P by D_v's factors to
+    that depth (times_factors).  (ii) reruns the stabilized symmetrizer on
+    the finite seed T_i(e^L).
     """
     start = time.perf_counter()
     labels = tuple(labels)
@@ -421,12 +422,10 @@ def extract_proportionality(spec, labels, depth, margin=DEFAULT_MARGIN,
 
 
 def _is_multiple_of(beta, c):
-    if not any(beta):
-        return True
-    for j in range(1, sum(beta) // sum(c) + 1):
-        if all(b == j * x for b, x in zip(beta, c)):
-            return True
-    return False
+    """True iff beta = j c for an integer j, which can only be
+    ht(beta) // ht(c) (j = 0 at beta = 0)."""
+    j = ht(beta) // ht(c)
+    return all(b == j * x for b, x in zip(beta, c))
 
 
 # -- Gindikin-Karpelevich limit -------------------------------------------
@@ -529,7 +528,6 @@ def verify_hecke_relations(spec, count=100, seed=0):
     A failure names the relation and the monomial's labels; the witness
     is relative to that monomial.  count must be at least 1: a run that
     checks nothing is refused, not passed."""
-    import random
     if count < 1:
         raise VerifyError(f"count must be >= 1, got {count}")
     start = time.perf_counter()

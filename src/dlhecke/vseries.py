@@ -365,7 +365,7 @@ def mul_maps(t1, t2, depth):
     """Raw sparse product of two term maps, dropping ht > depth products.
 
     The one general product.  Coefficients may be VPolys or packed ints
-    of one width and var (_pack; the lows add): only *, +, truthiness
+    of one width and var (PackedSeries; the lows add): only *, +, truthiness
     and == 1 are used.  The smaller map runs in the outer loop, and a
     coefficient equal to 1 shares the other factor's coefficient instead
     of multiplying, which is safe because no VPoly is mutated in place.
@@ -478,44 +478,95 @@ def _check_width(bound, width):
                           f"packed width {width}")
 
 
-def _pack(terms, var=1, width=64):
-    """(packed, width, bound, low) for a raw term map {beta: VPoly}.
+class PackedSeries:
+    """A term map {beta: int} of packed coefficients, the one form in which
+    the T_i kernel, the walker and the exact divisions hold them.
 
-    Kronecker substitution: with u = v^var, u -> 2^width is a ring
-    homomorphism Z[u] -> Z, so c = sum_d c_d v^d packs to the int
-    sum_d c_d 2^(width*(var*d - low)); sums of coefficients are sums of
-    ints, and a factor u is a left shift by width.  bound is the largest
-    |c_d|; the width is at least the given one, and leaves room for
-    2 * bound * len(terms).
-    """
-    cs = [cf.c for cf in terms.values()]
-    low = min((var * d for c in cs for d in c), default=0)
-    bound = max((abs(n) for c in cs for n in c.values()), default=0)
-    width = max(width, (2 * bound * len(cs)).bit_length() + 1)
-    return {beta: sum(n << (width * (var * d - low)) for d, n in c.items())
-            for beta, c in zip(terms, cs)}, width, bound, low
+    With u = v^var (var = +-1), u -> 2^width is a ring map Z[u] -> Z
+    (Kronecker substitution): sum_d c_d v^d packs to the int
+    sum_d c_d 2^(width*(var*d - low)), sums are int sums and a factor u is
+    x << width.  bound >= every |c_d| of every term; below 2^(width-1)
+    (_check_width) it makes decoding and the zero test exact.  anchor is
+    None for a bare map."""
 
+    __slots__ = ("anchor", "terms", "width", "bound", "low", "var")
+    exact = True
 
-def _unpack(packed, width, bound, low, var=1):
-    """The raw term map of a packed one (_pack) whose v-coefficients lie
-    within bound, zero terms dropped; decoded once per run of equal
-    coefficients, which share one VPoly (VPolys are never mutated in
-    place)."""
-    _check_width(bound, width)
-    # one int object per degree, shared by every coefficient
-    top = max(map(abs, packed.values()), default=0).bit_length() // width
-    degrees = [var * (low + j) for j in range(top + 1)]
-    out = {}
-    last = q = None
-    for beta, x in packed.items():
-        if x != last:
-            last = x
-            q = VPoly()
-            q.c = {degrees[j]: d
-                   for j, d in enumerate(_digits(x, width)) if d}
-        if x:
-            out[beta] = q
-    return out
+    def __init__(self, anchor, terms, width, bound, low, var):
+        self.anchor, self.terms, self.var = anchor, terms, var
+        self.width, self.bound, self.low = width, bound, low
+
+    @classmethod
+    def pack(cls, anchor, terms, var, width=64):
+        """terms {beta: VPoly} packed at width or wider, with room for
+        2 * bound * len(terms)."""
+        cs = [cf.c for cf in terms.values()]
+        low = min((var * d for c in cs for d in c), default=0)
+        bound = max((abs(n) for c in cs for n in c.values()), default=0)
+        width = max(width, (2 * bound * len(cs)).bit_length() + 1)
+        return cls(anchor, {beta: sum(n << (width * (var * d - low))
+                                      for d, n in c.items())
+                            for beta, c in zip(terms, cs)},
+                   width, bound, low, var)
+
+    def unpack(self):
+        """The map {beta: VPoly}, zeros dropped; a run of equal ints shares
+        one VPoly (VPolys are never mutated in place)."""
+        width = self.width
+        _check_width(self.bound, width)
+        # one int object per degree, shared by every coefficient
+        top = max(map(abs, self.terms.values()),
+                  default=0).bit_length() // width
+        degrees = [self.var * (self.low + j) for j in range(top + 1)]
+        out = {}
+        last = q = None
+        for beta, x in self.terms.items():
+            if x != last:
+                last = x
+                q = VPoly()
+                q.c = {degrees[j]: d
+                       for j, d in enumerate(_digits(x, width)) if d}
+            if x:
+                out[beta] = q
+        return out
+
+    @staticmethod
+    def width_for(bound, width):
+        """The widening rule: width if bound fits it, else the larger of
+        2 * width and the least width that bound fits."""
+        if bound >> (width - 1):
+            width = max(2 * width, bound.bit_length() + 1)
+        return width
+
+    def repacked(self, terms, width):
+        """terms {key: x}, packed as this series is and within its bound,
+        at another width that the bound fits."""
+        _check_width(self.bound, self.width)
+        return {key: sum(d << (width * j)
+                         for j, d in enumerate(_digits(x, self.width)))
+                for key, x in terms.items()}
+
+    def add(self, other, depth=None):
+        """Add other's terms (of this low and var; with a depth, those at
+        ht <= depth with beta >= 0) in place; True iff any.  The bounds
+        add, and both maps first move to width_for's width."""
+        terms = other.terms
+        if depth is not None:
+            terms = {b: x for b, x in terms.items()
+                     if sum(b) <= depth and min(b) >= 0}
+        if not terms:
+            return False
+        bound = self.bound + other.bound
+        width = self.width_for(bound, max(self.width, other.width))
+        if width != self.width:
+            self.terms = self.repacked(self.terms, width)
+        if width != other.width:
+            terms = other.repacked(terms, width)
+        self.width, self.bound = width, bound
+        acc = self.terms
+        for beta, x in terms.items():
+            acc[beta] = acc.get(beta, 0) + x
+        return True
 
 
 def divide_exact(terms, alpha, from_deep=False):
@@ -529,19 +580,20 @@ def divide_exact(terms, alpha, from_deep=False):
     shallow end of every string (lower height; the expansion in e^{-alpha}
     for positive alpha) or, with from_deep=True, from the deep end.  The
     two agree exactly when the division is exact; a nonzero remainder on
-    any string raises SeriesError.  The map is packed, and its strings
-    divided by _divide_strings: each quotient coefficient sums at most
-    the terms of one string, hence the bound.
+    any string raises SeriesError.  The map is packed (PackedSeries), and
+    its strings divided by _divide_strings: each quotient coefficient sums
+    at most the terms of one string, hence the bound.
     """
     pivot, sign = _direction(tuple(alpha))
-    packed, width, bound, low = _pack(terms)
+    p = PackedSeries.pack(None, terms, 1)
     strings = {}
-    for beta, x in packed.items():
+    for beta, x in p.terms.items():
         key = beta[:pivot] + beta[pivot + 1:]
         strings.setdefault(key, {})[beta[pivot] * sign] = x
-    bound *= max(map(len, strings.values()), default=0)
-    return _unpack(_divide_strings(strings, pivot, sign, width, bound,
-                                   from_deep), width, bound, low)
+    p.bound *= max(map(len, strings.values()), default=0)
+    p.terms = _divide_strings(strings, pivot, sign, p.width, p.bound,
+                              from_deep)
+    return p.unpack()
 
 
 def _direction(alpha):

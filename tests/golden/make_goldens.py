@@ -7,7 +7,12 @@ divided by the plain denominator D via coefficient-recursion division
 against this file cross-checks the two division strategies.
 
 The Whittaker golden freezes the stabilized symmetrizer output for the
-affine A1 anchor with labels (0, 1) at depth 4 as a regression pin.
+affine A1 anchor with labels (0, 1) at depth 4 (margin 2) as a regression
+pin, written from the library's walker (verify.whittaker_normalized).  It
+is not from an independent oracle: tests/test_heckeops.py checks it
+against the same sum with every layer's values built exactly
+(_stabilized_by_exact_layers), a route that shares the T_i kernel but not
+the walker or its settle path.
 
 Run from the repository root:  python3 tests/golden/make_goldens.py
 """

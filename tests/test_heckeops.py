@@ -1,12 +1,19 @@
 """Unit tests for the Demazure-Lusztig operators and symmetrizers."""
+import json
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dlhecke import heckeops, rootdata, weyl
 from dlhecke.heckeops import HeckeError, T_KIND, TPRIME_KIND
 from dlhecke.rootdata import RootSystemSpec
-from dlhecke.vseries import AnchoredSeries, VPoly, VP_ONE, V, VINV, divide_exact
+from dlhecke.vseries import (AnchoredSeries, PackedSeries, VPoly, VP_ONE, V,
+                             VINV, divide_exact)
 from dlhecke.weyl import WeylError
+from series_json import series_from_json
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 A1 = RootSystemSpec.parse("A1")
 A2 = RootSystemSpec.parse("A2")
@@ -267,7 +274,7 @@ def test_packed_kernel_matches_the_per_degree_loop(data, spec, kind):
     terms = {b: c for b, c in data.draw(_big_term_maps(n)).items() if c}
     anchor = data.draw(st.tuples(*[st.integers(-3, 3)] * n))
     cartan = rootdata.build_cartan(spec)
-    packed = heckeops.PackedSeries.pack(anchor, terms, -heckeops._sign(kind))
+    packed = PackedSeries.pack(anchor, terms, -heckeops._sign(kind))
     for i in range(1, n + 1):
         want = _per_degree_T(cartan, anchor, terms, i, kind)
         exact = AnchoredSeries(spec, anchor, terms)
@@ -286,15 +293,15 @@ def test_a_width_too_small_for_the_step_is_widened():
     cartan = rootdata.build_cartan(A1)
     anchor = (6,)
     terms = {(b,): VPoly({0: 3, -1: -2}) for b in range(4)}
-    p = heckeops.PackedSeries.pack(anchor, terms, -1)
-    narrow = heckeops.PackedSeries(anchor, heckeops._repacked(
-        p.terms, p.width, 3, 4), 4, 3, p.low, p.var)
+    p = PackedSeries.pack(anchor, terms, -1)
+    narrow = PackedSeries(anchor, p.repacked(p.terms, 4), 4, 3, p.low,
+                          p.var)
     assert narrow.unpack() == terms
     out = heckeops.apply_T(A1, 1, narrow)
     want = _per_degree_T(cartan, anchor, terms, 1, T_KIND)
     assert out.width > 4 and out.unpack() == want
     assert max(abs(x) for cf in want.values() for x in cf.c.values()) >= 8
-    acc = heckeops.PackedSeries(anchor, {}, 4, 0, p.low, p.var)
+    acc = PackedSeries(anchor, {}, 4, 0, p.low, p.var)
     for _ in range(3):
         acc.add(narrow)
     assert acc.width > 4
@@ -336,7 +343,7 @@ def test_reaching_strings_keep_every_shallow_output_two_steps_on(
     def T(terms, g):
         return heckeops.apply_T(s.spec, g,
                                 AnchoredSeries(s.spec, s.anchor, terms)).terms
-    p = heckeops.PackedSeries.pack(s.anchor, s.terms, -1)
+    p = PackedSeries.pack(s.anchor, s.terms, -1)
     strings = heckeops._strings_reaching(cartan, p, i, (j,), depth)
     kept = T({b: cf for b, cf in s.terms.items()
               if b[:i - 1] + b[i:] in strings}, i)
@@ -411,6 +418,18 @@ def test_stabilized_walk_matches_exact_layers(text, labels, depth, kind,
                 kind, max_length + margin)
             assert got[1:] == want[1:]
             assert got[0] == want[0]
+
+
+def test_whittaker_golden_is_the_sum_of_exact_layers():
+    # where the golden comes from: the stabilized sum on A1! (0, 1) at
+    # depth 4 and margin 2 with every layer's values built exactly, a route
+    # that shares the T_i kernel but not the walker or its settle path
+    data = json.loads((GOLDEN / "whittaker_A1aff_0_1_depth4.json").read_text())
+    achieved = data.pop("achieved_L")
+    want, length, _ = _stabilized_by_exact_layers(
+        A1A, _mono(A1A, (0, 1)), 4, 2, T_KIND, 18)
+    assert length == achieved
+    assert series_from_json(data) == want
 
 
 def test_last_layer_skips_the_full_parent_values(monkeypatch):

@@ -5,7 +5,9 @@ module there reads its name as a name or an attribute, and a public
 method of a public class when some module reads it as an attribute; a
 definition, or an import on its own, is not a use.  The names below have
 no such caller and stay for a stated reason.  Every name that a module
-imports is read there too, re-exports marked `# noqa: F401` aside."""
+imports is read there too, re-exports marked `# noqa: F401` aside, and no
+module reaches a private (underscore) name of a sibling module, bar the
+one stated below."""
 import ast
 import pathlib
 
@@ -18,6 +20,12 @@ ALLOWED = {
     "eq_up_to_depth": "perfbench's tracer wraps it by name (SERIES_METHODS)",
     "evaluate_v": "perfbench's tracer wraps it by name (SERIES_METHODS); "
                   "acceptance criterion 4's spot values",
+}
+
+PRIVATE_IMPORTS = {
+    "heckeops <- vseries._divide_strings":
+        "the T_i kernel builds its numerator straight into the strings that "
+        "the string division takes (heckeops module docstring)",
 }
 
 
@@ -89,3 +97,45 @@ def _unread_imports():
 def test_every_import_is_read():
     assert _unread_imports() == [], (
         "imported names that their module never reads (use or drop them)")
+
+
+def _private(name):
+    """An underscore name other than a dunder such as __version__."""
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_imports():
+    """["module <- sibling.name"] for each private name of a sibling
+    module that a module of src/dlhecke imports, or reads as an attribute
+    of a sibling module it imported."""
+    found = set()
+    for path, tree in _trees().items():
+        module = path[:-3]
+        siblings = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level:
+                source = node.module or ""
+            elif (node.module + ".").startswith("dlhecke."):
+                source = node.module[len("dlhecke."):]
+            else:
+                continue  # not a dlhecke module
+            for alias in node.names:
+                if not source:
+                    siblings.add(alias.asname or alias.name)
+                if _private(alias.name):
+                    found.add(f"{module} <- {source or 'dlhecke'}."
+                              f"{alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and _private(node.attr)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in siblings):
+                found.add(f"{module} <- {node.value.id}.{node.attr}")
+    return sorted(found)
+
+
+def test_no_module_reaches_a_private_name_of_another():
+    assert _private_imports() == sorted(PRIVATE_IMPORTS), (
+        "private names a module takes from a sibling (make them public or "
+        "state the reason in PRIVATE_IMPORTS)")

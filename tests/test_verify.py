@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from dlhecke import characters, cli, heckeops, rootdata, verify, weyl
 from dlhecke.rootdata import RootSystemSpec
-from dlhecke.vseries import (AnchoredSeries, VPoly, VP_ONE, VINV, _unpack,
-                             divide_exact)
+from dlhecke.vseries import (AnchoredSeries, PackedSeries, VPoly, VP_ONE,
+                             VINV, divide_exact)
 from series_json import series_from_json
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -77,12 +77,13 @@ def test_packed_finite_cs_rhs_widens_past_64_bits(monkeypatch, text, labels):
     chis = [chi.scale(2 ** 70 + 1),
             AnchoredSeries.monomial(spec, labels, coeff=-2 ** 70)]
     widths = []
+    unpack = PackedSeries.unpack
 
-    def unpack(packed, width, bound, low, var):
-        widths.append(width)
-        return _unpack(packed, width, bound, low, var)
+    def recording_unpack(self):
+        widths.append(self.width)
+        return unpack(self)
 
-    monkeypatch.setattr(verify, "_unpack", unpack)
+    monkeypatch.setattr(PackedSeries, "unpack", recording_unpack)
     for chi in chis:
         assert (verify._finite_cs_rhs(spec, chi)
                 == _rhs_by_series_products(spec, chi))
@@ -260,6 +261,21 @@ def test_finite_proportionality_is_one():
     gamma, report = verify.extract_proportionality(A2, (1, 1), 4)
     assert report.passed
     assert dict(gamma.terms) == {(0, 0): VP_ONE}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(["A1!", "A2!", "D4!"]))
+def test_is_multiple_of_matches_the_search_over_j(data, text):
+    # the closed form against the search over j = 1 .. ht(beta) // ht(c)
+    # that it replaced
+    c = rootdata.minimal_imaginary_coroot(RootSystemSpec.parse(text)).coords
+    beta = data.draw(st.tuples(*[st.integers(0, 6)] * len(c)))
+    if data.draw(st.booleans()):
+        beta = tuple(data.draw(st.integers(0, 4)) * x for x in c)
+    want = not any(beta) or any(
+        beta == tuple(j * x for x in c)
+        for j in range(1, sum(beta) // sum(c) + 1))
+    assert verify._is_multiple_of(beta, c) == want
 
 
 def test_gk_limit_trivial_displacement():

@@ -6,10 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from dlhecke import rootdata
 from dlhecke.rootdata import RootSystemSpec
-from dlhecke.heckeops import PackedSeries
-from dlhecke.vseries import (AnchoredSeries, SeriesError, VPoly, VP_ONE,
-                             VP_ZERO, V, VINV, _divide_strings, _pack,
-                             _unpack, add_maps, divide_exact, ht, mul_maps,
+from dlhecke.vseries import (AnchoredSeries, PackedSeries, SeriesError,
+                             VPoly, VP_ONE, VP_ZERO, V, VINV, _divide_strings,
+                             add_maps, divide_exact, ht, mul_maps,
                              times_factors)
 from series_json import series_from_json, vpoly_from_pairs
 
@@ -328,14 +327,15 @@ def test_mul_maps_on_packed_ints_matches_the_vpoly_product(problem, var):
     t1, t2, depth = problem
     before = _snapshot(t1, t2)
     bound = _packing_bound(t1, t2)
-    width = max(_pack(t, var, bound.bit_length() + 1)[1] for t in (t1, t2))
-    (p1, _, _, low1), (p2, _, _, low2) = (_pack(t, var, width)
-                                          for t in (t1, t2))
-    packed = (dict(p1), dict(p2))
-    product = mul_maps(p1, p2, depth)
-    assert (_unpack(product, width, bound, low1 + low2, var)
+    width = max(PackedSeries.pack(None, t, var, bound.bit_length() + 1).width
+                for t in (t1, t2))
+    p1, p2 = (PackedSeries.pack(None, t, var, width) for t in (t1, t2))
+    packed = (dict(p1.terms), dict(p2.terms))
+    product = mul_maps(p1.terms, p2.terms, depth)
+    assert (PackedSeries(None, product, width, bound, p1.low + p2.low,
+                         var).unpack()
             == _parent_mul_maps(t1, t2, depth))
-    assert (p1, p2) == packed and _snapshot(t1, t2) == before
+    assert (p1.terms, p2.terms) == packed and _snapshot(t1, t2) == before
 
 
 # -- exact division along root strings ---------------------------------------
@@ -409,6 +409,50 @@ def test_accumulator_matches_map_arithmetic(problem):
     assert acc.unpack() == add_maps(q, q)
 
 
+@settings(max_examples=100, deadline=None)
+@given(division_problems(big=True), st.sampled_from((1, -1)),
+       st.integers(1, 200))
+def test_a_packed_map_repacked_wider_decodes_to_itself(problem, var, extra):
+    _, q = problem
+    p = PackedSeries.pack(None, q, var)
+    wider = p.width + extra
+    wide = PackedSeries(None, p.repacked(p.terms, wider), wider, p.bound,
+                        p.low, var)
+    assert p.unpack() == q and wide.unpack() == q
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_problems(big=True), st.sampled_from((1, -1)),
+       st.integers(1, 100), st.booleans())
+def test_adding_series_of_two_widths_matches_map_arithmetic(problem, var,
+                                                            extra, forced):
+    # two maps packed together share low and width; the second is then
+    # repacked wider.  forced declares each bound at the most its width
+    # allows, so that their sum fits neither width and add must widen
+    t1, t2, _ = problem
+    joint = PackedSeries.pack(None, {**{(0,) + b: c for b, c in t1.items()},
+                                     **{(1,) + b: c for b, c in t2.items()}},
+                              var)
+    narrow, wider = joint.width, joint.width + extra
+    bounds = (((1 << (narrow - 1)) - 1, (1 << (wider - 1)) - 1) if forced
+              else (joint.bound, joint.bound))
+    parts = [{b[1:]: x for b, x in joint.terms.items() if b[0] == k}
+             for k in (0, 1)]
+    want = add_maps(t1, t2)
+    for first in (0, 1):
+        series = [PackedSeries(None, dict(parts[0]), narrow, bounds[0],
+                               joint.low, var),
+                  PackedSeries(None, joint.repacked(parts[1], wider), wider,
+                               bounds[1], joint.low, var)]
+        acc, other = series[first], series[1 - first]
+        assert acc.add(other) == bool(other.terms)
+        assert acc.unpack() == want
+        if other.terms:
+            assert acc.bound == sum(bounds)
+            assert acc.width == (max(2 * wider, sum(bounds).bit_length() + 1)
+                                 if forced else wider)
+
+
 def _per_degree_divide(terms, alpha, from_deep=False):
     """divide_exact by the per-degree loop that the packed division
     replaced, kept as its oracle: each string summed in {v-degree: int}
@@ -457,14 +501,15 @@ def test_packed_division_matches_the_per_degree_loop(problem, from_deep):
 
 def test_packed_decoding_and_remainder_refuse_a_bound_too_wide():
     # balanced digits of width 8 lie in [-2^7, 2^7): 128 = v - 128 there
-    assert _unpack({(0,): 128}, 8, 127, 0) == {(0,): VPoly({1: 1, 0: -128})}
+    def unpack(x, width, bound, var=1):
+        return PackedSeries(None, {(0,): x}, width, bound, 0, var).unpack()
+    assert unpack(128, 8, 127) == {(0,): VPoly({1: 1, 0: -128})}
     with pytest.raises(SeriesError, match="does not fit packed width 8"):
-        _unpack({(0,): 128}, 8, 128, 0)
+        unpack(128, 8, 128)
     # the finite CS right-hand side decodes with u = v^-1
-    assert _unpack({(0,): 1 << 64}, 64, (1 << 63) - 1, 0, -1) == {
-        (0,): VPoly({-1: 1})}
+    assert unpack(1 << 64, 64, (1 << 63) - 1, -1) == {(0,): VPoly({-1: 1})}
     with pytest.raises(SeriesError, match="does not fit packed width 64"):
-        _unpack({(0,): 1 << 64}, 64, 1 << 63, 0, -1)
+        unpack(1 << 64, 64, 1 << 63, -1)
     string = {(): {0: 1, 1: -1}}  # 1 - e^{-a_1} over itself
     assert _divide_strings(string, 0, 1, 8, 127) == {(0,): 1}
     with pytest.raises(SeriesError, match="does not fit packed width 8"):
