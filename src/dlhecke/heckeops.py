@@ -26,7 +26,7 @@ descent) is applied last.
 Every sum of T_w(seed) over a Weyl orbit runs through one walker, _walk:
 the stabilized sum over an affine W (symmetrizer_stabilized), and each
 coset of the parabolic chain that sums over a finite W
-(symmetrizer_chain).
+(symmetrizer_chain), whose value stays packed from coset to coset.
 """
 from __future__ import annotations
 
@@ -196,13 +196,19 @@ def symmetrizer_stabilized(spec, anchor_labels, depth, margin=DEFAULT_MARGIN,
         raise HeckeError("margin must be >= 1")
     if seed is None:
         seed = AnchoredSeries.monomial(spec, tuple(anchor_labels))
-    return _walk(spec, rootdata.build_cartan(spec), (1,) * spec.num_nodes,
-                 seed, max_layers, layer_cap, depth, margin)
+    if not seed.exact:
+        raise HeckeError("the symmetrizer needs an exact (finite) seed")
+    total, length, stabilized = _walk(
+        spec, rootdata.build_cartan(spec), (1,) * spec.num_nodes,
+        PackedSeries.pack(seed.anchor, seed.terms, -1), max_layers,
+        layer_cap, depth, margin)
+    return (AnchoredSeries(spec, seed.anchor, total.unpack(), depth=depth,
+                           _trusted=True), length, stabilized)
 
 
 def symmetrizer_chain(spec, anchor_labels, layer_cap=None):
     """sum_{w in W} T_w(e^anchor) over a finite Weyl group, exactly, by the
-    parabolic chain J_k = {1..k}.  Returns (total, l(w0)).
+    parabolic chain J_k = {1..k}.  Returns (total, l(w0)), total packed.
 
     Every w in W_{J_k} factors uniquely as w = u x with x in W_{J_{k-1}},
     u a minimal coset representative and l(w) = l(u) + l(x) (Humphreys,
@@ -212,15 +218,18 @@ def symmetrizer_chain(spec, anchor_labels, layer_cap=None):
     W_{J_k}, which _walk walks on the leading k x k block of the Cartan
     matrix with labels (0, ..., 0, 1); a step of pairing <= 0 lands on a
     seen key.  l(w0) is the sum of the cosets' lengths, and layer_cap
-    bounds each coset layer, the most the chain holds at once.
+    bounds each coset layer, the most the chain holds at once.  X_k goes
+    packed from coset to coset (_walk), without its zero ints.
     """
     if spec.affine:
         raise HeckeError("the parabolic chain needs a finite spec")
     cartan = rootdata.build_cartan(spec)
-    total = AnchoredSeries.monomial(spec, tuple(anchor_labels))
+    seed = AnchoredSeries.monomial(spec, tuple(anchor_labels))
+    total = PackedSeries.pack(seed.anchor, seed.terms, -1)
     length = 0
     for k in range(1, len(cartan) + 1):
         block = tuple(row[:k] for row in cartan[:k])
+        total.terms = {beta: x for beta, x in total.terms.items() if x}
         total, coset_length, _ = _walk(spec, block, (0,) * (k - 1) + (1,),
                                        total, None, layer_cap)
         length += coset_length
@@ -230,8 +239,8 @@ def symmetrizer_chain(spec, anchor_labels, layer_cap=None):
 def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
           margin=None):
     """Sum T_w(seed) over the w of weyl.orbit_layers(cartan, labels), one
-    BFS layer at a time; cartan is a leading block of spec's matrix, all
-    of it when a margin is given.
+    BFS layer at a time, seed a PackedSeries for T; cartan is a leading
+    block of spec's matrix, all of it when a margin is given.
 
     Returns (total, length, stabilized), length being the number of layers
     walked.  The walk extends by left multiplication: w = s_i w' with the
@@ -240,7 +249,7 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
     has been built from them.  A layer of more than layer_cap elements
     raises HeckeError.  The values stay packed (PackedSeries; each is
     still built by apply_T), and every value is added straight into one
-    packed accumulator, decoded once at the end.  The bounds certify both:
+    packed accumulator, the total.  The bounds certify both:
     a value's bound is 2 M P for a parent's bound M (_kernel), the
     accumulator's is the sum of the bounds added, and each is widened
     before it could reach half its width, the condition for decoding and
@@ -274,13 +283,9 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
     and only j-reachable terms (_reachable_terms: ht(beta) + min(0, k)
     < depth, by the same argument) have a T_j image at ht <= depth.
     """
-    if not seed.exact:
-        raise HeckeError("the symmetrizer needs an exact (finite) seed")
-    anchor = seed.anchor
-    packed = PackedSeries.pack(anchor, seed.terms, -1)
-    acc = PackedSeries(anchor, {}, packed.width, 0, packed.low, packed.var)
-    acc.add(packed, depth)
-    layer = {(0,) * len(cartan): packed}  # orbit key -> T_w(seed)
+    acc = PackedSeries(seed.anchor, {}, seed.width, 0, seed.low, seed.var)
+    acc.add(seed, depth)
+    layer = {(0,) * len(cartan): seed}  # orbit key -> T_w(seed)
     # [(orbit key, letter, parent's key)] per layer, capped
     layers = (_capped(steps, layer_cap)
               for steps in weyl.orbit_layers(cartan, labels))
@@ -315,9 +320,7 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
         if margin is not None and quiet >= margin:
             stabilized = True
             break
-    total = AnchoredSeries(spec, anchor, acc.unpack(), depth=depth,
-                           _trusted=True)
-    return total, length, stabilized
+    return acc, length, stabilized
 
 
 def _capped(steps, layer_cap):

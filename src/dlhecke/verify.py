@@ -92,6 +92,14 @@ def _vector(name, vec, spec):
     return vec
 
 
+def _dominant(labels, spec):
+    """labels as a tuple of one entry per node (_vector), each >= 0."""
+    labels = _vector("labels", labels, spec)
+    if any(x < 0 for x in labels):
+        raise VerifyError("dominant labels required")
+    return labels
+
+
 def _compared_depth(name, depth):
     """Refuse a comparison depth below 1: at 0 a check would compare only
     the beta = 0 coefficient, which is 1 on both sides whatever the
@@ -112,15 +120,14 @@ def whittaker_normalized(spec, labels, depth=None, margin=None,
     Returns (series, achieved_length, stabilized).  The symbolic
     prefactor q^{<rho, anchor>} is deliberately not folded in.
     """
-    labels = _vector("labels", labels, spec)
-    if any(x < 0 for x in labels):
-        raise VerifyError("dominant labels required")
+    labels = _dominant(labels, spec)
     if not spec.affine:
         if depth is not None or margin is not None:
             raise VerifyError("a finite Whittaker sum is exact and takes "
                               "no depth or margin")
         total, achieved = heckeops.symmetrizer_chain(spec, labels, layer_cap)
-        return total, achieved, True
+        return (AnchoredSeries(spec, total.anchor, total.unpack(),
+                               _trusted=True), achieved, True)
     if depth is None:
         raise VerifyError("affine Whittaker sums need a truncation depth")
     return heckeops.symmetrizer_stabilized(
@@ -140,40 +147,39 @@ def _whittaker_to_depth(spec, labels, depth, margin, layer_cap):
 
 # -- Casselman-Shalika -----------------------------------------------------
 
-def _finite_cs_rhs(spec, chi):
-    """prod_{a>0}(1 - v^-1 e^{-a}) chi exactly, on packed coefficients.
+def _finite_cs_rhs(spec, chi, width):
+    """prod_{a>0}(1 - v^-1 e^{-a}) chi exactly, as a PackedSeries.
 
-    chi is packed once with u = v^-1, multiplied by the factor list of the
-    deformed denominator in one times_factors pass with the packed u, and
-    decoded once at the end.  Certificate: Q_beta = F_beta - u F_{beta-a},
-    so one factor at most doubles every per-degree coefficient, and after
-    the N factors they lie within M 2^N, M the largest |v-coefficient| of
-    chi.  The width is chosen up front so that M 2^N < 2^(width-1);
-    PackedSeries.unpack refuses a bound that does not fit.
-    """
+    chi is packed once with u = v^-1 at width (the chain's, so that the
+    sides compare as they are) or wider, and multiplied by the factor list
+    of the deformed denominator in one times_factors pass with the packed
+    u.  Certificate: Q_beta = F_beta - u F_{beta-a}, so one factor at most
+    doubles every per-degree coefficient, and after the N factors they lie
+    within M 2^N, M the largest |v-coefficient| of chi.  The width is
+    chosen up front so that M 2^N < 2^(width-1); decoding and the packed
+    comparison refuse a bound that does not fit."""
     factors = characters.denominator_factors(spec, None, 1, 1)
     bound = max(abs(n) for cf in chi.terms.values()
                 for n in cf.c.values()) << len(factors)
-    p = PackedSeries.pack(chi.anchor, chi.terms, -1, bound.bit_length() + 1)
+    p = PackedSeries.pack(chi.anchor, chi.terms, -1,
+                          max(width, bound.bit_length() + 1))
     p.terms = times_factors(p.terms, [(a, 1 << p.width, power)
                                       for a, _, power in factors], None)
     p.bound = bound
-    return AnchoredSeries(spec, chi.anchor, p.unpack(), _trusted=True)
+    return p
 
 
 def verify_finite_cs(spec, labels, layer_cap=DEFAULT_LAYER_CAP):
     """sum_{w in W_o} T_w(e^L) = prod_{a>0}(1 - v^-1 e^{-a}) chi_L, exactly,
-    on a finite spec."""
+    on a finite spec, compared packed (PackedSeries.first_difference)."""
     start = time.perf_counter()
     if spec.affine:
         raise SpecKindError(f"finite-cs runs on finite specs only; {spec} "
                             "is affine")
-    labels = tuple(labels)
-    lhs, achieved, _ = whittaker_normalized(spec, labels,
-                                            layer_cap=layer_cap)
-    rhs = _finite_cs_rhs(spec,
-                         characters.finite_character_exact(spec, labels))
-    diff = lhs.first_difference(rhs)
+    labels = _dominant(labels, spec)
+    lhs, achieved = heckeops.symmetrizer_chain(spec, labels, layer_cap)
+    chi = characters.finite_character_exact(spec, labels)
+    diff = lhs.first_difference(_finite_cs_rhs(spec, chi, lhs.width))
     return _report("finite-cs", spec, {"labels": list(labels)}, start, diff,
                    achieved)
 

@@ -540,8 +540,10 @@ class PackedSeries:
 
     def repacked(self, terms, width):
         """terms {key: x}, packed as this series is and within its bound,
-        at another width that the bound fits."""
+        at a width that the bound fits (the same terms at this width)."""
         _check_width(self.bound, self.width)
+        if width == self.width:
+            return terms
         return {key: sum(d << (width * j)
                          for j, d in enumerate(_digits(x, self.width)))
                 for key, x in terms.items()}
@@ -558,15 +560,34 @@ class PackedSeries:
             return False
         bound = self.bound + other.bound
         width = self.width_for(bound, max(self.width, other.width))
-        if width != self.width:
-            self.terms = self.repacked(self.terms, width)
-        if width != other.width:
-            terms = other.repacked(terms, width)
+        self.terms = self.repacked(self.terms, width)
+        terms = other.repacked(terms, width)
         self.width, self.bound = width, bound
         acc = self.terms
         for beta, x in terms.items():
             acc[beta] = acc.get(beta, 0) + x
         return True
+
+    def first_difference(self, other):
+        """AnchoredSeries.first_difference of the decoded series (of one
+        anchor, low and var, else SeriesError), decoding that beta alone.
+        Each bound must fit its width (_check_width), so at the wider width
+        equal ints are equal coefficients: without the zero ints that an
+        accumulator keeps, one dict comparison decides."""
+        if (self.anchor, self.low, self.var) != (other.anchor, other.low,
+                                                 other.var):
+            raise SeriesError("packed series of other anchor, low or var")
+        width = max(self.width, other.width)
+        mine, theirs = (p.repacked({b: x for b, x in p.terms.items() if x},
+                                   width) for p in (self, other))
+        if mine == theirs:
+            return None
+        beta = min(beta for beta in mine.keys() | theirs.keys()
+                   if mine.get(beta) != theirs.get(beta))
+        return (beta,) + tuple(
+            PackedSeries(None, {beta: p.terms.get(beta, 0)}, p.width,
+                         p.bound, p.low, p.var).unpack().get(beta, VP_ZERO)
+            for p in (self, other))
 
 
 def divide_exact(terms, alpha, from_deep=False):

@@ -90,6 +90,18 @@ def test_usage_error_exit_64(capsys):
     assert code in (1, 64)
 
 
+def test_label_errors_of_finite_cs_and_whittaker(capsys):
+    # the finite CS check and the Whittaker sum share one label check
+    for command in (["verify", "finite-cs"], ["whittaker"]):
+        code, out, err = run(capsys, *command, "--spec", "A2",
+                             "--labels", "1,-1")
+        assert code == 3 and out == ""
+        assert err == "error: dominant labels required\n"
+        code, out, _ = run(capsys, *command, "--spec", "A2",
+                           "--labels", "1,0,0")
+        assert (code, out) == (64, "")
+
+
 def test_malformed_vectors_are_usage_errors(capsys):
     for argv in (["--nu", "a,b"], ["--nu", "1,1,1"]):
         code, _, err = run(capsys, "verify", "gk-limit", "--spec", "A1!",

@@ -118,7 +118,7 @@ def test_word_operator_composes_right_to_left():
 def test_symmetrizer_partial_finite_a1():
     total, length = heckeops.symmetrizer_chain(A1, (2,))
     assert length == 1               # identity plus one reflection
-    assert dict(total.terms) == {
+    assert total.unpack() == {
         (0,): VP_ONE, (1,): 1 - VINV, (2,): 1 - VINV, (3,): -VINV}
 
 
@@ -514,8 +514,38 @@ def test_chain_matches_walker(text, labels):
     on the A3 and D4 label grids against the Casselman-Shalika product, so
     the slower BFS runs only here."""
     spec = RootSystemSpec.parse(text)
-    assert heckeops.symmetrizer_chain(spec, labels) == \
+    total, length = heckeops.symmetrizer_chain(spec, labels)
+    assert (AnchoredSeries(spec, total.anchor, total.unpack()), length) == \
         _summed_by_exact_layers(spec, labels)
+
+
+def test_chain_carries_a_value_wider_than_64_bits_across_cosets(
+        monkeypatch):
+    """A seed scaled by 2^60 fits 64 bits at the first coset.  The bound
+    that the chain carries, the accumulator's, passes 2^63 in a later
+    coset, so the next coset starts on a wider value.  The sum is still
+    the exact one, scaled."""
+    spec, labels, scale = RootSystemSpec.parse("A3"), (1, 0, 1), 2 ** 60
+    want, want_length = _summed_by_exact_layers(spec, labels)
+    monomial = AnchoredSeries.monomial.__func__
+    monkeypatch.setattr(AnchoredSeries, "monomial", classmethod(
+        lambda cls, spec, anchor, beta=None, coeff=1, depth=None:
+        monomial(cls, spec, anchor, beta, coeff * scale, depth)))
+    seeds = []
+    walk = heckeops._walk
+
+    def recording_walk(spec, cartan, labels, seed, *args):
+        seeds.append((seed.width, seed.bound))
+        return walk(spec, cartan, labels, seed, *args)
+
+    monkeypatch.setattr(heckeops, "_walk", recording_walk)
+    total, length = heckeops.symmetrizer_chain(spec, labels)
+    widths = [width for width, _ in seeds]
+    assert widths[0] == 64 < widths[-1]
+    assert any(a == 64 < b for a, b in zip(widths, widths[1:]))
+    assert max(bound for _, bound in seeds) >> 63
+    assert length == want_length
+    assert total.unpack() == {b: cf * scale for b, cf in want.terms.items()}
 
 
 def _cosets(cartan):
@@ -562,8 +592,10 @@ def test_chain_layer_cap_error_is_the_walkers(text, caps):
     with pytest.raises(HeckeError, match=f"^layer of size {largest} "
                        f"exceeds cap {below}$"):
         heckeops.symmetrizer_chain(spec, labels, below)
-    assert heckeops.symmetrizer_chain(spec, labels, largest) == \
-        heckeops.symmetrizer_chain(spec, labels)
+    capped, uncapped = (heckeops.symmetrizer_chain(spec, labels, cap)
+                        for cap in (largest, None))
+    assert (capped[0].unpack(), capped[1]) == \
+        (uncapped[0].unpack(), uncapped[1])
 
 
 def test_chain_refuses_an_affine_spec():

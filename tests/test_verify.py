@@ -9,7 +9,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dlhecke import characters, cli, heckeops, rootdata, verify, weyl
+from dlhecke import characters, cli, heckeops, rootdata, verify, vseries, weyl
 from dlhecke.rootdata import RootSystemSpec
 from dlhecke.vseries import (AnchoredSeries, PackedSeries, VPoly, VP_ONE,
                              VINV, divide_exact)
@@ -62,7 +62,8 @@ def finite_cs_labels(draw):
 def test_packed_finite_cs_rhs_matches_the_series_products(case):
     spec, labels = case
     chi = characters.finite_character_exact(spec, labels)
-    assert (verify._finite_cs_rhs(spec, chi)
+    rhs = verify._finite_cs_rhs(spec, chi, 64)
+    assert (AnchoredSeries(spec, rhs.anchor, rhs.unpack())
             == _rhs_by_series_products(spec, chi))
 
 
@@ -85,9 +86,61 @@ def test_packed_finite_cs_rhs_widens_past_64_bits(monkeypatch, text, labels):
 
     monkeypatch.setattr(PackedSeries, "unpack", recording_unpack)
     for chi in chis:
-        assert (verify._finite_cs_rhs(spec, chi)
+        rhs = verify._finite_cs_rhs(spec, chi, 64)
+        assert (AnchoredSeries(spec, rhs.anchor, rhs.unpack())
                 == _rhs_by_series_products(spec, chi))
     assert min(widths) >= 70 + n + 1 > 64
+
+
+@pytest.mark.parametrize("where", ["in the support", "outside it"])
+def test_finite_cs_decodes_only_the_first_differing_beta(monkeypatch, where):
+    """A passing finite CS check decodes neither side.  A right-hand side
+    perturbed at one beta fails there: one term of each side is decoded,
+    and the report is the one of the decoded route, both sides decoded
+    whole and compared by AnchoredSeries.first_difference."""
+    spec, labels = RootSystemSpec.parse("D4"), (1, 0, 1, 0)
+    chi = characters.finite_character_exact(spec, labels)
+    finite_cs_rhs = verify._finite_cs_rhs
+    rhs = finite_cs_rhs(spec, chi, 64)
+    beta = (sorted(rhs.terms)[len(rhs.terms) // 2]
+            if where == "in the support" else (9, 9, 9, 9))
+
+    def perturbed_rhs(spec, chi, width):
+        p = finite_cs_rhs(spec, chi, width)
+        p.terms[beta] = p.terms.get(beta, 0) + (1 << 2 * p.width)  # + v^-2
+        p.bound += 1
+        return p
+
+    lhs, achieved, _ = verify.whittaker_normalized(spec, labels)
+    bad = perturbed_rhs(spec, chi, 64)
+    diff = lhs.first_difference(AnchoredSeries(spec, bad.anchor,
+                                               bad.unpack()))
+    assert diff[0] == beta
+    want = verify._report("finite-cs", spec, {"labels": list(labels)}, 0,
+                          diff, achieved).to_json_dict()
+
+    decoded, digits = [], []
+    unpack, _digits = PackedSeries.unpack, vseries._digits
+
+    def counting_unpack(self):
+        decoded.append(len(self.terms))
+        return unpack(self)
+
+    def counting_digits(x, width):
+        digits.append(x)
+        return _digits(x, width)
+
+    monkeypatch.setattr(characters, "finite_character_exact",
+                        lambda spec, labels: chi)
+    monkeypatch.setattr(PackedSeries, "unpack", counting_unpack)
+    monkeypatch.setattr(vseries, "_digits", counting_digits)
+    assert verify.verify_finite_cs(spec, labels).passed
+    assert decoded == [] and digits == []
+    monkeypatch.setattr(verify, "_finite_cs_rhs", perturbed_rhs)
+    got = verify.verify_finite_cs(spec, labels).to_json_dict()
+    assert decoded == [1, 1] and len(digits) == 2
+    del got["ms"], want["ms"]
+    assert got == want and got["verdict"] == verify.FAIL
 
 
 def test_cs_checks_refuse_a_spec_of_the_other_kind(monkeypatch):

@@ -453,6 +453,78 @@ def test_adding_series_of_two_widths_matches_map_arithmetic(problem, var,
                                  if forced else wider)
 
 
+@st.composite
+def comparison_problems(draw):
+    """(t1, t2, zeros): two rank-2 term maps, equal, differing at one beta
+    (where a term may be on one side only) or drawn apart, and per side a
+    set of betas to hold zero ints, as an accumulator keeps them where
+    values cancel."""
+    t1, t2, _ = draw(product_problems(big=True))
+    how = draw(st.sampled_from(("equal", "one beta", "apart")))
+    betas = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    if how != "apart":
+        t2 = dict(t1)
+    if how == "one beta":
+        beta = draw(st.sampled_from(sorted(t1)) | betas if t1 else betas)
+        delta = st.dictionaries(st.integers(-4, 4), st.integers(-9, 9),
+                                min_size=1, max_size=2).map(VPoly).filter(bool)
+        if beta in t1:
+            delta = delta | st.just(-t1[beta])
+        cf = t1.get(beta, VP_ZERO) + draw(delta)
+        t2.pop(beta, None)
+        if cf:
+            t2[beta] = cf
+    return t1, t2, [draw(st.sets(betas, max_size=3)) for _ in range(2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(comparison_problems(), st.sampled_from((1, -1)),
+       st.tuples(st.integers(0, 90), st.integers(0, 90)), st.booleans())
+def test_packed_comparison_is_the_first_difference_of_the_decoded_maps(
+        problem, var, extras, loose):
+    # the two maps are packed together, so that they share their low, and
+    # then each is repacked at its own width; loose declares each bound at
+    # the most its width allows
+    t1, t2, zeros = problem
+    anchor = (0, 0)
+    joint = PackedSeries.pack(None, {**{(0,) + b: c for b, c in t1.items()},
+                                     **{(1,) + b: c for b, c in t2.items()}},
+                              var)
+    sides = []
+    for k in (0, 1):
+        width = joint.width + extras[k]
+        terms = joint.repacked({b[1:]: x for b, x in joint.terms.items()
+                                if b[0] == k}, width)
+        for beta in zeros[k]:
+            terms.setdefault(beta, 0)
+        bound = (1 << (width - 1)) - 1 if loose else joint.bound
+        sides.append(PackedSeries(anchor, terms, width, bound, joint.low,
+                                  var))
+    decoded = [AnchoredSeries(A2, anchor, p.unpack()) for p in sides]
+    for a, b in ((0, 1), (1, 0)):
+        assert (sides[a].first_difference(sides[b])
+                == decoded[a].first_difference(decoded[b]))
+
+
+def test_packed_comparison_refuses_what_it_cannot_decide():
+    p = PackedSeries.pack((1, 0), {(0, 0): VP_ONE, (1, 0): 1 - VINV}, -1)
+
+    def like(**changes):
+        fields = {name: getattr(p, name) for name in PackedSeries.__slots__}
+        return PackedSeries(**{**fields, **changes})
+
+    assert p.first_difference(like(terms=dict(p.terms))) is None
+    for other in (like(anchor=(0, 1)), like(low=1), like(var=1)):
+        with pytest.raises(SeriesError, match="other anchor, low or var"):
+            p.first_difference(other)
+    # the certificate of decoding: each bound must fit its own width
+    for other in (like(bound=1 << 63), like(width=4, bound=8)):
+        with pytest.raises(SeriesError, match="does not fit packed width"):
+            p.first_difference(other)
+        with pytest.raises(SeriesError, match="does not fit packed width"):
+            other.first_difference(p)
+
+
 def _per_degree_divide(terms, alpha, from_deep=False):
     """divide_exact by the per-degree loop that the packed division
     replaced, kept as its oracle: each string summed in {v-degree: int}
