@@ -149,6 +149,7 @@ def test_cs_checks_refuse_a_spec_of_the_other_kind(monkeypatch):
 
     monkeypatch.setattr(verify, "whittaker_normalized", no_work)
     monkeypatch.setattr(verify, "_whittaker_to_depth", no_work)
+    monkeypatch.setattr(heckeops, "symmetrizer_chain", no_work)
     with pytest.raises(verify.VerifyError,
                        match="finite-cs runs on finite specs only; "
                              "A1! is affine"):
