@@ -29,6 +29,12 @@ COMMANDS = [
     "whittaker --spec A3! --labels 0,0,0,1 --depth 3 --margin 3",
     "verify symmetrizer --spec A2! --labels 0,0,1 --depth 4",
     "verify recursion --spec A2 --labels 1,1 --wprime 2 --i 1",
+    "verify affine-cs --spec A1! --labels 0,1 --depth 4",
+    "verify gk-limit --spec A2 --nu 1,1 --depth 3",
+    "verify hecke-relations --spec A2 --count 5",
+    "verify denominator-identity --spec A2! --depth 4",
+    "verify proportionality --spec A2 --labels 1,1 --depth 4",
+    "verify proportionality --spec A1! --labels 0,1 --depth 4",
 ]
 
 
