@@ -21,8 +21,6 @@ EXIT_FAIL = 1
 EXIT_UNSTABILIZED = 2
 EXIT_ERROR = 3
 EXIT_USAGE = 64
-# options that only the single checks read; `verify all` refuses them
-VERIFY_ALL_IGNORES = ("spec", "labels", "nu", "wprime", "i")
 
 
 class UsageError(Exception):
@@ -36,8 +34,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_ints(text, what, n=None):
     """Comma-separated integers; exactly n of them when n is given."""
-    if text is None:
-        raise UsageError(f"missing {what}")
     try:
         vec = tuple(int(x) for x in text.split(",")) if text.strip() else ()
     except ValueError:
@@ -47,61 +43,86 @@ def _parse_ints(text, what, n=None):
     return vec
 
 
+def _spec(text):
+    """argparse type of --spec."""
+    try:
+        return RootSystemSpec.parse(text)
+    except RootDataError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _positive_int(text):
+    """argparse type of --count and --layer-cap: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+# the --spec option of every command and check but `verify all`
+_SPEC = argparse.ArgumentParser(add_help=False)
+_SPEC.add_argument("--spec", type=_spec, required=True)
+
+
+def _command(sub, name, summary, spec=True, **options):
+    """The sub-parser of one command or check: --spec (unless spec is
+    False) and exactly the given options, each with its add_argument
+    keywords; argparse refuses any other."""
+    sp = sub.add_parser(name, help=summary, parents=[_SPEC] if spec else [])
+    for option, kwargs in options.items():
+        sp.add_argument("--" + option.replace("_", "-"), **kwargs)
+    return sp
+
+
 def build_parser():
     p = _Parser(prog="dlhecke", description=__doc__.splitlines()[0])
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--layer-cap", type=int,
+    p.add_argument("--layer-cap", type=_positive_int,
                    default=heckeops.DEFAULT_LAYER_CAP)
     sub = p.add_subparsers(dest="command", required=True)
+    labels = {"required": True}
+    depth = {"type": int, "default": 6}
+    margin = {"type": int, "default": heckeops.DEFAULT_MARGIN}
 
-    sp = sub.add_parser("roots", help="positive coroots up to a height")
-    sp.add_argument("--spec", required=True)
-    sp.add_argument("--depth", type=int, default=6)
-
-    sp = sub.add_parser("exponents", help="finite exponents")
-    sp.add_argument("--spec", required=True)
-
-    sp = sub.add_parser("weyl", help="Weyl group layers")
-    sp.add_argument("--spec", required=True)
-    sp.add_argument("--max-length", type=int, required=True)
-
-    sp = sub.add_parser("character", help="Weyl-Kac character series")
-    sp.add_argument("--spec", required=True)
-    sp.add_argument("--labels", required=True)
-    sp.add_argument("--depth", type=int, default=6)
-
-    sp = sub.add_parser("whittaker", help="normalized Whittaker sum")
-    sp.add_argument("--spec", required=True)
-    sp.add_argument("--labels", required=True)
+    _command(sub, "roots", "positive coroots up to a height", depth=depth)
+    _command(sub, "exponents", "finite exponents")
+    _command(sub, "weyl", "Weyl group layers",
+             max_length={"type": int, "required": True})
+    _command(sub, "character", "Weyl-Kac character series", labels=labels,
+             depth=depth)
     # affine sums only; a finite sum is exact and refuses both
-    sp.add_argument("--depth", type=int, help="default 6")
-    sp.add_argument("--margin", type=int,
-                    help=f"default {heckeops.DEFAULT_MARGIN}")
+    _command(sub, "whittaker", "normalized Whittaker sum", labels=labels,
+             depth={"type": int, "help": "default 6"},
+             margin={"type": int,
+                     "help": f"default {heckeops.DEFAULT_MARGIN}"})
 
-    sp = sub.add_parser("verify", help="run identity checks")
-    sp.add_argument("what", choices=(
-        "finite-cs", "affine-cs", "recursion", "symmetrizer", "gk-limit",
-        "hecke-relations", "denominator-identity", "proportionality", "all"))
-    sp.add_argument("--spec")
-    sp.add_argument("--labels")
-    sp.add_argument("--depth", type=int, default=6)
-    sp.add_argument("--margin", type=int, default=heckeops.DEFAULT_MARGIN)
-    sp.add_argument("--buffer", type=int, default=3)
-    sp.add_argument("--nu", help="displacement vector for gk-limit")
-    sp.add_argument("--wprime", help="reduced word for recursion, e.g. 2,1")
-    sp.add_argument("--i", type=int, help="generator for recursion")
-    sp.add_argument("--count", type=int, default=100)
+    checks = _command(sub, "verify", "run identity checks", spec=False) \
+        .add_subparsers(dest="what", required=True)
+    _command(checks, "finite-cs", "finite Casselman-Shalika", labels=labels)
+    _command(checks, "affine-cs", "affine Casselman-Shalika", labels=labels,
+             depth=depth, margin=margin)
+    _command(checks, "recursion", "T_i recursion of the Whittaker sum",
+             labels=labels,
+             wprime={"required": True, "help": "reduced word, e.g. 2,1"},
+             i={"type": int, "required": True, "help": "generator"})
+    _command(checks, "symmetrizer", "symmetrizer eigenproperties",
+             labels=labels, depth=depth, buffer={"type": int, "default": 3},
+             margin=margin)
+    _command(checks, "gk-limit", "Gindikin-Karpelevich limit",
+             nu={"required": True, "help": "displacement vector"},
+             depth=depth, margin=margin)
+    _command(checks, "hecke-relations", "Hecke algebra relations",
+             count={"type": _positive_int, "default": 100})
+    _command(checks, "denominator-identity", "denominator identity",
+             depth=depth)
+    _command(checks, "proportionality", "P(e^L) / (D_v chi_L)",
+             labels=labels, depth=depth, margin=margin)
+    _command(checks, "all", "the fixed acceptance battery", spec=False)
     return p
-
-
-def _spec_of(args):
-    if not getattr(args, "spec", None):
-        raise UsageError("--spec is required for this command")
-    try:
-        return RootSystemSpec.parse(args.spec)
-    except RootDataError as exc:
-        raise UsageError(str(exc))
 
 
 def _header(args, spec=None):
@@ -146,64 +167,34 @@ def _reports_exit(reports):
     return EXIT_OK
 
 
-def _run_verify(args):
-    what = args.what
-    reports = []
+def _run_verify(args, spec, labels):
+    what, cap = args.what, args.layer_cap
     if what == "all":
-        ignored = [f"--{name}" for name in VERIFY_ALL_IGNORES
-                   if getattr(args, name) is not None]
-        if ignored:
-            raise UsageError("verify all runs a fixed battery and takes no "
-                             + ", ".join(ignored))
-        reports = acceptance_reports(layer_cap=args.layer_cap,
-                                     seed=args.seed)
+        reports = acceptance_reports(layer_cap=cap, seed=args.seed)
     elif what == "finite-cs":
-        spec = _spec_of(args)
-        labels = _parse_ints(args.labels, "labels", spec.num_nodes)
-        reports = [verify.verify_finite_cs(spec, labels,
-                                           layer_cap=args.layer_cap)]
+        reports = [verify.verify_finite_cs(spec, labels, layer_cap=cap)]
     elif what == "affine-cs":
-        spec = _spec_of(args)
-        labels = _parse_ints(args.labels, "labels", spec.num_nodes)
         reports = [verify.verify_affine_cs(spec, labels, args.depth,
-                                           margin=args.margin,
-                                           layer_cap=args.layer_cap)]
+                                           margin=args.margin, layer_cap=cap)]
     elif what == "recursion":
-        spec = _spec_of(args)
-        labels = _parse_ints(args.labels, "labels", spec.num_nodes)
-        if args.i is None or args.wprime is None:
-            raise UsageError("recursion needs --wprime and --i")
         word = _parse_ints(args.wprime, "--wprime letters")
         reports = [verify.verify_recursion(spec, labels, word, args.i)]
     elif what == "symmetrizer":
-        spec = _spec_of(args)
-        labels = _parse_ints(args.labels, "labels", spec.num_nodes)
         reports = [verify.verify_symmetrizer_properties(
-            spec, labels, args.depth, buffer=args.buffer,
-            margin=args.margin, layer_cap=args.layer_cap)]
+            spec, labels, args.depth, buffer=args.buffer, margin=args.margin,
+            layer_cap=cap)]
     elif what == "gk-limit":
-        spec = _spec_of(args)
-        if args.nu is None:
-            raise UsageError("gk-limit needs --nu")
         nu = _parse_ints(args.nu, "--nu entries", spec.num_nodes)
         reports = [verify.verify_gk_limit(spec, nu, args.depth,
-                                          margin=args.margin,
-                                          layer_cap=args.layer_cap)]
+                                          margin=args.margin, layer_cap=cap)]
     elif what == "hecke-relations":
-        spec = _spec_of(args)
-        if args.count < 1:
-            raise UsageError("--count must be >= 1")
         reports = [verify.verify_hecke_relations(spec, count=args.count,
                                                  seed=args.seed)]
     elif what == "denominator-identity":
-        spec = _spec_of(args)
         reports = [verify.verify_denominator_identity(spec, args.depth)]
     elif what == "proportionality":
-        spec = _spec_of(args)
-        labels = _parse_ints(args.labels, "labels", spec.num_nodes)
         _, report = verify.extract_proportionality(
-            spec, labels, args.depth, margin=args.margin,
-            layer_cap=args.layer_cap)
+            spec, labels, args.depth, margin=args.margin, layer_cap=cap)
         reports = [report]
     payload = {"header": _header(args),
                "reports": [r.to_json_dict() for r in reports]}
@@ -251,11 +242,12 @@ def run(argv):
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.layer_cap < 1:
-            raise UsageError("--layer-cap must be >= 1")
+        spec = getattr(args, "spec", None)
+        labels = None
+        if "labels" in vars(args):
+            labels = _parse_ints(args.labels, "labels", spec.num_nodes)
         if args.command == "verify":
-            return _run_verify(args)
-        spec = _spec_of(args)
+            return _run_verify(args, spec, labels)
         if args.command == "roots":
             roots = rootdata.positive_coroots_up_to(spec, args.depth)
             payload = {"header": _header(args, spec),
@@ -276,13 +268,11 @@ def run(argv):
                        "total": sum(len(l) for l in layers)}
             _emit(args, payload)
         elif args.command == "character":
-            labels = _parse_ints(args.labels, "labels", spec.num_nodes)
             chi = characters.weyl_kac_character(spec, labels, args.depth)
             payload = {"header": _header(args, spec),
                        "series": chi.to_json_dict()}
             _emit(args, payload)
         elif args.command == "whittaker":
-            labels = _parse_ints(args.labels, "labels", spec.num_nodes)
             if spec.affine:
                 depth = 6 if args.depth is None else args.depth
                 margin = args.margin

@@ -404,11 +404,7 @@ def extract_proportionality(spec, labels, depth, margin=DEFAULT_MARGIN,
     if not stabilized:
         return None, _report("proportionality", spec, params, start, None,
                              achieved, stabilized=False)
-    if spec.affine:
-        chi = characters.weyl_kac_character(spec, labels, depth)
-    else:
-        chi = characters.finite_character_exact(spec, labels).truncate(depth)
-        p = p.truncate(depth)
+    chi = characters.weyl_kac_character(spec, labels, depth)
     divisor = chi.times_factors(
         characters.denominator_factors(spec, depth, VINV, 1))
     gamma = series_divide(p, divisor, depth)

@@ -140,7 +140,7 @@ def test_finite_whittaker_refuses_depth_and_margin(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["finite-cs", "--spec", "A1!", "--labels", "0,1", "--depth", "4"],
+    (["finite-cs", "--spec", "A1!", "--labels", "0,1"],
      "finite-cs runs on finite specs only; A1! is affine"),
     (["affine-cs", "--spec", "A2", "--labels", "1,0", "--depth", "4"],
      "affine-cs runs on affine specs only; A2 is finite"),
@@ -278,16 +278,47 @@ def test_finite_layer_cap_bounds_a_coset_layer(capsys):
     assert code == 0 and json.loads(out)["achieved_L"] == 6
 
 
-def test_verify_all_rejects_options_it_ignores(capsys):
-    for argv in (["--spec", "A2"], ["--labels", "1,1"], ["--nu", "1,1"],
-                 ["--wprime", "1"], ["--i", "1"],
-                 ["--spec", "A2", "--labels", "1,1"]):
-        code, out, err = run(capsys, "verify", "all", *argv)
-        assert code == 64 and argv[0] in err and out == ""
+# the options each verify check reads; `all` runs a fixed battery and
+# reads none
+CHECK_OPTIONS = {
+    "finite-cs": ("--spec", "--labels"),
+    "affine-cs": ("--spec", "--labels", "--depth", "--margin"),
+    "recursion": ("--spec", "--labels", "--wprime", "--i"),
+    "symmetrizer": ("--spec", "--labels", "--depth", "--buffer", "--margin"),
+    "gk-limit": ("--spec", "--nu", "--depth", "--margin"),
+    "hecke-relations": ("--spec", "--count"),
+    "denominator-identity": ("--spec", "--depth"),
+    "proportionality": ("--spec", "--labels", "--depth", "--margin"),
+    "all": (),
+}
+# a well-formed value of every verify option, on A2
+WELL_FORMED = {"--spec": "A2", "--labels": "1,1", "--depth": "3",
+               "--margin": "2", "--buffer": "3", "--nu": "1,1",
+               "--wprime": "2", "--i": "1", "--count": "5"}
+
+
+@pytest.mark.parametrize("what, option", [
+    pytest.param(what, option, id=f"{what} {option}")
+    for what, reads in CHECK_OPTIONS.items()
+    for option in WELL_FORMED if option not in reads])
+def test_verify_check_rejects_options_it_does_not_read(capsys, what, option):
+    given = [x for name in CHECK_OPTIONS[what]
+             for x in (name, WELL_FORMED[name])]
+    code, out, err = run(capsys, "verify", what, *given, option,
+                         WELL_FORMED[option])
+    assert code == 64 and option in err and out == ""
 
 
 # -- fuzzing the argument grammar ------------------------------------------
 
+# the options each command but verify reads
+COMMAND_OPTIONS = {
+    "roots": ("--spec", "--depth"),
+    "exponents": ("--spec",),
+    "weyl": ("--spec", "--max-length"),
+    "character": ("--spec", "--labels", "--depth"),
+    "whittaker": ("--spec", "--labels", "--depth", "--margin"),
+}
 SPECS = {"A1": 1, "A2": 2, "A3": 3, "D4": 4, "A1!": 2, "A2!": 3}
 BAD_SPECS = ["A0", "D2", "E5", "E9", "A-1", "B2", "A", "a2", "A2!!", "",
              " ", "A1 !", "D!"]
@@ -315,6 +346,10 @@ def _vector(entries, n):
 def argvs(draw):
     """argv drawn from the parser's grammar, with bad values mixed in.
 
+    Each command or check draws from the options it reads (COMMAND_OPTIONS,
+    CHECK_OPTIONS), any of which may be left out; now and then a stray
+    token follows, which a check that does not read it refuses.
+
     Every well-formed request is kept cheap: depths stay <= 3 and layer
     caps small, labels stay <= 2 (<= 1 on D4), and gk-limit, whose labels
     double from ht(nu) upwards, takes no D4 (its finite sums at labels 2
@@ -341,42 +376,26 @@ def argvs(draw):
     spec = draw(_mostly(st.sampled_from(specs), st.sampled_from(BAD_SPECS)))
     n = SPECS.get(spec, 2)
     labels = _vector(st.integers(-1, 1 if spec == "D4" else 2), n)
-    depth = st.integers(-2, 3)
-    options = {"--spec": st.just(spec)}
-    if command in ("roots", "character", "whittaker"):
-        options["--depth"] = depth
-    if command == "weyl":
-        options["--max-length"] = st.integers(-2, 8)
-    if command in ("character", "whittaker") or what in (
-            "finite-cs", "affine-cs", "recursion", "symmetrizer",
-            "proportionality"):
-        options["--labels"] = labels
-    if command == "whittaker" or what in ("affine-cs", "symmetrizer",
-                                          "gk-limit", "proportionality"):
-        options["--margin"] = st.integers(-1, 3)
-    if what not in (None, "all", "symmetrizer"):
-        options["--depth"] = depth
-    if what == "recursion":
-        options["--wprime"] = _vector(SMALL | LARGE, 2)
-        options["--i"] = SMALL | LARGE
-    if what == "gk-limit":
-        options["--nu"] = _vector(SMALL | LARGE, n)
-    if what == "hecke-relations":
-        options["--count"] = SMALL
-    if what == "all":
-        # it refuses any of these
-        options = {"--spec": st.just(spec)} if draw(st.booleans()) else {}
+    values = {"--spec": st.just(spec), "--labels": labels,
+              "--depth": st.integers(-2, 3), "--margin": st.integers(-1, 3),
+              "--max-length": st.integers(-2, 8),
+              "--wprime": _vector(SMALL | LARGE, 2),
+              "--i": SMALL | LARGE, "--nu": _vector(SMALL | LARGE, n),
+              "--count": SMALL}
+    reads = CHECK_OPTIONS[what] if what else COMMAND_OPTIONS[command]
     argv += [command] + ([what] if what else [])
-    for name, values in options.items():
+    for name in reads:
+        if what == "symmetrizer" and name in ("--depth", "--buffer"):
+            continue  # drawn together below
         if draw(_mostly(st.just(False), st.just(True))):
             continue  # leave a (maybe required) option out
-        value = str(draw(values))
+        value = str(draw(values[name]))
         if draw(st.booleans()):
             argv.append(f"{name}={value}")
         else:
             argv += [name, value]  # "-1,2" then reads as an option
     if what == "symmetrizer":
-        d = draw(depth)
+        d = draw(values["--depth"])
         argv += ["--depth", str(d), "--buffer",
                  str(d - draw(st.integers(-1, 0)))]
     if draw(_mostly(st.just(False), st.just(True))):

@@ -17,6 +17,7 @@ ALLOWED = {
     "in_v_inverse_ring": "acceptance criterion 8's Z[v^-1] check",
     "shifted": "perfbench's tracer wraps it by name (SERIES_METHODS)",
     "as_exact": "perfbench's tracer wraps it by name (SERIES_METHODS)",
+    "truncate": "perfbench's tracer wraps it by name (SERIES_METHODS)",
     "eq_up_to_depth": "perfbench's tracer wraps it by name (SERIES_METHODS)",
     "evaluate_v": "perfbench's tracer wraps it by name (SERIES_METHODS); "
                   "acceptance criterion 4's spot values",
