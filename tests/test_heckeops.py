@@ -432,6 +432,21 @@ def test_whittaker_golden_is_the_sum_of_exact_layers():
     assert series_from_json(data) == want
 
 
+@pytest.mark.parametrize("text, labels, depth", [("A3!", (0, 0, 0, 1), 6),
+                                                 ("D4!", (0, 0, 0, 0, 1), 4)])
+def test_walk_matches_the_golden_recorded_before_hull_pruning(text, labels,
+                                                              depth):
+    # regression pins written by tests/golden/make_goldens.py from the
+    # walker that carried every term of its values
+    name = (f"whittaker_{text.replace('!', 'aff')}_"
+            f"{'_'.join(map(str, labels))}_depth{depth}.json")
+    data = json.loads((GOLDEN / name).read_text())
+    achieved, stabilized = data.pop("achieved_L"), data.pop("stabilized")
+    spec = RootSystemSpec.parse(text)
+    assert heckeops.symmetrizer_stabilized(spec, labels, depth) == \
+        (series_from_json(data), achieved, stabilized)
+
+
 def test_last_layer_skips_the_full_parent_values(monkeypatch):
     spec, labels, depth = A1A, (0, 1), 6
     expected = heckeops.symmetrizer_stabilized(spec, labels, depth)
