@@ -27,9 +27,18 @@ class UsageError(Exception):
     pass
 
 
+class _Exit(Exception):
+    """argparse's own exit (after --help), its status the return code."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def exit(self, status=0, message=None):
+        if message:
+            self._print_message(message, sys.stderr)
+        raise _Exit(status)
 
 
 def _parse_ints(text, what, n=None):
@@ -241,6 +250,8 @@ def run(argv):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _Exit as exc:
+        return exc.args[0]
     try:
         spec = getattr(args, "spec", None)
         labels = None

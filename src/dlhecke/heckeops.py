@@ -26,11 +26,15 @@ descent) is applied last.
 Every sum of T_w(seed) over a Weyl orbit runs through one walker, _walk:
 the stabilized sum over an affine W (symmetrizer_stabilized), and each
 coset of the parabolic chain that sums over a finite W
-(symmetrizer_chain), whose value stays packed from coset to coset.
+(symmetrizer_chain), whose value stays packed from coset to coset.  At a
+depth, the kernel drops from each value the terms that the rho-shifted
+hull shows can no longer feed the sum, one skipped range per a_i-string
+(_Hull).
 """
 from __future__ import annotations
 
-from operator import mul
+from math import isqrt
+from operator import add, mul
 
 from . import rootdata, weyl
 from .vseries import AnchoredSeries, PackedSeries, VINV, V, _divide_strings
@@ -83,9 +87,10 @@ def _strings(cartan, anchor, terms, i):
     return strings
 
 
-def _kernel(p, strings, i, kind):
+def _kernel(p, strings, i, kind, limit=None):
     """T_i (or T'_i) of the a_i-strings of a PackedSeries p (all of them,
-    or some, as _strings groups them), as a PackedSeries.
+    or some, as _strings groups them), as a PackedSeries; with a limit
+    (a walk's _Hull), without the positions of each string that it drops.
 
     A term x e^{anchor - beta} with b = beta_i and k = <a_i, anchor - beta>
     = c - 2b, c the string's pairing at b = 0, puts x at b + k (its
@@ -122,21 +127,24 @@ def _kernel(p, strings, i, kind):
             num[t] = num.get(t, 0) + x
             num[t - s] = num.get(t - s, 0) - y
             num[-b] = num.get(-b, 0) + y - x
+    skips = None if limit is None else limit.skips(strings, i)
     return PackedSeries(p.anchor, _divide_strings(nums, i - 1, -1, width,
-                                                  bound),
+                                                  bound, skips=skips),
                         width, bound, p.low, p.var)
 
 
-def apply_T(spec, i, s, kind=T_KIND):
+def apply_T(spec, i, s, kind=T_KIND, limit=None):
     """T_i (or T'_i) applied to a finite exact series; see the module
     docstring.  An AnchoredSeries gives an AnchoredSeries; the PackedSeries
-    of a walk stays packed.  A generator outside 1..n raises WeylError."""
+    of a walk stays packed, and a walk's limit (_Hull) drops the terms of
+    the image that can no longer feed its sum.  A generator outside 1..n
+    raises WeylError."""
     if not s.exact:
         raise HeckeError("apply_T needs an exact (finite) series")
     cartan = rootdata.build_cartan(spec)
     p = s if isinstance(s, PackedSeries) else PackedSeries.pack(
         s.anchor, s.terms, -_sign(kind))
-    out = _kernel(p, _strings(cartan, p.anchor, p.terms, i), i, kind)
+    out = _kernel(p, _strings(cartan, p.anchor, p.terms, i), i, kind, limit)
     return out if p is s else AnchoredSeries(spec, s.anchor, out.unpack(),
                                              _trusted=True)
 
@@ -255,10 +263,34 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
     before it could reach half its width, the condition for decoding and
     for the zero-remainder test.  With depth None the sum is exact and the
     walk runs max_layers layers (None: no limit) or to the end of a finite
-    orbit.  With a depth every value is truncated to ht <= depth (and to
-    nonnegative displacements), and the walk stops, stabilized, after
-    `margin` consecutive quiet layers, whose elements each contribute
-    nothing there; stabilized is False when max_layers runs out first.
+    orbit.  With a depth the accumulator takes each value's terms at
+    ht <= depth with nonnegative displacement, each value drops the terms
+    that can no longer feed it (the hull, below), and the walk stops,
+    stabilized, after `margin` consecutive quiet layers, whose elements
+    each contribute nothing there; stabilized is False when max_layers
+    runs out first.
+
+    The hull.  Let lam = anchor + rho.  T_i(e^mu) lies on the a_i-string
+    between mu and s_i(mu + rho) - rho (its numerator does, _kernel), so
+    every term that any word of T's makes from e^{anchor - beta} lies in
+    conv(W(lam - beta)) - rho.  lam - beta has a dominant conjugate
+    lam - beta+ (W is finite, or lam has positive level, so lam - beta
+    lies in the Tits cone), and every weight of that hull lies below it
+    (Kac, Infinite-Dimensional Lie Algebras, Prop. 3.12 and ch. 11): all
+    that beta produces has displacement >= beta+, so height >= ht(beta+).
+    Q(beta) = 2<lam, beta> - beta^T A beta = |lam|^2 - |lam - beta|^2 is
+    W-invariant, so Q(beta) = Q(beta+).  Every term of the walk descends
+    from a term beta0 of the seed, so its beta+ >= beta0+ >= m, the
+    componentwise least beta0+ over the seed.  So q_max, the largest
+    Q(gamma) over the finite set of gamma >= m with ht(gamma) <= depth and
+    lam - gamma dominant (_q_max), bounds Q of every term with
+    ht(beta+) <= depth: a term with Q(beta) > q_max, and everything that
+    any word of T's makes from it, lies deeper than the depth.  The kernel
+    drops those terms of each value, one interval per a_i-string (_Hull).
+    T_i is linear, so every value keeps its terms at ht <= depth and those
+    of every value built from it: the accumulator, every quiet test, the
+    length and the flag are those of the unpruned walk, and the bounds
+    still hold, as a coefficient sums fewer terms.
 
     The last layers of a stop are settled without their exact values,
     from the values of the layer before them.  When one more quiet layer
@@ -283,6 +315,7 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
     and only j-reachable terms (_reachable_terms: ht(beta) + min(0, k)
     < depth, by the same argument) have a T_j image at ht <= depth.
     """
+    limit = None if depth is None else _hull(spec, cartan, seed, depth)
     acc = PackedSeries(seed.anchor, {}, seed.width, 0, seed.low, seed.var)
     acc.add(seed, depth)
     layer = {(0,) * len(cartan): seed}  # orbit key -> T_w(seed)
@@ -300,18 +333,18 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
             break
         length += 1
         if margin is not None and quiet == margin - 1 and _quiet(
-                cartan, steps, (), layer, depth):
+                cartan, steps, (), layer, depth, limit):
             stabilized = True
             break
         if (margin is not None and quiet == margin - 2
                 and length != max_layers):
             ahead = next(layers, None)
             if ahead is not None and _quiet(cartan, steps, ahead, layer,
-                                            depth):
+                                            depth, limit):
                 length += 1
                 stabilized = True
                 break
-        layer = {child: apply_T(spec, i, layer[parent])
+        layer = {child: apply_T(spec, i, layer[parent], limit=limit)
                  for child, i, parent in steps}
         loud = False
         for value in layer.values():
@@ -321,6 +354,89 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
             stabilized = True
             break
     return acc, length, stabilized
+
+
+def _hull(spec, cartan, seed, depth):
+    """The _Hull of a walk of seed at depth (see _walk), or None where the
+    certificate is void: an affine anchor + rho of level <= 0, whose
+    conjugates have no dominant one."""
+    lam = tuple(a + 1 for a in seed.anchor)
+    if spec.affine and sum(map(
+            mul, rootdata.minimal_imaginary_coroot(spec).coords, lam)) <= 0:
+        return None
+    q_max = _q_max(cartan, lam, seed.terms, depth)
+    return None if q_max is None else _Hull(cartan, lam, q_max)
+
+
+def _q_max(cartan, lam, betas, depth):
+    """The largest Q(gamma) = 2<lam, gamma> - gamma^T A gamma over the
+    gamma >= m with ht(gamma) <= depth and lam - gamma dominant, m the
+    componentwise least displacement of the dominant conjugates of the
+    lam - beta, beta in betas; None if there is no such gamma."""
+    tops = []
+    for beta in betas:
+        # reflect lam - beta to its dominant conjugate lam - beta+
+        while j := next((j for j in range(1, len(cartan) + 1)
+                         if weyl.pairing(cartan, lam, beta, j) < 0), 0):
+            beta = weyl.reflect(cartan, lam, beta, j)
+        tops.append(beta)
+    low = tuple(map(min, zip(*tops)))
+    best = None
+    for gamma in _points_above(low, depth - sum(low)):
+        pairings = [x - sum(map(mul, row, gamma))
+                    for x, row in zip(lam, cartan)]
+        if min(pairings) >= 0:
+            # Q(gamma) = sum_j gamma_j (lam_j + <lam - gamma, a_j>)
+            q = sum(map(mul, gamma, map(add, lam, pairings)))
+            best = q if best is None else max(best, q)
+    return best
+
+
+def _points_above(low, budget):
+    """The integer vectors gamma >= low with sum(gamma - low) <= budget."""
+    if not low:
+        yield ()
+        return
+    for x in range(budget + 1):
+        for rest in _points_above(low[1:], budget - x):
+            yield (low[0] + x,) + rest
+
+
+class _Hull:
+    """The hull certificate of a walk at a depth (see _walk): a term beta
+    with Q(beta) > q_max is dropped, lam being anchor + rho.
+
+    Along an a_i-string, beta = kappa + b a_i with kappa_i = 0 and c the
+    string's pairing at b = 0 (_strings), Q(beta) = Q(kappa) +
+    2b(c + 1 - b).  So the dropped b are those with
+    (2b - c - 1)^2 < (c + 1)^2 - 2(q_max - Q(kappa)), one interval per
+    string, found with isqrt."""
+
+    __slots__ = ("q_max", "_lams", "_rows")
+
+    def __init__(self, cartan, lam, q_max):
+        self.q_max = q_max
+        # per generator, lam and A without coordinate i, as a key is beta
+        # without it
+        self._lams = [lam[:ii] + lam[ii + 1:] for ii in range(len(lam))]
+        self._rows = [[row[:ii] + row[ii + 1:]
+                       for row in cartan[:ii] + cartan[ii + 1:]]
+                      for ii in range(len(lam))]
+
+    def skips(self, strings, i):
+        """{key: (lo, hi)} for the a_i-strings, grouped as _strings groups
+        them, that lose terms: those at beta_i = -t with lo <= t < hi."""
+        lam, rows, q_max = self._lams[i - 1], self._rows[i - 1], self.q_max
+        out = {}
+        for key, (c, _) in strings.items():
+            # Q(kappa) = sum_j kappa_j (2 lam_j - (A kappa)_j)
+            q = sum(x * (y + y - sum(map(mul, row, key)))
+                    for x, y, row in zip(key, lam, rows) if x)
+            r = (c + 1) ** 2 - 2 * (q_max - q)
+            if r > 0:
+                r = isqrt(r - 1)  # |2b - c - 1| <= r
+                out[key] = (-((c + 1 + r) // 2), (r - c - 1) // 2 + 1)
+        return out
 
 
 def _capped(steps, layer_cap):
@@ -339,13 +455,15 @@ def _reachable_terms(cartan, anchor, terms, i, depth):
             if sum(beta) + min(0, label - sum(map(mul, row, beta))) < depth}
 
 
-def _loud(cartan, p, i, depth, js=()):
+def _loud(cartan, p, i, depth, js=(), limit=None):
     """True iff T_i(p), or T_j T_i(p) for some j in js, has a term at
     ht <= depth with nonnegative displacement, p a PackedSeries; T_i is
-    applied to the a_i-strings that _strings_reaching keeps."""
-    out = _kernel(p, _strings_reaching(cartan, p, i, js, depth), i, T_KIND)
+    applied to the a_i-strings that _strings_reaching keeps, under the
+    walk's limit."""
+    out = _kernel(p, _strings_reaching(cartan, p, i, js, depth), i, T_KIND,
+                  limit)
     return (any(sum(b) <= depth and min(b) >= 0 for b in out.terms)
-            or any(_loud(cartan, out, j, depth) for j in js))
+            or any(_loud(cartan, out, j, depth, limit=limit) for j in js))
 
 
 def _strings_reaching(cartan, p, i, js, depth):
@@ -368,12 +486,13 @@ def _strings_reaching(cartan, p, i, js, depth):
     return {key: string for key, string in strings.items() if key in kept}
 
 
-def _quiet(cartan, steps, ahead, layer, depth):
+def _quiet(cartan, steps, ahead, layer, depth, limit):
     """True iff no element of the layer of steps, nor of the layer ahead
     of it (() for none), contributes at ht <= depth, computed from the
     values of the layer before them (layer[parent]) alone; see _walk."""
     children = {}
     for _, j, c in ahead:
         children.setdefault(c, []).append(j)
-    return not any(_loud(cartan, layer[p], i, depth, children.get(c, ()))
+    return not any(_loud(cartan, layer[p], i, depth, children.get(c, ()),
+                         limit)
                    for c, i, p in steps)

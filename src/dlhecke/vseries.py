@@ -627,7 +627,8 @@ def _direction(alpha):
     return pivots[0], alpha[pivots[0]]
 
 
-def _divide_strings(strings, pivot, sign, width, bound, from_deep=False):
+def _divide_strings(strings, pivot, sign, width, bound, from_deep=False,
+                    skips=None):
     """The one exact string division behind divide_exact and heckeops'
     T_i kernel, by (1 - e^{-alpha}) with alpha = sign * a_{pivot+1}, over
     packed coefficients of the given width.
@@ -642,7 +643,9 @@ def _divide_strings(strings, pivot, sign, width, bound, from_deep=False):
     bound every coefficient of those partial sums and be below
     2^(width-1) (_check_width): only then is a zero packed remainder a
     zero polynomial.  Returns the packed quotient {beta: x}; a run of
-    positions with one coefficient shares one int.
+    positions with one coefficient shares one int.  skips, if given, maps
+    some keys to a range (a, b) of t: the quotient at a <= t < b on that
+    string is not written (the remainder is still tested).
     """
     _check_width(bound, width)
     # the shallow end of a string is its low-t end iff alpha is positive
@@ -651,12 +654,17 @@ def _divide_strings(strings, pivot, sign, width, bound, from_deep=False):
     for key, string in strings.items():
         ts = sorted(string, reverse=not from_low_t)
         head, tail = key[:pivot], key[pivot:]
+        a, b = skips.get(key, (0, 0)) if skips else (0, 0)
         run = 0
         for t, nxt in zip(ts, ts[1:]):
             run += string[t]
             if run:
                 q = run if from_low_t else -run
                 lo, hi = (t, nxt) if from_low_t else (nxt, t)
+                if a < b and lo < b and a < hi:
+                    for u in range(lo, a):
+                        out[head + (u * sign,) + tail] = q
+                    lo = max(lo, b)
                 for u in range(lo, hi):
                     out[head + (u * sign,) + tail] = q
         if run + string[ts[-1]]:

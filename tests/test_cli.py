@@ -90,6 +90,14 @@ def test_usage_error_exit_64(capsys):
     assert code in (1, 64)
 
 
+@pytest.mark.parametrize("argv", [("-h",), ("verify", "--help"),
+                                  ("verify", "finite-cs", "-h")])
+def test_help_returns_zero_with_the_usage_on_stdout(capsys, argv):
+    # argparse's exit after --help comes back from run as a return code
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out.startswith("usage: dlhecke") and err == ""
+
+
 def test_label_errors_of_finite_cs_and_whittaker(capsys):
     # the finite CS check and the Whittaker sum share one label check
     for command in (["verify", "finite-cs"], ["whittaker"]):

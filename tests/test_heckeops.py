@@ -453,9 +453,9 @@ def test_last_layer_skips_the_full_parent_values(monkeypatch):
     calls = []
     apply_T = heckeops.apply_T
 
-    def counting_apply_T(spec, i, s, kind=T_KIND):
+    def counting_apply_T(spec, i, s, kind=T_KIND, limit=None):
         calls.append(i)
-        return apply_T(spec, i, s, kind)
+        return apply_T(spec, i, s, kind, limit)
 
     monkeypatch.setattr(heckeops, "apply_T", counting_apply_T)
     got = heckeops.symmetrizer_stabilized(spec, labels, depth)
@@ -465,27 +465,98 @@ def test_last_layer_skips_the_full_parent_values(monkeypatch):
     assert len(calls) == sum(len(layer) for layer in layers[1:-2])
 
 
+def _q(spec, anchor, beta):
+    """Q(beta) = 2<anchor + rho, beta> - beta^T A beta."""
+    cartan = rootdata.build_cartan(spec)
+    return (2 * sum((a + 1) * b for a, b in zip(anchor, beta))
+            - sum(x * cartan[j][k] * y for j, x in enumerate(beta)
+                  for k, y in enumerate(beta)))
+
+
 def test_walker_values_have_the_terms_of_the_exact_route(monkeypatch):
-    """The walker hands apply_T packed values.  Each one it passes, and
-    each one it gets back, holds exactly the terms of the VPoly route, so
-    whatever counts the terms of apply_T calls counts the same terms."""
+    """The walker hands apply_T packed values.  Each one it passes holds
+    exactly the terms of the VPoly route, and each one it gets back those
+    of the VPoly route's image with Q <= q_max (all of them in the chain,
+    which has no limit), so whatever counts the terms of apply_T calls
+    counts the same terms."""
     checked = []
+    dropped = 0
     apply_T = heckeops.apply_T
 
-    def checking_apply_T(spec, i, s, kind=T_KIND):
-        out = apply_T(spec, i, s, kind)
+    def checking_apply_T(spec, i, s, kind=T_KIND, limit=None):
+        nonlocal dropped
+        out = apply_T(spec, i, s, kind, limit)
         terms = s.unpack()
-        exact = apply_T(spec, i, AnchoredSeries(spec, s.anchor, terms), kind)
+        exact = apply_T(spec, i, AnchoredSeries(spec, s.anchor, terms),
+                        kind).terms
+        kept = {b: cf for b, cf in exact.items()
+                if limit is None or _q(spec, s.anchor, b) <= limit.q_max}
+        dropped += len(exact) - len(kept)
         checked.append(set(s.terms) == set(terms)
-                       and set(out.terms) == set(exact.terms)
-                       and out.unpack() == exact.terms)
+                       and set(out.terms) == set(kept)
+                       and out.unpack() == kept)
         return out
 
     monkeypatch.setattr(heckeops, "apply_T", checking_apply_T)
     heckeops.symmetrizer_stabilized(A1A, (0, 1), 6)
     heckeops.symmetrizer_stabilized(RootSystemSpec.parse("A2!"), (0, 0, 1), 3)
     heckeops.symmetrizer_chain(RootSystemSpec.parse("A3"), (1, 0, 1))
-    assert len(checked) > 20 and all(checked)
+    assert len(checked) > 20 and all(checked) and dropped > 0
+
+
+def _hull_height(cartan, lam, beta):
+    """ht(beta+), lam - beta+ the dominant conjugate of lam - beta, found
+    by simple reflections."""
+    n = len(cartan)
+    while True:
+        j = next((j for j in range(1, n + 1)
+                  if weyl.pairing(cartan, lam, beta, j) < 0), None)
+        if j is None:
+            return sum(beta)
+        beta = weyl.reflect(cartan, lam, beta, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([A1A, RootSystemSpec.parse("A2!"),
+                                   RootSystemSpec.parse("A3!")]),
+       st.integers(0, 4), st.integers(1, 3), st.booleans())
+def test_every_term_the_kernel_drops_lies_deeper_in_its_hull(
+        data, spec, depth, margin, twisted):
+    # the certificate's run-time witness: each term a walk's kernel drops,
+    # beta, has (anchor + rho) - beta with a dominant conjugate whose
+    # displacement lies deeper than the depth; the walks start at e^L or
+    # at the seed T_1(e^L) of symmetrizer property (ii)
+    n = spec.num_nodes
+    labels = data.draw(st.tuples(*[st.integers(0, 2)] * n))
+    cartan = rootdata.build_cartan(spec)
+    lam = tuple(a + 1 for a in labels)
+    seed = (heckeops.apply_T(spec, 1, _mono(spec, labels)) if twisted
+            else None)
+    kernel = heckeops._kernel
+    dropped = []
+
+    def recording_kernel(p, strings, i, kind, limit=None):
+        out = kernel(p, strings, i, kind, limit)
+        if limit is not None:
+            full = kernel(p, strings, i, kind).terms
+            assert all(full[b] == x for b, x in out.terms.items())
+            dropped.extend(b for b in full if b not in out.terms)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heckeops, "_kernel", recording_kernel)
+        heckeops.symmetrizer_stabilized(spec, labels, depth, margin=margin,
+                                        seed=seed, max_layers=12)
+    assert all(_hull_height(cartan, lam, b) > depth for b in dropped)
+
+
+def test_a_q_max_one_step_too_small_changes_the_walk(monkeypatch):
+    # the hull test can fail: below q_max it drops a term that feeds the sum
+    spec, labels, depth = A1A, (0, 1), 6
+    expected = heckeops.symmetrizer_stabilized(spec, labels, depth)
+    q_max = heckeops._q_max
+    monkeypatch.setattr(heckeops, "_q_max", lambda *args: q_max(*args) - 1)
+    assert heckeops.symmetrizer_stabilized(spec, labels, depth) != expected
 
 
 @pytest.mark.parametrize("text, labels, depth, kind, max_length",
