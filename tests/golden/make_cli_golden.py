@@ -35,6 +35,9 @@ COMMANDS = [
     "verify denominator-identity --spec A2! --depth 4",
     "verify proportionality --spec A2 --labels 1,1 --depth 4",
     "verify proportionality --spec A1! --labels 0,1 --depth 4",
+    "verify gk-limit --spec D4 --nu 1,0,0,0 --depth 1",
+    "verify proportionality --spec D4 --labels 2,2,2,2 --depth 3",
+    "verify symmetrizer --spec A3 --labels 1,0,1 --depth 6",
 ]
 
 
