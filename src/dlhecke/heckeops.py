@@ -24,8 +24,9 @@ compose right-to-left, so the first letter of a BFS word (a left
 descent) is applied last.
 
 Every sum of T_w(seed) over a Weyl orbit runs through one walker, _walk:
-the stabilized sum over an affine W (symmetrizer_stabilized), and each
-coset of the parabolic chain that sums over a finite W
+every sum to a depth (symmetrizer_stabilized), which stops once it has
+stabilized over an affine W and walks the whole of a finite W, and each
+coset of the parabolic chain that sums exactly over a finite W
 (symmetrizer_chain), whose value stays packed from coset to coset.  At a
 depth, the kernel drops from each value the terms that the rho-shifted
 hull shows can no longer feed the sum, one skipped range per a_i-string
@@ -194,13 +195,17 @@ def symmetrizer_stabilized(spec, anchor_labels, depth, margin=DEFAULT_MARGIN,
                            max_layers=500):
     """Partial symmetrizer truncated to `depth`, run until stabilization.
 
-    Layers are added until `margin` consecutive layers contribute nothing
-    at ht <= depth.  Returns (series, achieved_length, stabilized); an
-    unstabilized result must be treated as unverified by callers.
+    On an affine spec, layers are added until `margin` consecutive layers
+    contribute nothing at ht <= depth.  On a finite spec the walk takes
+    every layer of W, margin unread, and stabilizes when the orbit ends.
+    Returns (series, achieved_length, stabilized); an unstabilized result
+    must be treated as unverified by callers.
     """
     if depth < 0:
         raise HeckeError(f"depth must be >= 0, got {depth}")
-    if margin < 1:
+    if not spec.affine:
+        margin = None
+    elif margin < 1:
         raise HeckeError("margin must be >= 1")
     if seed is None:
         seed = AnchoredSeries.monomial(spec, tuple(anchor_labels))
@@ -248,7 +253,7 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
           margin=None):
     """Sum T_w(seed) over the w of weyl.orbit_layers(cartan, labels), one
     BFS layer at a time, seed a PackedSeries for T; cartan is a leading
-    block of spec's matrix, all of it when a margin is given.
+    block of spec's matrix, all of it when a depth is given.
 
     Returns (total, length, stabilized), length being the number of layers
     walked.  The walk extends by left multiplication: w = s_i w' with the
@@ -261,14 +266,14 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
     a value's bound is 2 M P for a parent's bound M (_kernel), the
     accumulator's is the sum of the bounds added, and each is widened
     before it could reach half its width, the condition for decoding and
-    for the zero-remainder test.  With depth None the sum is exact and the
-    walk runs max_layers layers (None: no limit) or to the end of a finite
-    orbit.  With a depth the accumulator takes each value's terms at
-    ht <= depth with nonnegative displacement, each value drops the terms
-    that can no longer feed it (the hull, below), and the walk stops,
-    stabilized, after `margin` consecutive quiet layers, whose elements
-    each contribute nothing there; stabilized is False when max_layers
-    runs out first.
+    for the zero-remainder test.  The walk runs max_layers layers (None:
+    no limit) or to the end of a finite orbit, stabilized.  With depth
+    None the sum is exact.  With a depth the accumulator takes each
+    value's terms at ht <= depth with nonnegative displacement, and each
+    value drops the terms that can no longer feed it (the hull, below);
+    with a margin as well, the walk stops, stabilized, after `margin`
+    consecutive quiet layers, whose elements each contribute nothing
+    there.  stabilized is False when max_layers runs out first.
 
     The hull.  Let lam = anchor + rho.  T_i(e^mu) lies on the a_i-string
     between mu and s_i(mu + rho) - rho (its numerator does, _kernel), so

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 from . import characters, heckeops, rootdata, weyl
 from .heckeops import DEFAULT_LAYER_CAP, DEFAULT_MARGIN
-from .vseries import (AnchoredSeries, PackedSeries, SeriesError, VP_ONE,
-                      VP_ZERO, VINV, add_maps, divide_exact, ht,
-                      times_factors)
+from .vseries import (AnchoredSeries, PackedSeries, VP_ONE, VP_ZERO, VINV,
+                      add_maps, divide_exact, ht, times_factors)
 
 
 class VerifyError(ValueError):
@@ -134,15 +133,6 @@ def whittaker_normalized(spec, labels, depth=None, margin=None,
         spec, labels, depth,
         margin=DEFAULT_MARGIN if margin is None else margin,
         layer_cap=layer_cap)
-
-
-def _whittaker_to_depth(spec, labels, depth, margin, layer_cap):
-    """whittaker_normalized, passing depth and margin on to an affine spec
-    only: a finite sum is exact, and whole at every depth."""
-    if not spec.affine:
-        depth = margin = None
-    return whittaker_normalized(spec, labels, depth=depth, margin=margin,
-                                layer_cap=layer_cap)
 
 
 # -- Casselman-Shalika -----------------------------------------------------
@@ -292,8 +282,8 @@ def verify_symmetrizer_properties(spec, labels, depth, buffer=3,
     window = depth - buffer
     _compared_depth("the window depth - buffer", window)
     internal = 3 * window + max(labels) + 2
-    p, achieved, stabilized = _whittaker_to_depth(
-        spec, labels, internal, margin, layer_cap)
+    p, achieved, stabilized = heckeops.symmetrizer_stabilized(
+        spec, _dominant(labels, spec), internal, margin, layer_cap)
     if not stabilized:
         return _report("symmetrizer", spec, params, start, None, achieved,
                        stabilized=False)
@@ -399,8 +389,8 @@ def extract_proportionality(spec, labels, depth, margin=DEFAULT_MARGIN,
     _compared_depth("depth", depth)
     labels = tuple(labels)
     params = {"labels": list(labels), "depth": depth}
-    p, achieved, stabilized = _whittaker_to_depth(
-        spec, labels, depth, margin, layer_cap)
+    p, achieved, stabilized = heckeops.symmetrizer_stabilized(
+        spec, _dominant(labels, spec), depth, margin, layer_cap)
     if not stabilized:
         return None, _report("proportionality", spec, params, start, None,
                              achieved, stabilized=False)
@@ -468,15 +458,12 @@ def verify_gk_limit(spec, nu, depth, margin=DEFAULT_MARGIN,
         base *= 2
     for k in range(GK_MAX_DOUBLINGS + 1):
         labels = tuple(base * 2 ** k for _ in range(n))
-        w, aL, stabilized = _whittaker_to_depth(spec, labels, depth, margin,
-                                                layer_cap)
+        w, aL, stabilized = heckeops.symmetrizer_stabilized(
+            spec, labels, depth, margin, layer_cap)
         if not stabilized:
             return _report("gk-limit", spec, params, start, None, aL,
                            stabilized=False)
-        try:
-            coeff = w.coefficient(nu)
-        except SeriesError:
-            coeff = VP_ZERO
+        coeff = w.coefficient(nu)
         if prev is not None and coeff == prev:
             achieved = k
             found = coeff

@@ -359,12 +359,10 @@ def argvs(draw):
     token follows, which a check that does not read it refuses.
 
     Every well-formed request is kept cheap: depths stay <= 3 and layer
-    caps small, labels stay <= 2 (<= 1 on D4), and gk-limit, whose labels
-    double from ht(nu) upwards, takes no D4 (its finite sums at labels 2
-    take 2 s).  The symmetrizer window (depth - buffer) stays <= 0, which
-    the check refuses with exit 3, as affine-cs, proportionality and
-    denominator-identity refuse depth 0: each would compare the beta = 0
-    coefficient alone."""
+    caps small, and labels stay <= 2 (<= 1 on D4).  The symmetrizer
+    window (depth - buffer) stays <= 0, which the check refuses with exit
+    3, as affine-cs, proportionality and denominator-identity refuse depth
+    0: each would compare the beta = 0 coefficient alone."""
     argv = []
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["text", "json"]))]
@@ -378,7 +376,7 @@ def argvs(draw):
         "finite-cs", "affine-cs", "recursion", "symmetrizer", "gk-limit",
         "hecke-relations", "denominator-identity", "proportionality",
         "all"])) if command == "verify" else None
-    specs = [s for s in SPECS if what != "gk-limit" or s != "D4"]
+    specs = list(SPECS)
     if command in ("roots", "exponents"):
         specs += ["E6", "E6!"]
     spec = draw(_mostly(st.sampled_from(specs), st.sampled_from(BAD_SPECS)))

@@ -148,7 +148,7 @@ def test_cs_checks_refuse_a_spec_of_the_other_kind(monkeypatch):
         raise AssertionError("the refusal comes before any work")
 
     monkeypatch.setattr(verify, "whittaker_normalized", no_work)
-    monkeypatch.setattr(verify, "_whittaker_to_depth", no_work)
+    monkeypatch.setattr(heckeops, "symmetrizer_stabilized", no_work)
     monkeypatch.setattr(heckeops, "symmetrizer_chain", no_work)
     with pytest.raises(verify.VerifyError,
                        match="finite-cs runs on finite specs only; "
@@ -158,6 +158,40 @@ def test_cs_checks_refuse_a_spec_of_the_other_kind(monkeypatch):
                        match="affine-cs runs on affine specs only; "
                              "A2 is finite"):
         verify.verify_affine_cs(A2, (1, 0), 4)
+
+
+@pytest.mark.parametrize("text, labels, depth", [("A2", (1, 1), 4),
+                                                 ("A3", (1, 0, 1), 4),
+                                                 ("D4", (2, 2, 2, 2), 3)])
+def test_finite_sum_to_a_depth_walks_the_whole_group(monkeypatch, text,
+                                                     labels, depth):
+    """On a finite spec the sum to a depth walks every layer of W, whatever
+    the margin: it is the exact chain's series truncated to the depth, its
+    length is l(w0), and the orbit's end certifies the stop.  The checks
+    that work to a depth take this route and never reach the chain; a
+    margin of 0, which an affine walk refuses, is not read."""
+    spec = RootSystemSpec.parse(text)
+    total, length = heckeops.symmetrizer_chain(spec, labels)
+    want = {b: cf for b, cf in total.unpack().items()
+            if vseries.ht(b) <= depth and min(b) >= 0}
+    for margin in (1, 2, 3):
+        got, achieved, stabilized = heckeops.symmetrizer_stabilized(
+            spec, labels, depth, margin=margin)
+        assert (got.terms, got.depth, achieved, stabilized) == \
+            (want, depth, length, True)
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a sum to a depth reached the chain")
+
+    monkeypatch.setattr(heckeops, "symmetrizer_chain", no_chain)
+    nu = (1,) + (0,) * (spec.num_nodes - 1)
+    reports = [
+        verify.verify_symmetrizer_properties(spec, labels, depth + 1,
+                                             buffer=depth, margin=0),
+        verify.extract_proportionality(spec, labels, depth, margin=0)[1],
+        verify.verify_gk_limit(spec, nu, depth, margin=0)]
+    assert all(report.passed for report in reports)
+    assert [r.achieved_length for r in reports] == [length, length, None]
 
 
 def test_acceptance_reports_multiply_no_two_series(monkeypatch):
