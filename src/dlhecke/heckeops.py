@@ -38,7 +38,8 @@ from math import isqrt
 from operator import add, mul
 
 from . import rootdata, weyl
-from .vseries import AnchoredSeries, PackedSeries, VINV, V, _divide_strings
+from .vseries import (AnchoredSeries, PackedSeries, VINV, V, _divide_strings,
+                      nonneg_vectors_up_to)
 
 
 class HeckeError(ValueError):
@@ -387,7 +388,8 @@ def _q_max(cartan, lam, betas, depth):
         tops.append(beta)
     low = tuple(map(min, zip(*tops)))
     best = None
-    for gamma in _points_above(low, depth - sum(low)):
+    for up in nonneg_vectors_up_to(len(low), depth - sum(low)):
+        gamma = tuple(map(add, low, up))
         pairings = [x - sum(map(mul, row, gamma))
                     for x, row in zip(lam, cartan)]
         if min(pairings) >= 0:
@@ -395,16 +397,6 @@ def _q_max(cartan, lam, betas, depth):
             q = sum(map(mul, gamma, map(add, lam, pairings)))
             best = q if best is None else max(best, q)
     return best
-
-
-def _points_above(low, budget):
-    """The integer vectors gamma >= low with sum(gamma - low) <= budget."""
-    if not low:
-        yield ()
-        return
-    for x in range(budget + 1):
-        for rest in _points_above(low[1:], budget - x):
-            yield (low[0] + x,) + rest
 
 
 class _Hull:

@@ -11,6 +11,7 @@ reflections).
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from operator import add
 
@@ -22,6 +23,20 @@ class SeriesError(ValueError):
 def ht(beta):
     """Total height of a displacement vector."""
     return sum(beta)
+
+
+def nonneg_vectors_up_to(n, depth):
+    """The vectors beta >= 0 in Z^n with ht(beta) <= depth, in order of
+    height."""
+    for total in range(depth + 1):
+        for cuts in itertools.combinations(range(total + n - 1), n - 1):
+            beta = []
+            prev = -1
+            for c in cuts:
+                beta.append(c - prev - 1)
+                prev = c
+            beta.append(total + n - 2 - prev)
+            yield tuple(beta)
 
 
 class VPoly:

@@ -8,7 +8,7 @@ import re
 import shlex
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dlhecke import cli
 
@@ -358,18 +358,22 @@ def argvs(draw):
     CHECK_OPTIONS), any of which may be left out; now and then a stray
     token follows, which a check that does not read it refuses.
 
-    Every well-formed request is kept cheap: depths stay <= 3 and layer
-    caps small, and labels stay <= 2 (<= 1 on D4).  The symmetrizer
-    window (depth - buffer) stays <= 0, which the check refuses with exit
-    3, as affine-cs, proportionality and denominator-identity refuse depth
-    0: each would compare the beta = 0 coefficient alone."""
+    Every well-formed request is kept cheap: depths stay <= 3 and labels
+    <= 2 (<= 1 on D4).  --layer-cap, when drawn, is small; it is left out
+    on some draws, since a finite check at a depth caps a length layer of
+    W and D4's largest holds 9 elements.  The symmetrizer window (depth -
+    buffer) stays <= 0, which the check refuses with exit 3 before any
+    walk, as affine-cs, proportionality and denominator-identity refuse
+    depth 0: each would compare the beta = 0 coefficient alone.  So no
+    draw reaches a symmetrizer verdict, on D4 or elsewhere."""
     argv = []
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["text", "json"]))]
     if draw(st.booleans()):
         argv += ["--seed", str(draw(SMALL | LARGE))]
-    argv += ["--layer-cap",
-             str(draw(_mostly(st.integers(1, 6), st.integers(-1, 0))))]
+    if draw(st.booleans()):
+        argv += ["--layer-cap",
+                 str(draw(_mostly(st.integers(1, 6), st.integers(-1, 0))))]
     command = draw(st.sampled_from(["roots", "exponents", "weyl",
                                     "character", "whittaker", "verify"]))
     what = draw(st.sampled_from([
@@ -409,10 +413,26 @@ def argvs(draw):
     return argv
 
 
+# D4 checks at a depth that argvs can draw, which reach a verdict once no
+# --layer-cap below D4's largest length layer is given
+D4_VERDICTS = [
+    ["verify", "gk-limit", "--spec", "D4", "--nu", "1,0,0,0", "--depth", "1"],
+    ["verify", "proportionality", "--spec", "D4", "--labels", "1,1,1,1",
+     "--depth", "3"]]
+
+
 @settings(max_examples=150, deadline=None)
 @given(argvs())
+@example(D4_VERDICTS[0])
+@example(D4_VERDICTS[1])
 def test_any_argv_exits_with_a_documented_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.run(argv)
     assert code in (0, 1, 2, 3, 64)
+
+
+@pytest.mark.parametrize("argv", D4_VERDICTS, ids=shlex.join)
+def test_fuzzed_d4_checks_reach_a_verdict(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "verdict: pass" in out

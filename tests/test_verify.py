@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from dlhecke import characters, cli, heckeops, rootdata, verify, vseries, weyl
 from dlhecke.rootdata import RootSystemSpec
 from dlhecke.vseries import (AnchoredSeries, PackedSeries, VPoly, VP_ONE,
-                             VINV, divide_exact)
+                             VP_ZERO, VINV, divide_exact)
 from series_json import series_from_json
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -397,6 +397,62 @@ def test_hecke_relations_seeded_smoke():
 def test_symmetrizer_properties_finite():
     r = verify.verify_symmetrizer_properties(A1, (2,), 4, buffer=2)
     assert r.passed
+
+
+def _planted(series, beta):
+    """series with 1 added to its coefficient at beta."""
+    terms = dict(series.terms)
+    terms[beta] = terms.get(beta, VP_ZERO) + VP_ONE
+    return AnchoredSeries(series.spec, series.anchor,
+                          {b: cf for b, cf in terms.items() if cf},
+                          depth=series.depth, _trusted=True)
+
+
+@pytest.mark.parametrize("text, labels, depth", [("A1!", (0, 1), 6),
+                                                 ("A2!", (0, 0, 1), 4),
+                                                 ("A2", (1, 1), 5)])
+def test_symmetrizer_check_fails_on_a_planted_fault(monkeypatch, text,
+                                                    labels, depth):
+    """One coefficient of P planted wrong at any window point fails the
+    check at (i) for generator 1, and one planted in the first (ii) rerun
+    fails it at (ii) for generator 1, each with a witness whose sides
+    differ.  The sums are computed once and replayed in the order the
+    check asks for them: P, then the rerun on T_1(e^L).
+
+    The comparison the check no longer makes, (iv): (1/D_v) P is fixed by
+    every s_i on the window, P divided by D_v's factors at the internal
+    depth, is kept here as an oracle and holds on the unperturbed P."""
+    spec = RootSystemSpec.parse(text)
+    real = heckeops.symmetrizer_stabilized
+    sums = []
+
+    def recording(*args, **kwargs):
+        sums.append(real(*args, **kwargs))
+        return sums[-1]
+
+    monkeypatch.setattr(heckeops, "symmetrizer_stabilized", recording)
+    assert verify.verify_symmetrizer_properties(spec, labels, depth).passed
+    p = sums[0][0]
+    window = depth - 3
+    s_inv = vseries.times_factors(
+        p.terms, characters.denominator_factors(spec, p.depth, VINV, -1),
+        p.depth)
+    cartan = rootdata.build_cartan(spec)
+    for i in range(1, spec.num_nodes + 1):
+        image = weyl.reflect_terms(cartan, p.anchor, s_inv, i)
+        assert verify._cone_window_diff(image, s_inv, window) is None
+
+    for faulty, where in ((0, "(i) generator 1"), (1, "(ii) generator 1")):
+        for beta in vseries.nonneg_vectors_up_to(spec.num_nodes, window):
+            replay = [(_planted(series, beta) if k == faulty else series,
+                       achieved, stabilized)
+                      for k, (series, achieved, stabilized)
+                      in enumerate(sums[:2])]
+            monkeypatch.setattr(heckeops, "symmetrizer_stabilized",
+                                lambda *args, **kwargs: replay.pop(0))
+            r = verify.verify_symmetrizer_properties(spec, labels, depth)
+            assert (r.verdict, r.params["property"]) == (verify.FAIL, where)
+            assert r.witness["lhs"] != r.witness["rhs"]
 
 
 def test_denominator_identity_report():
