@@ -61,7 +61,7 @@ def _spec(text):
 
 
 def _positive_int(text):
-    """argparse type of --count and --layer-cap: an integer >= 1."""
+    """argparse type of --count, --layer-cap and --margin: an int >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -95,7 +95,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     labels = {"required": True}
     depth = {"type": int, "default": 6}
-    margin = {"type": int, "default": heckeops.DEFAULT_MARGIN}
+    margin = {"type": _positive_int, "default": heckeops.DEFAULT_MARGIN}
 
     _command(sub, "roots", "positive coroots up to a height", depth=depth)
     _command(sub, "exponents", "finite exponents")
@@ -106,7 +106,7 @@ def build_parser():
     # affine sums only; a finite sum is exact and refuses both
     _command(sub, "whittaker", "normalized Whittaker sum", labels=labels,
              depth={"type": int, "help": "default 6"},
-             margin={"type": int,
+             margin={"type": _positive_int,
                      "help": f"default {heckeops.DEFAULT_MARGIN}"})
 
     checks = _command(sub, "verify", "run identity checks", spec=False) \

@@ -17,11 +17,10 @@ and asserts the zero remainder of every string on every call; that is
 the one private name heckeops imports, since the numerator is built
 straight into the strings that routine takes.  Every packed value
 carries a bound on its coefficients, which the kernel keeps below half
-its width (_kernel).  apply_T, the one entry point, packs an
-AnchoredSeries, runs the kernel and decodes once per run of equal
-coefficients; the walker's PackedSeries stay packed.  Word operators
-compose right-to-left, so the first letter of a BFS word (a left
-descent) is applied last.
+its width (_kernel).  apply_T maps a PackedSeries to a PackedSeries;
+apply_T_word, the one boundary, packs an exact AnchoredSeries once and
+applies a word to it.  Word operators compose right-to-left, so the
+first letter of a BFS word (a left descent) is applied last.
 
 Every sum of T_w(seed) over a Weyl orbit runs through one walker, _walk:
 every sum to a depth (symmetrizer_stabilized), which stops once it has
@@ -38,7 +37,7 @@ from math import isqrt
 from operator import add, mul
 
 from . import rootdata, weyl
-from .vseries import (AnchoredSeries, PackedSeries, VINV, V, _divide_strings,
+from .vseries import (AnchoredSeries, PackedSeries, V, _divide_strings,
                       nonneg_vectors_up_to)
 
 
@@ -136,44 +135,47 @@ def _kernel(p, strings, i, kind, limit=None):
 
 
 def apply_T(spec, i, s, kind=T_KIND, limit=None):
-    """T_i (or T'_i) applied to a finite exact series; see the module
-    docstring.  An AnchoredSeries gives an AnchoredSeries; the PackedSeries
-    of a walk stays packed, and a walk's limit (_Hull) drops the terms of
-    the image that can no longer feed its sum.  A generator outside 1..n
-    raises WeylError."""
+    """T_i (or T'_i) of a PackedSeries packed for the kind, as a
+    PackedSeries; see the module docstring.  A walk's limit (_Hull) drops
+    the terms of the image that can no longer feed its sum.  A generator
+    outside 1..n raises WeylError."""
+    return _kernel(s, _strings(rootdata.build_cartan(spec), s.anchor,
+                               s.terms, i), i, kind, limit)
+
+
+def apply_T_word(spec, word, s, kind=T_KIND):
+    """T_w (or T'_w) of an exact AnchoredSeries, rightmost letter first:
+    s is packed once for the kind (u = v^-1 for T, v for T') and stays
+    packed from letter to letter.  A truncated series raises HeckeError."""
     if not s.exact:
-        raise HeckeError("apply_T needs an exact (finite) series")
-    cartan = rootdata.build_cartan(spec)
-    p = s if isinstance(s, PackedSeries) else PackedSeries.pack(
-        s.anchor, s.terms, -_sign(kind))
-    out = _kernel(p, _strings(cartan, p.anchor, p.terms, i), i, kind, limit)
-    return out if p is s else AnchoredSeries(spec, s.anchor, out.unpack(),
-                                             _trusted=True)
-
-
-def apply_T_word(spec, word, s):
-    """T_w for a reduced word: rightmost letter acts first."""
+        raise HeckeError("the operators need an exact (finite) series")
+    p = PackedSeries.pack(s.anchor, s.terms, -_sign(kind))
     for i in reversed(tuple(word)):
-        s = apply_T(spec, i, s)
-    return s
+        p = apply_T(spec, i, p, kind)
+    return p
 
 
 def quadratic_difference(spec, i, s, kind=T_KIND):
     """First (beta, lhs, rhs) where T_i^2 = (v^-1 - 1) T_i + v^-1 (or the
-    v-version for T') fails on s, or None."""
-    t1 = apply_T(spec, i, s, kind)
-    t2 = apply_T(spec, i, t1, kind)
-    u = VINV if kind == T_KIND else V
-    rhs = t1.scale(u - 1) + s.scale(u)
-    return t2.first_difference(rhs)
+    v-version for T') fails on s, or None; compared packed, the right side
+    u T_i s - T_i s + u s built by shifts (a factor u is x << width)."""
+    p = apply_T_word(spec, (), s, kind)
+    t1 = apply_T(spec, i, p, kind)
+    rhs = PackedSeries(p.anchor, {}, p.width, 0, p.low, p.var)
+    for q, shift, sign in ((t1, 1, 1), (t1, 0, -1), (p, 1, 1)):
+        rhs.add(PackedSeries(q.anchor, {b: sign * (x << shift * q.width)
+                                        for b, x in q.terms.items()},
+                             q.width, q.bound, q.low, q.var))
+    return apply_T(spec, i, t1, kind).first_difference(rhs)
 
 
-def braid_difference(spec, i, j, s):
-    """First (beta, lhs, rhs) where T_i T_j T_i = T_j T_i T_j fails on s
-    (adjacent i, j; simply-laced), or None; T' is conjugate to -v T."""
-    lhs = apply_T_word(spec, (i, j, i), s)
-    rhs = apply_T_word(spec, (j, i, j), s)
-    return lhs.first_difference(rhs)
+def word_difference(spec, w1, w2, s):
+    """First (beta, lhs, rhs) where T_{w1} = T_{w2} fails on s, or None,
+    compared packed: a braid relation T_i T_j T_i = T_j T_i T_j (adjacent
+    i, j; simply-laced) or a commutation T_i T_j = T_j T_i (orthogonal i,
+    j).  T' is conjugate to -v T, so these hold for T' as well."""
+    return apply_T_word(spec, w1, s).first_difference(
+        apply_T_word(spec, w2, s))
 
 
 def conjugation_difference(spec, i, s):
@@ -181,14 +183,15 @@ def conjugation_difference(spec, i, s):
     a finite series, or None.
 
     The rho-shift acts on the anchored data by raising every pairing
-    label by one; exponent displacements are untouched.
+    label by one; exponent displacements are untouched.  The sides are
+    packed in v and in v^-1, so each is decoded once to compare.
     """
     shifted = AnchoredSeries(spec, tuple(a + 1 for a in s.anchor),
-                             dict(s.terms), _trusted=True)
-    lhs_raw = apply_T(spec, i, shifted, TPRIME_KIND)
-    lhs = AnchoredSeries(spec, s.anchor, dict(lhs_raw.terms), _trusted=True)
-    rhs = apply_T(spec, i, s, T_KIND).scale(-V)
-    return lhs.first_difference(rhs)
+                             s.terms, _trusted=True)
+    lhs, rhs = (AnchoredSeries(spec, s.anchor, p.unpack(), _trusted=True)
+                for p in (apply_T_word(spec, (i,), shifted, TPRIME_KIND),
+                          apply_T_word(spec, (i,), s)))
+    return lhs.first_difference(rhs.scale(-V))
 
 
 def symmetrizer_stabilized(spec, anchor_labels, depth, margin=DEFAULT_MARGIN,
@@ -199,6 +202,7 @@ def symmetrizer_stabilized(spec, anchor_labels, depth, margin=DEFAULT_MARGIN,
     On an affine spec, layers are added until `margin` consecutive layers
     contribute nothing at ht <= depth.  On a finite spec the walk takes
     every layer of W, margin unread, and stabilizes when the orbit ends.
+    The walk starts at e^anchor, or at a seed packed for T (apply_T_word).
     Returns (series, achieved_length, stabilized); an unstabilized result
     must be treated as unverified by callers.
     """
@@ -209,13 +213,11 @@ def symmetrizer_stabilized(spec, anchor_labels, depth, margin=DEFAULT_MARGIN,
     elif margin < 1:
         raise HeckeError("margin must be >= 1")
     if seed is None:
-        seed = AnchoredSeries.monomial(spec, tuple(anchor_labels))
-    if not seed.exact:
-        raise HeckeError("the symmetrizer needs an exact (finite) seed")
+        seed = apply_T_word(spec, (), AnchoredSeries.monomial(
+            spec, tuple(anchor_labels)))
     total, length, stabilized = _walk(
-        spec, rootdata.build_cartan(spec), (1,) * spec.num_nodes,
-        PackedSeries.pack(seed.anchor, seed.terms, -1), max_layers,
-        layer_cap, depth, margin)
+        spec, rootdata.build_cartan(spec), (1,) * spec.num_nodes, seed,
+        max_layers, layer_cap, depth, margin)
     return (AnchoredSeries(spec, seed.anchor, total.unpack(), depth=depth,
                            _trusted=True), length, stabilized)
 
@@ -238,8 +240,8 @@ def symmetrizer_chain(spec, anchor_labels, layer_cap=None):
     if spec.affine:
         raise HeckeError("the parabolic chain needs a finite spec")
     cartan = rootdata.build_cartan(spec)
-    seed = AnchoredSeries.monomial(spec, tuple(anchor_labels))
-    total = PackedSeries.pack(seed.anchor, seed.terms, -1)
+    total = apply_T_word(spec, (), AnchoredSeries.monomial(
+        spec, tuple(anchor_labels)))
     length = 0
     for k in range(1, len(cartan) + 1):
         block = tuple(row[:k] for row in cartan[:k])

@@ -207,7 +207,8 @@ def verify_recursion(spec, labels, wprime_word, i):
     """T_{s_i w'}(e^L) computed by apply_T against the operator identity
     c(a_i)(T_{w'}e^L)^{s_i} + b(a_i) T_{w'}e^L assembled by series
     arithmetic and divided by (1 - e^{a_i}) from the deep end of each
-    a_i-string, where apply_T sums from the shallow end.
+    a_i-string, where apply_T sums from the shallow end.  T_{w'}e^L is
+    built once: apply_T takes it packed, and the identity decoded.
 
     w' must be a reduced word and s_i w' must be longer than w'."""
     start = time.perf_counter()
@@ -227,9 +228,10 @@ def verify_recursion(spec, labels, wprime_word, i):
         raise VerifyError(
             f"length of s_{i} w' does not increase; not a valid recursion")
     params = {"labels": list(labels), "wprime": list(wprime_word), "i": i}
-    seed = AnchoredSeries.monomial(spec, labels)
-    route_a = heckeops.apply_T_word(spec, (i,) + wprime_word, seed)
-    f = heckeops.apply_T_word(spec, wprime_word, seed)
+    packed = heckeops.apply_T_word(spec, wprime_word,
+                                   AnchoredSeries.monomial(spec, labels))
+    route_a, f = (AnchoredSeries(spec, labels, p.unpack(), _trusted=True)
+                  for p in (heckeops.apply_T(spec, i, packed), packed))
     fw = weyl.act_on_series(spec, (i,), f)
     unit = tuple(1 if j == i - 1 else 0 for j in range(n))
     numerator = add_maps(times_factors(fw.terms, [(unit, VINV, 1)], None),
@@ -309,10 +311,10 @@ def verify_symmetrizer_properties(spec, labels, depth, buffer=3,
             params["property"] = f"(i) generator {i}"
             break
         # (ii): rerun the stabilized sum on the finite seed T_i(e^L)
-        seed = heckeops.apply_T(spec, i, AnchoredSeries.monomial(spec, labels))
         p2, a2, st2 = heckeops.symmetrizer_stabilized(
             spec, labels, internal, margin=margin, layer_cap=layer_cap,
-            seed=seed)
+            seed=heckeops.apply_T_word(
+                spec, (i,), AnchoredSeries.monomial(spec, labels)))
         if not st2:
             return _report("symmetrizer", spec, params, start, None, a2,
                            stabilized=False)
@@ -484,15 +486,11 @@ def _relation_differences(spec, s):
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             bond = cartan[i - 1][j - 1] * cartan[j - 1][i - 1]
-            if bond == 1:
-                diff = heckeops.braid_difference(spec, i, j, s)
-            elif bond == 0:
-                lhs = heckeops.apply_T_word(spec, (i, j), s)
-                rhs = heckeops.apply_T_word(spec, (j, i), s)
-                diff = lhs.first_difference(rhs)
-            else:
-                continue  # infinite bond: no braid relation
-            yield f"braid ({i},{j})", diff
+            # an infinite bond (4, on A1!) has no braid relation
+            words = {1: ((i, j, i), (j, i, j)), 0: ((i, j), (j, i))}.get(bond)
+            if words:
+                yield f"braid ({i},{j})", heckeops.word_difference(spec,
+                                                                    *words, s)
 
 
 def verify_hecke_relations(spec, count=100, seed=0):

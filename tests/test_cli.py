@@ -140,11 +140,29 @@ def test_removed_q_option_is_usage_error(capsys):
 
 
 def test_finite_whittaker_refuses_depth_and_margin(capsys):
-    for argv in (["--depth", "3"], ["--margin", "1"],
-                 ["--margin", "-1", "--depth", "-2"]):
+    for argv, message in ((["--depth", "3"], "--depth or --margin"),
+                          (["--margin", "1"], "--depth or --margin"),
+                          # argparse refuses a margin below 1 first
+                          (["--margin", "-1", "--depth", "-2"],
+                           "argument --margin: must be >= 1, got -1")):
         code, out, err = run(capsys, "whittaker", "--spec", "A2", "--labels",
                              "1,1", *argv)
-        assert code == 64 and "--depth or --margin" in err and out == ""
+        assert code == 64 and message in err and out == ""
+
+
+@pytest.mark.parametrize("spec, labels", [("A2", "1,1"), ("A2!", "0,0,1")])
+@pytest.mark.parametrize("what", ["affine-cs", "symmetrizer", "gk-limit",
+                                  "proportionality"])
+def test_a_margin_below_1_is_usage_error_on_every_spec(capsys, what, spec,
+                                                       labels):
+    given = {"--labels": labels, "--nu": labels, "--depth": "3"}
+    argv = [x for name in CHECK_OPTIONS[what] if name in given
+            for x in (name, given[name])]
+    for margin in ("0", "-1"):
+        code, out, err = run(capsys, "verify", what, "--spec", spec, *argv,
+                             "--margin", margin)
+        assert code == 64 and f"must be >= 1, got {margin}" in err
+        assert out == ""
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -362,10 +380,11 @@ def argvs(draw):
     <= 2 (<= 1 on D4).  --layer-cap, when drawn, is small; it is left out
     on some draws, since a finite check at a depth caps a length layer of
     W and D4's largest holds 9 elements.  The symmetrizer window (depth -
-    buffer) stays <= 0, which the check refuses with exit 3 before any
-    walk, as affine-cs, proportionality and denominator-identity refuse
-    depth 0: each would compare the beta = 0 coefficient alone.  So no
-    draw reaches a symmetrizer verdict, on D4 or elsewhere."""
+    buffer) reaches 1 on A1, A2, A3 and A1!, where a verdict costs at most
+    0.04 s, and stays <= 0 on A2! and D4, where it would cost about 1 s;
+    a window <= 0 is refused with exit 3 before any walk, as affine-cs,
+    proportionality and denominator-identity refuse depth 0: each would
+    compare the beta = 0 coefficient alone."""
     argv = []
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["text", "json"]))]
@@ -406,8 +425,8 @@ def argvs(draw):
             argv += [name, value]  # "-1,2" then reads as an option
     if what == "symmetrizer":
         d = draw(values["--depth"])
-        argv += ["--depth", str(d), "--buffer",
-                 str(d - draw(st.integers(-1, 0)))]
+        window = st.integers(-1, 0 if spec in ("A2!", "D4") else 1)
+        argv += ["--depth", str(d), "--buffer", str(d - draw(window))]
     if draw(_mostly(st.just(False), st.just(True))):
         argv.append(draw(st.sampled_from(["--bogus", "x", "--depth", "7"])))
     return argv
@@ -421,10 +440,21 @@ D4_VERDICTS = [
      "--depth", "3"]]
 
 
+# symmetrizer checks at window 1, on specs where argvs draws that window
+# (at depth 4, one more than it draws)
+SYMMETRIZER_VERDICTS = [
+    ["verify", "symmetrizer", "--spec", "A1!", "--labels", "0,1", "--depth",
+     "4", "--buffer", "3"],
+    ["verify", "symmetrizer", "--spec", "A2", "--labels", "1,1", "--depth",
+     "4", "--buffer", "3"]]
+
+
 @settings(max_examples=150, deadline=None)
 @given(argvs())
 @example(D4_VERDICTS[0])
 @example(D4_VERDICTS[1])
+@example(SYMMETRIZER_VERDICTS[0])
+@example(SYMMETRIZER_VERDICTS[1])
 def test_any_argv_exits_with_a_documented_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -434,5 +464,11 @@ def test_any_argv_exits_with_a_documented_code(argv):
 
 @pytest.mark.parametrize("argv", D4_VERDICTS, ids=shlex.join)
 def test_fuzzed_d4_checks_reach_a_verdict(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "verdict: pass" in out
+
+
+@pytest.mark.parametrize("argv", SYMMETRIZER_VERDICTS, ids=shlex.join)
+def test_fuzzed_symmetrizer_checks_reach_a_verdict(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "verdict: pass" in out

@@ -24,52 +24,60 @@ def _mono(spec, labels, **kw):
     return AnchoredSeries.monomial(spec, labels, **kw)
 
 
+def _T(spec, word, s, kind=T_KIND):
+    """T_w (or T'_w) of an exact series, decoded: apply_T_word's packed
+    value read back as an AnchoredSeries."""
+    return AnchoredSeries(spec, s.anchor, heckeops.apply_T_word(
+        spec, word, s, kind).unpack(), _trusted=True)
+
+
 def test_T_closed_form_k0():
     # <a, mu> = 0:  T(e^mu) = -v^-1 e^{mu - a}
-    out = heckeops.apply_T(A1, 1, _mono(A1, (0,)))
-    assert dict(out.terms) == {(1,): -VINV}
+    out = heckeops.apply_T_word(A1, (1,), _mono(A1, (0,))).unpack()
+    assert out == {(1,): -VINV}
 
 
 def test_T_closed_form_k1():
     # <a, mu> = 1:  (1 - v^-1) e^{mu - a} - v^-1 e^{mu - 2a}
-    out = heckeops.apply_T(A1, 1, _mono(A1, (1,)))
-    assert dict(out.terms) == {(1,): 1 - VINV, (2,): -VINV}
+    out = heckeops.apply_T_word(A1, (1,), _mono(A1, (1,))).unpack()
+    assert out == {(1,): 1 - VINV, (2,): -VINV}
 
 
 def test_T_closed_form_k2():
-    out = heckeops.apply_T(A1, 1, _mono(A1, (2,)))
-    assert dict(out.terms) == {(1,): 1 - VINV, (2,): 1 - VINV, (3,): -VINV}
+    out = heckeops.apply_T_word(A1, (1,), _mono(A1, (2,))).unpack()
+    assert out == {(1,): 1 - VINV, (2,): 1 - VINV, (3,): -VINV}
 
 
 def test_T_closed_form_k_minus_1():
     # <a, mu> = -1:  T(e^mu) = -e^mu
-    out = heckeops.apply_T(A1, 1, _mono(A1, (-1,)))
-    assert dict(out.terms) == {(0,): VPoly(-1)}
+    out = heckeops.apply_T_word(A1, (1,), _mono(A1, (-1,))).unpack()
+    assert out == {(0,): VPoly(-1)}
 
 
 def test_T_closed_form_k_minus_2_rises():
     # <a, mu> = -2: support rises one step toward the reflection
-    out = heckeops.apply_T(A1, 1, _mono(A1, (-2,)))
-    assert dict(out.terms) == {(-1,): VPoly(-1), (0,): VINV - 1}
+    out = heckeops.apply_T_word(A1, (1,), _mono(A1, (-2,))).unpack()
+    assert out == {(-1,): VPoly(-1), (0,): VINV - 1}
 
 
 def test_Tprime_closed_form_k1():
     # T'(e^mu) = e^{mu - a} when <a, mu> = 1
-    out = heckeops.apply_T(A1, 1, _mono(A1, (1,)), TPRIME_KIND)
-    assert dict(out.terms) == {(1,): VP_ONE}
+    out = heckeops.apply_T_word(A1, (1,), _mono(A1, (1,)), TPRIME_KIND)
+    assert out.unpack() == {(1,): VP_ONE}
 
 
 def test_apply_T_is_linear():
     s = _mono(A2, (1, 1)) + _mono(A2, (1, 1), beta=(1, 0), coeff=VPoly(3))
-    out = heckeops.apply_T(A2, 1, s)
-    parts = heckeops.apply_T(A2, 1, _mono(A2, (1, 1))) + \
-        heckeops.apply_T(A2, 1, _mono(A2, (1, 1), beta=(1, 0))).scale(VPoly(3))
+    out = _T(A2, (1,), s)
+    parts = _T(A2, (1,), _mono(A2, (1, 1))) + \
+        _T(A2, (1,), _mono(A2, (1, 1), beta=(1, 0))).scale(VPoly(3))
     assert out.first_difference(parts) is None
 
 
 def test_apply_T_rejects_truncated_series():
+    # apply_T_word, where a series is packed for the operators, refuses it
     with pytest.raises(HeckeError):
-        heckeops.apply_T(A2, 1, AnchoredSeries.one(A2, 2).truncate(3))
+        heckeops.apply_T_word(A2, (1,), AnchoredSeries.one(A2, 2).truncate(3))
 
 
 @pytest.mark.parametrize("text", ["A2", "A2!"])
@@ -77,9 +85,10 @@ def test_apply_T_rejects_truncated_series():
 def test_apply_T_rejects_out_of_range_generators(text, kind):
     spec = RootSystemSpec.parse(text)
     s = _mono(spec, (1,) * spec.num_nodes)
+    p = heckeops.apply_T_word(spec, (), s, kind)
     for i in (0, spec.num_nodes + 1):
         with pytest.raises(WeylError):
-            heckeops.apply_T(spec, i, s, kind)
+            heckeops.apply_T(spec, i, p, kind)
         with pytest.raises(WeylError):
             heckeops.apply_T_word(spec, (1, i), s)
 
@@ -100,7 +109,8 @@ def test_quadratic_relation_affine_double_bond():
 
 
 def test_braid_relation_a2():
-    assert heckeops.braid_difference(A2, 1, 2, _mono(A2, (2, -1))) is None
+    assert heckeops.word_difference(A2, (1, 2, 1), (2, 1, 2),
+                                    _mono(A2, (2, -1))) is None
 
 
 def test_conjugation_identity():
@@ -110,8 +120,8 @@ def test_conjugation_identity():
 
 def test_word_operator_composes_right_to_left():
     s = _mono(A2, (1, 1))
-    lhs = heckeops.apply_T_word(A2, (1, 2), s)
-    rhs = heckeops.apply_T(A2, 1, heckeops.apply_T(A2, 2, s))
+    lhs = _T(A2, (1, 2), s)
+    rhs = _T(A2, (1,), _T(A2, (2,), s))
     assert lhs.first_difference(rhs) is None
 
 
@@ -132,10 +142,10 @@ def test_symmetrizer_stabilized_affine_flags():
     _, _, flag = heckeops.symmetrizer_stabilized(A1A, (0, 1), 3, margin=2,
                                                  max_layers=2)
     assert not flag
-    # a truncated seed is refused, even where no layer is built exactly
+    # a truncated seed is refused where it is packed, before any walk
     deep = _mono(A1A, (0, 1), beta=(2, 1), depth=3)
     with pytest.raises(HeckeError):
-        heckeops.symmetrizer_stabilized(A1A, (0, 1), 1, margin=1, seed=deep)
+        heckeops.apply_T_word(A1A, (), deep)
 
 
 def test_layer_cap_enforced():
@@ -189,7 +199,7 @@ def test_apply_T_raw_divides_the_series_numerator(data, s, kind):
     i = data.draw(st.integers(1, s.spec.num_nodes))
     num = _numerator(s, i, kind).terms
     alpha = tuple(-1 if j == i - 1 else 0 for j in range(s.spec.num_nodes))
-    got = heckeops.apply_T(s.spec, i, s, kind).terms
+    got = heckeops.apply_T_word(s.spec, (i,), s, kind).unpack()
     assert got == divide_exact(num, alpha)
     assert got == divide_exact(num, alpha, from_deep=True)
 
@@ -212,7 +222,7 @@ def _bonds(spec):
                                 if str(s) != "A1!"]))
 def test_braid_relation_on_multi_term_series(data, s):
     i, j = data.draw(st.sampled_from(_bonds(s.spec)))
-    assert heckeops.braid_difference(s.spec, i, j, s) is None
+    assert heckeops.word_difference(s.spec, (i, j, i), (j, i, j), s) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -278,7 +288,7 @@ def test_packed_kernel_matches_the_per_degree_loop(data, spec, kind):
     for i in range(1, n + 1):
         want = _per_degree_T(cartan, anchor, terms, i, kind)
         exact = AnchoredSeries(spec, anchor, terms)
-        assert heckeops.apply_T(spec, i, exact, kind).terms == want
+        assert heckeops.apply_T_word(spec, (i,), exact, kind).unpack() == want
         out = heckeops.apply_T(spec, i, packed, kind)
         assert out.unpack() == want
         # the carried bound covers every coefficient it vouches for
@@ -321,9 +331,9 @@ def test_reachable_terms_keep_every_shallow_output(data, s, depth):
     i = data.draw(st.integers(1, s.spec.num_nodes))
     cartan = rootdata.build_cartan(s.spec)
     kept = heckeops._reachable_terms(cartan, s.anchor, s.terms, i, depth)
-    full = heckeops.apply_T(s.spec, i, s).terms
-    part = heckeops.apply_T(s.spec, i,
-                            AnchoredSeries(s.spec, s.anchor, kept)).terms
+    full = heckeops.apply_T_word(s.spec, (i,), s).unpack()
+    part = heckeops.apply_T_word(s.spec, (i,),
+                                 AnchoredSeries(s.spec, s.anchor, kept)).unpack()
     assert _shallow_part(part, depth) == _shallow_part(full, depth)
 
 
@@ -341,8 +351,8 @@ def test_reaching_strings_keep_every_shallow_output_two_steps_on(
     cartan = rootdata.build_cartan(s.spec)
 
     def T(terms, g):
-        return heckeops.apply_T(s.spec, g,
-                                AnchoredSeries(s.spec, s.anchor, terms)).terms
+        return heckeops.apply_T_word(
+            s.spec, (g,), AnchoredSeries(s.spec, s.anchor, terms)).unpack()
     p = PackedSeries.pack(s.anchor, s.terms, -1)
     strings = heckeops._strings_reaching(cartan, p, i, (j,), depth)
     kept = T({b: cf for b, cf in s.terms.items()
@@ -359,8 +369,7 @@ def _exact_layers(spec, seed, kind, max_length):
     values = {(): seed}
     for layer in weyl.enumerate_layers(spec, max_length)[1:]:
         # the first letter of a BFS word is a left descent
-        values = {w.word: heckeops.apply_T(spec, w.word[0],
-                                           values[w.word[1:]], kind)
+        values = {w.word: _T(spec, w.word[:1], values[w.word[1:]], kind)
                   for w in layer}
         yield list(values.values())
 
@@ -407,15 +416,17 @@ def test_stabilized_walk_matches_exact_layers(text, labels, depth, kind,
                                               max_length):
     spec = RootSystemSpec.parse(text)
     monomial = _mono(spec, labels)
-    # the non-monomial seed T_1(e^L) of symmetrizer property (ii) as well
-    seeds = [None, heckeops.apply_T(spec, 1, monomial, kind)]
+    # the non-monomial seed T_1(e^L) of symmetrizer property (ii) as well,
+    # packed for the walk and decoded for the exact layers
+    seeds = [(None, monomial), (heckeops.apply_T_word(spec, (1,), monomial,
+                                                      kind),
+                                _T(spec, (1,), monomial, kind))]
     for margin in (1, 2, 3):
-        for seed in seeds:
+        for seed, exact in seeds:
             got = heckeops.symmetrizer_stabilized(
                 spec, labels, depth, margin=margin, seed=seed)
             want = _stabilized_by_exact_layers(
-                spec, monomial if seed is None else seed, depth, margin,
-                kind, max_length + margin)
+                spec, exact, depth, margin, kind, max_length + margin)
             assert got[1:] == want[1:]
             assert got[0] == want[0]
 
@@ -487,8 +498,9 @@ def test_walker_values_have_the_terms_of_the_exact_route(monkeypatch):
         nonlocal dropped
         out = apply_T(spec, i, s, kind, limit)
         terms = s.unpack()
-        exact = apply_T(spec, i, AnchoredSeries(spec, s.anchor, terms),
-                        kind).terms
+        exact = apply_T(spec, i, heckeops.apply_T_word(
+            spec, (), AnchoredSeries(spec, s.anchor, terms), kind),
+            kind).unpack()
         kept = {b: cf for b, cf in exact.items()
                 if limit is None or _q(spec, s.anchor, b) <= limit.q_max}
         dropped += len(exact) - len(kept)
@@ -530,8 +542,8 @@ def test_every_term_the_kernel_drops_lies_deeper_in_its_hull(
     labels = data.draw(st.tuples(*[st.integers(0, 2)] * n))
     cartan = rootdata.build_cartan(spec)
     lam = tuple(a + 1 for a in labels)
-    seed = (heckeops.apply_T(spec, 1, _mono(spec, labels)) if twisted
-            else None)
+    seed = (heckeops.apply_T_word(spec, (1,), _mono(spec, labels))
+            if twisted else None)
     kernel = heckeops._kernel
     dropped = []
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from dlhecke import characters, cli, heckeops, rootdata, verify, vseries, weyl
 from dlhecke.rootdata import RootSystemSpec
 from dlhecke.vseries import (AnchoredSeries, PackedSeries, VPoly, VP_ONE,
-                             VP_ZERO, VINV, divide_exact)
+                             VP_ZERO, V, VINV, divide_exact)
 from series_json import series_from_json
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -299,7 +299,7 @@ def test_divide_deep_end_matches_shallow_end():
     shallow = divide_exact(num.terms, (-1, 0))
     deep = divide_exact(num.terms, (-1, 0), from_deep=True)
     assert shallow == deep
-    assert shallow == heckeops.apply_T(A2, 1, s).terms
+    assert shallow == heckeops.apply_T_word(A2, (1,), s).unpack()
 
 
 def test_recursion_rejects_bad_words():
@@ -313,19 +313,95 @@ def test_gk_limit_rejects_wrong_length_nu():
         verify.verify_gk_limit(A1A, (1, 1, 1), 6)
 
 
-def test_hecke_failure_carries_real_witness(monkeypatch):
-    real = heckeops.apply_T
+def test_recursion_applies_each_letter_of_the_word_once(monkeypatch):
+    # T_{w'}(e^L) is built once and route A is T_i of it: |w'| + 1 kernel
+    # calls, letters right to left
+    kernel = heckeops._kernel
+    calls = []
 
-    def broken(spec, i, s, kind=heckeops.T_KIND):
-        out = real(spec, i, s, kind)
-        return out.scale(VPoly(2)) if kind == heckeops.TPRIME_KIND else out
+    def counting_kernel(p, strings, i, kind, limit=None):
+        calls.append(i)
+        return kernel(p, strings, i, kind, limit)
 
-    monkeypatch.setattr(heckeops, "apply_T", broken)
-    r = verify.verify_hecke_relations(A2, count=3, seed=1)
-    assert r.verdict == verify.FAIL
-    assert r.params["relation"].startswith("quadratic Tprime")
-    assert len(r.params["monomial"]) == 2
-    assert r.witness["lhs"] != r.witness["rhs"]
+    monkeypatch.setattr(heckeops, "_kernel", counting_kernel)
+    for spec, labels, word, i in ((A2, (1, 1), (), 1), (A2, (1, 1), (2,), 1),
+                                  (A1A, (0, 1), (1, 2, 1), 2)):
+        calls.clear()
+        assert verify.verify_recursion(spec, labels, word, i).passed
+        assert calls == list(reversed(word)) + [i]
+
+
+def _decoded_relations(spec, s, faulty):
+    """(relation, first difference or None) of each relation of the Hecke
+    battery on s, in its order, by AnchoredSeries arithmetic with every
+    letter decoded: the oracle of the packed relations.  The value of a
+    letter i of kind applied after `before` letters is negated where
+    faulty(i, kind, before) holds."""
+    def word(letters, x, kind=heckeops.T_KIND):
+        for before, i in enumerate(reversed(letters)):
+            x = AnchoredSeries(spec, x.anchor, heckeops.apply_T_word(
+                spec, (i,), x, kind).unpack(), _trusted=True)
+            x = -x if faulty(i, kind, before) else x
+        return x
+    cartan = rootdata.build_cartan(spec)
+    n = spec.num_nodes
+    for i in range(1, n + 1):
+        for kind, u in ((heckeops.T_KIND, VINV), (heckeops.TPRIME_KIND, V)):
+            rhs = word((i,), s, kind).scale(u - 1) + s.scale(u)
+            yield (f"quadratic {kind} generator {i}",
+                   word((i, i), s, kind).first_difference(rhs))
+        shifted = AnchoredSeries(spec, [a + 1 for a in s.anchor], s.terms)
+        lhs = word((i,), shifted, heckeops.TPRIME_KIND)
+        yield (f"conjugation generator {i}",
+               AnchoredSeries(spec, s.anchor, lhs.terms).first_difference(
+                   word((i,), s).scale(-V)))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            bond = cartan[i - 1][j - 1] * cartan[j - 1][i - 1]
+            words = {1: ((i, j, i), (j, i, j)), 0: ((i, j), (j, i))}
+            if bond in words:
+                w1, w2 = words[bond]
+                yield (f"braid ({i},{j})",
+                       word(w1, s).first_difference(word(w2, s)))
+
+
+def test_hecke_failure_carries_real_witness():
+    """A fault planted in the packed kernel's output (its value negated)
+    fails the relation that the decoded oracle, fed the same faulty
+    values, finds first, with the oracle's witness: once on every T'
+    letter, which a T' quadratic relation catches, and once on the third
+    letter of a word when it is T_1, which only a braid word has."""
+    kernel = heckeops._kernel
+    faults = [(lambda i, kind, before: kind == heckeops.TPRIME_KIND,
+               "quadratic Tprime generator 1"),
+              (lambda i, kind, before: before == 2 and i == 1,
+               "braid (1,2)")]
+    for faulty, relation in faults:
+        made = {}  # id of a kernel value -> (letters that built it, value)
+
+        def planted(p, strings, i, kind, limit=None):
+            out = kernel(p, strings, i, kind, limit)
+            before = made.get(id(p), (0,))[0]
+            if faulty(i, kind, before):
+                out = PackedSeries(out.anchor, {b: -x for b, x in
+                                                out.terms.items()},
+                                   out.width, out.bound, out.low, out.var)
+            made[id(out)] = (before + 1, out)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heckeops, "_kernel", planted)
+            r = verify.verify_hecke_relations(A2, count=3, seed=1)
+        s = AnchoredSeries.monomial(A2, r.params["monomial"])
+        label, (beta, lhs, rhs) = next(
+            (label, diff) for label, diff in _decoded_relations(A2, s, faulty)
+            if diff is not None)
+        assert r.verdict == verify.FAIL
+        assert r.params["relation"] == label == relation
+        assert r.witness == {"beta": list(beta),
+                             "lhs": [list(dn) for dn in lhs.pairs()],
+                             "rhs": [list(dn) for dn in rhs.pairs()]}
+        assert lhs != rhs
 
 
 def test_denominator_twist_failure_carries_real_witness(monkeypatch):
