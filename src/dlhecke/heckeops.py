@@ -19,8 +19,9 @@ straight into the strings that routine takes.  Every packed value
 carries a bound on its coefficients, which the kernel keeps below half
 its width (_kernel).  apply_T maps a PackedSeries to a PackedSeries;
 apply_T_word, the one boundary, packs an exact AnchoredSeries once and
-applies a word to it.  Word operators compose right-to-left, so the
-first letter of a BFS word (a left descent) is applied last.
+applies a word to it, and the Hecke relations take a series so packed.
+Word operators compose right-to-left, so the first letter of a BFS word
+(a left descent) is applied last.
 
 Every sum of T_w(seed) over a Weyl orbit runs through one walker, _walk:
 every sum to a depth (symmetrizer_stabilized), which stops once it has
@@ -29,16 +30,17 @@ coset of the parabolic chain that sums exactly over a finite W
 (symmetrizer_chain), whose value stays packed from coset to coset.  At a
 depth, the kernel drops from each value the terms that the rho-shifted
 hull shows can no longer feed the sum, one skipped range per a_i-string
-(_Hull).
+(_Hull), and what each a_i-string's pairings give, its c, its skipped
+range and its reach, is computed once per walk in the walk's string
+table.
 """
 from __future__ import annotations
 
 from math import isqrt
-from operator import add, mul
+from operator import add, mul, sub
 
 from . import rootdata, weyl
-from .vseries import (AnchoredSeries, PackedSeries, V, _divide_strings,
-                      nonneg_vectors_up_to)
+from .vseries import AnchoredSeries, PackedSeries, V, _divide_strings
 
 
 class HeckeError(ValueError):
@@ -69,21 +71,24 @@ def _sign(kind):
     raise HeckeError(f"unknown operator kind {kind!r}")
 
 
-def _strings(cartan, anchor, terms, i):
+def _strings(cartan, anchor, terms, i, limit=None):
     """A term map grouped by a_i-string: {beta without coordinate i:
     (c, {beta_i: coefficient})}, with c = <a_i, anchor - beta> at
     beta_i = 0, so that a term at beta_i = b pairs to k = c - 2b
-    (a_ii = 2)."""
+    (a_ii = 2); a walk's string table (limit, a _Hull) supplies c."""
     ii = i - 1
     row = _row(cartan, i)
     row = row[:ii] + row[ii + 1:]
     label = anchor[ii]
+    table = None if limit is None else limit.tables[ii]
     strings = {}
     for beta, x in terms.items():
         key = beta[:ii] + beta[ii + 1:]
         string = strings.get(key)
         if string is None:
-            strings[key] = string = (label - sum(map(mul, row, key)), {})
+            c = (label - sum(map(mul, row, key)) if table is None
+                 else table[key][0])
+            strings[key] = string = (c, {})
         string[1][beta[ii]] = x
     return strings
 
@@ -128,7 +133,9 @@ def _kernel(p, strings, i, kind, limit=None):
             num[t] = num.get(t, 0) + x
             num[t - s] = num.get(t - s, 0) - y
             num[-b] = num.get(-b, 0) + y - x
-    skips = None if limit is None else limit.skips(strings, i)
+    # _strings grouped the strings under the limit's table, so its skips
+    # holds the range of each string that loses terms
+    skips = None if limit is None else limit.tables[i - 1].skips
     return PackedSeries(p.anchor, _divide_strings(nums, i - 1, -1, width,
                                                   bound, skips=skips),
                         width, bound, p.low, p.var)
@@ -140,26 +147,35 @@ def apply_T(spec, i, s, kind=T_KIND, limit=None):
     the terms of the image that can no longer feed its sum.  A generator
     outside 1..n raises WeylError."""
     return _kernel(s, _strings(rootdata.build_cartan(spec), s.anchor,
-                               s.terms, i), i, kind, limit)
+                               s.terms, i, limit), i, kind, limit)
 
 
 def apply_T_word(spec, word, s, kind=T_KIND):
     """T_w (or T'_w) of an exact AnchoredSeries, rightmost letter first:
     s is packed once for the kind (u = v^-1 for T, v for T') and stays
-    packed from letter to letter.  A truncated series raises HeckeError."""
-    if not s.exact:
-        raise HeckeError("the operators need an exact (finite) series")
-    p = PackedSeries.pack(s.anchor, s.terms, -_sign(kind))
+    packed from letter to letter.  Anything but an exact AnchoredSeries
+    (a truncated one, or a value already packed) raises HeckeError."""
+    if not isinstance(s, AnchoredSeries) or not s.exact:
+        raise HeckeError("the operators need an exact (finite) "
+                         "AnchoredSeries")
+    return _word(spec, word, PackedSeries.pack(s.anchor, s.terms,
+                                               -_sign(kind)), kind)
+
+
+def _word(spec, word, p, kind=T_KIND):
+    """T_w (or T'_w) of a PackedSeries packed for the kind, rightmost
+    letter first."""
     for i in reversed(tuple(word)):
         p = apply_T(spec, i, p, kind)
     return p
 
 
-def quadratic_difference(spec, i, s, kind=T_KIND):
+def quadratic_difference(spec, i, p, kind=T_KIND):
     """First (beta, lhs, rhs) where T_i^2 = (v^-1 - 1) T_i + v^-1 (or the
-    v-version for T') fails on s, or None; compared packed, the right side
-    u T_i s - T_i s + u s built by shifts (a factor u is x << width)."""
-    p = apply_T_word(spec, (), s, kind)
+    v-version for T') fails on p, a series packed for the kind
+    (apply_T_word with the empty word), or None; compared packed, the
+    right side u T_i p - T_i p + u p built by shifts (a factor u is
+    x << width)."""
     t1 = apply_T(spec, i, p, kind)
     rhs = PackedSeries(p.anchor, {}, p.width, 0, p.low, p.var)
     for q, shift, sign in ((t1, 1, 1), (t1, 0, -1), (p, 1, 1)):
@@ -169,28 +185,30 @@ def quadratic_difference(spec, i, s, kind=T_KIND):
     return apply_T(spec, i, t1, kind).first_difference(rhs)
 
 
-def word_difference(spec, w1, w2, s):
-    """First (beta, lhs, rhs) where T_{w1} = T_{w2} fails on s, or None,
-    compared packed: a braid relation T_i T_j T_i = T_j T_i T_j (adjacent
-    i, j; simply-laced) or a commutation T_i T_j = T_j T_i (orthogonal i,
-    j).  T' is conjugate to -v T, so these hold for T' as well."""
-    return apply_T_word(spec, w1, s).first_difference(
-        apply_T_word(spec, w2, s))
+def word_difference(spec, w1, w2, p):
+    """First (beta, lhs, rhs) where T_{w1} = T_{w2} fails on p, a series
+    packed for T (apply_T_word with the empty word), or None, compared
+    packed: a braid relation T_i T_j T_i = T_j T_i T_j (adjacent i, j;
+    simply-laced) or a commutation T_i T_j = T_j T_i (orthogonal i, j).
+    T' is conjugate to -v T, so these hold for T' as well."""
+    return _word(spec, w1, p).first_difference(_word(spec, w2, p))
 
 
-def conjugation_difference(spec, i, s):
+def conjugation_difference(spec, i, p, q):
     """First (beta, lhs, rhs) where e^{-rho} T'_i e^{rho} = -v T_i fails on
-    a finite series, or None.
+    a finite series, or None; p and q are that series packed for T and
+    for T' (apply_T_word with the empty word).
 
     The rho-shift acts on the anchored data by raising every pairing
-    label by one; exponent displacements are untouched.  The sides are
-    packed in v and in v^-1, so each is decoded once to compare.
+    label by one; exponent displacements are untouched, and so are the
+    packed coefficients.  The sides are packed in v and in v^-1, so each
+    is decoded once to compare.
     """
-    shifted = AnchoredSeries(spec, tuple(a + 1 for a in s.anchor),
-                             s.terms, _trusted=True)
-    lhs, rhs = (AnchoredSeries(spec, s.anchor, p.unpack(), _trusted=True)
-                for p in (apply_T_word(spec, (i,), shifted, TPRIME_KIND),
-                          apply_T_word(spec, (i,), s)))
+    shifted = PackedSeries(tuple(a + 1 for a in q.anchor), q.terms, q.width,
+                           q.bound, q.low, q.var)
+    lhs, rhs = (AnchoredSeries(spec, p.anchor, t.unpack(), _trusted=True)
+                for t in (apply_T(spec, i, shifted, TPRIME_KIND),
+                          apply_T(spec, i, p)))
     return lhs.first_difference(rhs.scale(-V))
 
 
@@ -300,6 +318,18 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
     length and the flag are those of the unpruned walk, and the bounds
     still hold, as a coefficient sums fewer terms.
 
+    The string table.  The walk's _Hull, handed to every apply_T and
+    _loud as their limit, is also its one table of a_i-strings: on first
+    sight of a generator i and a string key kappa (beta without coordinate
+    i) it computes every pairing <a_j, anchor - kappa> from the nonzero
+    Cartan entries, and from them c (_strings), ht(kappa), Q(kappa) and
+    the skipped range (_StringTable.skips); the reach test
+    (_strings_reaching) reads c, ht(kappa) and the pairings.  None of
+    these depends on the value a string belongs to, so each (i, kappa) is
+    computed once per walk, however many values and calls meet it.  A
+    walk at a depth always has its table; without a certificate its q_max
+    is None and nothing is skipped.  The chain (depth None) has none.
+
     The last layers of a stop are settled without their exact values,
     from the values of the layer before them.  When one more quiet layer
     would stop the walk, layer L is settled: T_i is applied only to the
@@ -320,8 +350,9 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
     -a_ji >= 0.  A string is therefore dropped only if, one step deeper
     than b0, ht > depth and ht + min(0, k_j) >= depth for every child j:
     its image then holds no term at ht <= depth and no j-reachable term,
-    and only j-reachable terms (_reachable_terms: ht(beta) + min(0, k)
-    < depth, by the same argument) have a T_j image at ht <= depth.
+    and only j-reachable terms (ht(beta) + min(0, k) < depth, k =
+    <a_j, anchor - beta>, by the same argument) have a T_j image at
+    ht <= depth.
     """
     limit = None if depth is None else _hull(spec, cartan, seed, depth)
     acc = PackedSeries(seed.anchor, {}, seed.width, 0, seed.low, seed.var)
@@ -365,22 +396,29 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
 
 
 def _hull(spec, cartan, seed, depth):
-    """The _Hull of a walk of seed at depth (see _walk), or None where the
-    certificate is void: an affine anchor + rho of level <= 0, whose
-    conjugates have no dominant one."""
+    """The _Hull of a walk of seed at depth (see _walk); its q_max is None
+    where the certificate is void (an affine anchor + rho of level <= 0,
+    whose conjugates have no dominant one) or finds no gamma."""
     lam = tuple(a + 1 for a in seed.anchor)
-    if spec.affine and sum(map(
-            mul, rootdata.minimal_imaginary_coroot(spec).coords, lam)) <= 0:
-        return None
-    q_max = _q_max(cartan, lam, seed.terms, depth)
-    return None if q_max is None else _Hull(cartan, lam, q_max)
+    q_max = None
+    if not spec.affine or sum(map(
+            mul, rootdata.minimal_imaginary_coroot(spec).coords, lam)) > 0:
+        q_max = _q_max(cartan, lam, seed.terms, depth)
+    return _Hull(cartan, seed.anchor, q_max)
 
 
 def _q_max(cartan, lam, betas, depth):
     """The largest Q(gamma) = 2<lam, gamma> - gamma^T A gamma over the
     gamma >= m with ht(gamma) <= depth and lam - gamma dominant, m the
     componentwise least displacement of the dominant conjugates of the
-    lam - beta, beta in betas; None if there is no such gamma."""
+    lam - beta, beta in betas; None if there is no such gamma.
+
+    The search fixes gamma's coordinates in turn, depth-first.  An
+    off-diagonal a_jk is <= 0, so a coordinate k != j not yet fixed can
+    raise <lam - gamma, a_j> by at most lift_j = max(-a_jk) per unit of
+    the height still free; a branch where some pairing stays below 0
+    even so holds no dominant gamma, and a larger gamma_m only lowers
+    that bound on pairing m, so the loop over gamma_m stops there."""
     tops = []
     for beta in betas:
         # reflect lam - beta to its dominant conjugate lam - beta+
@@ -389,53 +427,95 @@ def _q_max(cartan, lam, betas, depth):
             beta = weyl.reflect(cartan, lam, beta, j)
         tops.append(beta)
     low = tuple(map(min, zip(*tops)))
+    n = len(low)
+    # lifts[m][j]: lift_j while coordinates m, m + 1, ... are free
+    lifts = [[max((-cartan[j][k] for k in range(m, n) if k != j), default=0)
+              for j in range(n)] for m in range(n + 1)]
+    columns = list(zip(*cartan))
     best = None
-    for up in nonneg_vectors_up_to(len(low), depth - sum(low)):
-        gamma = tuple(map(add, low, up))
-        pairings = [x - sum(map(mul, row, gamma))
-                    for x, row in zip(lam, cartan)]
-        if min(pairings) >= 0:
+
+    def search(m, gamma, pairings, room):
+        nonlocal best
+        if m == n:
             # Q(gamma) = sum_j gamma_j (lam_j + <lam - gamma, a_j>)
             q = sum(map(mul, gamma, map(add, lam, pairings)))
             best = q if best is None else max(best, q)
+            return
+        lift, column = lifts[m + 1], columns[m]
+        for up in range(room + 1):
+            if up:
+                pairings = list(map(sub, pairings, column))
+            if pairings[m] + lift[m] * (room - up) < 0:
+                return
+            if all(p + x * (room - up) >= 0
+                   for p, x in zip(pairings, lift)):
+                search(m + 1, gamma[:m] + (gamma[m] + up,) + gamma[m + 1:],
+                       pairings, room - up)
+
+    search(0, low, [x - sum(map(mul, row, low))
+                    for x, row in zip(lam, cartan)], depth - sum(low))
     return best
 
 
 class _Hull:
-    """The hull certificate of a walk at a depth (see _walk): a term beta
-    with Q(beta) > q_max is dropped, lam being anchor + rho.
+    """The string table of a walk at a depth, and its hull certificate
+    (see _walk): with q_max not None, a term beta with Q(beta) > q_max is
+    dropped, lam being anchor + rho.
 
-    Along an a_i-string, beta = kappa + b a_i with kappa_i = 0 and c the
-    string's pairing at b = 0 (_strings), Q(beta) = Q(kappa) +
-    2b(c + 1 - b).  So the dropped b are those with
-    (2b - c - 1)^2 < (c + 1)^2 - 2(q_max - Q(kappa)), one interval per
-    string, found with isqrt."""
+    tables[i - 1] holds the a_i-strings (_StringTable).  Along a string,
+    beta = kappa + b a_i with kappa_i = 0 and c the string's pairing at
+    b = 0 (_strings), Q(beta) = Q(kappa) + 2b(c + 1 - b).  So the dropped
+    b are those with (2b - c - 1)^2 < (c + 1)^2 - 2(q_max - Q(kappa)), one
+    interval per string, found with isqrt."""
 
-    __slots__ = ("q_max", "_lams", "_rows")
+    __slots__ = ("q_max", "tables")
 
-    def __init__(self, cartan, lam, q_max):
+    def __init__(self, cartan, anchor, q_max):
         self.q_max = q_max
-        # per generator, lam and A without coordinate i, as a key is beta
-        # without it
-        self._lams = [lam[:ii] + lam[ii + 1:] for ii in range(len(lam))]
-        self._rows = [[row[:ii] + row[ii + 1:]
-                       for row in cartan[:ii] + cartan[ii + 1:]]
-                      for ii in range(len(lam))]
+        # column k's nonzero entries (j, a_jk)
+        cols = [[(j, row[k]) for j, row in enumerate(cartan) if row[k]]
+                for k in range(len(anchor))]
+        self.tables = [_StringTable(ii, anchor, cols, q_max)
+                       for ii in range(len(anchor))]
 
-    def skips(self, strings, i):
-        """{key: (lo, hi)} for the a_i-strings, grouped as _strings groups
-        them, that lose terms: those at beta_i = -t with lo <= t < hi."""
-        lam, rows, q_max = self._lams[i - 1], self._rows[i - 1], self.q_max
-        out = {}
-        for key, (c, _) in strings.items():
-            # Q(kappa) = sum_j kappa_j (2 lam_j - (A kappa)_j)
-            q = sum(x * (y + y - sum(map(mul, row, key)))
-                    for x, y, row in zip(key, lam, rows) if x)
-            r = (c + 1) ** 2 - 2 * (q_max - q)
+
+class _StringTable(dict):
+    """{kappa: (c, ht(kappa), (P_1, ..., P_n))} for the a_i-strings of a
+    walk, kappa being beta without coordinate i (kappa_i = 0), each entry
+    computed on its first lookup and kept for the rest of the walk: the
+    pairings P_j = <a_j, anchor - kappa>, from the nonzero Cartan entries
+    in O(n + edges), and c = P_i.  With a q_max, Q(kappa) =
+    sum_j kappa_j (anchor_j + P_j + 2) gives the string's dropped range
+    (_Hull), and skips maps the key of each string that loses terms to
+    (lo, hi), as the kernel's division takes it: the terms at
+    beta_i = -t with lo <= t < hi are dropped."""
+
+    __slots__ = ("skips", "_ii", "_anchor", "_cols", "_lams", "_q_max")
+
+    def __init__(self, ii, anchor, cols, q_max):
+        super().__init__()
+        self.skips = {}
+        self._ii, self._anchor, self._q_max = ii, anchor, q_max
+        # the columns and anchor_j + 2 of the coordinates a key keeps
+        self._cols = cols[:ii] + cols[ii + 1:]
+        self._lams = [a + 2 for a in anchor[:ii] + anchor[ii + 1:]]
+
+    def __missing__(self, key):
+        ii, pairings = self._ii, list(self._anchor)
+        for x, col in zip(key, self._cols):
+            if x:
+                for j, a in col:
+                    pairings[j] -= a * x
+        c = pairings[ii]
+        if self._q_max is not None:
+            q = sum(map(mul, key, map(add, self._lams,
+                                      pairings[:ii] + pairings[ii + 1:])))
+            r = (c + 1) ** 2 - 2 * (self._q_max - q)
             if r > 0:
                 r = isqrt(r - 1)  # |2b - c - 1| <= r
-                out[key] = (-((c + 1 + r) // 2), (r - c - 1) // 2 + 1)
-        return out
+                self.skips[key] = (-((c + 1 + r) // 2), (r - c - 1) // 2 + 1)
+        self[key] = found = (c, sum(key), tuple(pairings))
+        return found
 
 
 def _capped(steps, layer_cap):
@@ -446,43 +526,45 @@ def _capped(steps, layer_cap):
     return steps
 
 
-def _reachable_terms(cartan, anchor, terms, i, depth):
-    """The terms of a map whose T_i image can reach ht <= depth: those with
-    ht(beta) + min(0, k) < depth, k = <a_i, anchor - beta>; see _walk."""
-    row, label = _row(cartan, i), anchor[i - 1]
-    return {beta: cf for beta, cf in terms.items()
-            if sum(beta) + min(0, label - sum(map(mul, row, beta))) < depth}
-
-
 def _loud(cartan, p, i, depth, js=(), limit=None):
     """True iff T_i(p), or T_j T_i(p) for some j in js, has a term at
     ht <= depth with nonnegative displacement, p a PackedSeries; T_i is
     applied to the a_i-strings that _strings_reaching keeps, under the
     walk's limit."""
-    out = _kernel(p, _strings_reaching(cartan, p, i, js, depth), i, T_KIND,
-                  limit)
+    out = _kernel(p, _strings_reaching(cartan, p, i, js, depth, limit), i,
+                  T_KIND, limit)
     return (any(sum(b) <= depth and min(b) >= 0 for b in out.terms)
             or any(_loud(cartan, out, j, depth, limit=limit) for j in js))
 
 
-def _strings_reaching(cartan, p, i, js, depth):
+def _strings_reaching(cartan, p, i, js, depth, limit=None):
     """The a_i-strings of a PackedSeries, grouped as _strings groups them,
     on which T_i can leave a term at ht <= depth, or a term that is
     j-reachable for some j in js, each tested at the shallowest position
-    its image can hold; see _walk.
+    its image can hold; see _walk.  The strings' c, ht and pairings come
+    from the walk's string table (limit), or from a table of their own.
 
     s_i reverses a string, b -> c - b with b = beta_i, where c is
     <a_i, anchor - beta> at b = 0 (a_ii = 2).  So the shallowest numerator
     position on it is the lower of its least b and of its greatest b
-    reflected, and the image starts one step deeper."""
-    ii = i - 1
-    strings = _strings(cartan, p.anchor, p.terms, i)
-    ends = {key[:ii] + (min(min(string), c - max(string)) + 1,) + key[ii:]:
-            key for key, (c, string) in strings.items()}
-    kept = {key for end, key in ends.items() if sum(end) <= depth}
-    kept.update(key for j in js for key in _reachable_terms(
-        cartan, p.anchor, ends, j, depth).values())
-    return {key: string for key, string in strings.items() if key in kept}
+    reflected, and the image starts one step deeper, at e: ht there is
+    ht(kappa) + e, and the pairing with a_j is P_j(kappa) - a_ji e."""
+    if limit is None:
+        limit = _Hull(cartan, p.anchor, None)
+    table = limit.tables[i - 1]
+    column = [(j - 1, cartan[j - 1][i - 1]) for j in js]
+    kept = {}
+    for key, string in _strings(cartan, p.anchor, p.terms, i,
+                                limit).items():
+        c, h, pairings = table[key]
+        bs = string[1]
+        e = min(min(bs), c - max(bs)) + 1
+        # beyond the depth, ht(end) + min(0, x) < depth iff x < room
+        room = depth - h - e
+        if room >= 0 or column and any(pairings[j] - a * e < room
+                                       for j, a in column):
+            kept[key] = string
+    return kept
 
 
 def _quiet(cartan, steps, ahead, layer, depth, limit):

@@ -477,20 +477,25 @@ def _relation_differences(spec, s):
     (single-bond pairs) and commutation (orthogonal pairs)."""
     cartan = rootdata.build_cartan(spec)
     n = spec.num_nodes
+    # s packed once per operator kind, for every relation
+    packed = {kind: heckeops.apply_T_word(spec, (), s, kind)
+              for kind in (heckeops.T_KIND, heckeops.TPRIME_KIND)}
     for i in range(1, n + 1):
-        for kind in (heckeops.T_KIND, heckeops.TPRIME_KIND):
+        for kind, p in packed.items():
             yield (f"quadratic {kind} generator {i}",
-                   heckeops.quadratic_difference(spec, i, s, kind))
+                   heckeops.quadratic_difference(spec, i, p, kind))
         yield (f"conjugation generator {i}",
-               heckeops.conjugation_difference(spec, i, s))
+               heckeops.conjugation_difference(
+                   spec, i, packed[heckeops.T_KIND],
+                   packed[heckeops.TPRIME_KIND]))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             bond = cartan[i - 1][j - 1] * cartan[j - 1][i - 1]
             # an infinite bond (4, on A1!) has no braid relation
             words = {1: ((i, j, i), (j, i, j)), 0: ((i, j), (j, i))}.get(bond)
             if words:
-                yield f"braid ({i},{j})", heckeops.word_difference(spec,
-                                                                    *words, s)
+                yield f"braid ({i},{j})", heckeops.word_difference(
+                    spec, *words, packed[heckeops.T_KIND])
 
 
 def verify_hecke_relations(spec, count=100, seed=0):

@@ -383,13 +383,19 @@ def mul_maps(t1, t2, depth):
     of one width and var (PackedSeries; the lows add): only *, +, truthiness
     and == 1 are used.  The smaller map runs in the outer loop, and a
     coefficient equal to 1 shares the other factor's coefficient instead
-    of multiplying, which is safe because no VPoly is mutated in place.
+    of multiplying, which is safe because no VPoly is mutated in place;
+    so a first outer term 1 at beta = 0, as the 1 of every factor of
+    times_factors, makes out a copy of the other map, within the depth.
     """
     if len(t1) > len(t2):
         t1, t2 = t2, t1
     out = {}
     for b1, c1 in t1.items():
         unit = c1 == 1
+        if unit and not out and not any(b1):
+            out = {b2: c2 for b2, c2 in t2.items()
+                   if depth is None or ht(b2) <= depth}
+            continue
         for b2, c2 in t2.items():
             beta = tuple(map(add, b1, b2))
             if depth is not None and ht(beta) > depth:
@@ -505,7 +511,6 @@ class PackedSeries:
     None for a bare map."""
 
     __slots__ = ("anchor", "terms", "width", "bound", "low", "var")
-    exact = True
 
     def __init__(self, anchor, terms, width, bound, low, var):
         self.anchor, self.terms, self.var = anchor, terms, var

@@ -59,22 +59,43 @@ def orbit_layers(cartan, labels, keep=None):
     child failing keep is neither yielded nor expanded.  For regular
     labels a layer is one Coxeter length.  The generator ends when a
     layer comes out empty (a finite orbit is exhausted).
+
+    The labels must be dominant (a negative one raises WeylError), and
+    keep, if given, must hold at every displacement componentwise below
+    one where it holds (a height bound does).  Then only the steps of
+    pairing k = <a_i, anchor - parent> > 0 are taken, each adding k to
+    coordinate i: k = 0 fixes the parent, and for k < 0 the child is the
+    image of a shorter element, reached in an earlier layer along steps
+    that only raise the displacement, so seen, or refused by keep.  Each
+    element carries its pairings, and a child's are its parent's less k
+    times column i of the Cartan matrix.
     """
+    if any(x < 0 for x in labels):
+        raise WeylError(f"orbit_layers needs dominant labels, got {labels}")
     n = len(cartan)
-    layer = [(0,) * n]
-    seen = set(layer)
+    # column i's nonzero entries (j, a_ji)
+    cols = [[(j, row[i]) for j, row in enumerate(cartan) if row[i]]
+            for i in range(n)]
+    layer = [((0,) * n, labels)]  # (displacement, its pairings)
+    seen = {(0,) * n}
     while True:
-        nxt = []
-        for parent in layer:
-            for i in range(1, n + 1):
-                child = reflect(cartan, labels, parent, i)
+        nxt, grown = [], []
+        for parent, pairings in layer:
+            for i, k in enumerate(pairings):
+                if k <= 0:
+                    continue
+                child = parent[:i] + (parent[i] + k,) + parent[i + 1:]
                 if child not in seen and (keep is None or keep(child)):
                     seen.add(child)
-                    nxt.append((child, i, parent))
+                    nxt.append((child, i + 1, parent))
+                    ks = list(pairings)
+                    for j, a in cols[i]:
+                        ks[j] -= a * k
+                    grown.append((child, ks))
         if not nxt:
             return
         yield nxt
-        layer = [child for child, _, _ in nxt]
+        layer = grown
 
 
 def enumerate_layers(spec, max_length, layer_cap=None):

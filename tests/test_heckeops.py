@@ -1,15 +1,16 @@
 """Unit tests for the Demazure-Lusztig operators and symmetrizers."""
 import json
 import pathlib
+from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dlhecke import heckeops, rootdata, weyl
 from dlhecke.heckeops import HeckeError, T_KIND, TPRIME_KIND
 from dlhecke.rootdata import RootSystemSpec
 from dlhecke.vseries import (AnchoredSeries, PackedSeries, VPoly, VP_ONE, V,
-                             VINV, divide_exact)
+                             VINV, divide_exact, nonneg_vectors_up_to)
 from dlhecke.weyl import WeylError
 from series_json import series_from_json
 
@@ -22,6 +23,11 @@ A1A = RootSystemSpec.parse("A1!")
 
 def _mono(spec, labels, **kw):
     return AnchoredSeries.monomial(spec, labels, **kw)
+
+
+def _packed(s, kind=T_KIND):
+    """An exact series packed for the kind, as the relations take it."""
+    return heckeops.apply_T_word(s.spec, (), s, kind)
 
 
 def _T(spec, word, s, kind=T_KIND):
@@ -80,6 +86,16 @@ def test_apply_T_rejects_truncated_series():
         heckeops.apply_T_word(A2, (1,), AnchoredSeries.one(A2, 2).truncate(3))
 
 
+@pytest.mark.parametrize("kind", [T_KIND, TPRIME_KIND])
+def test_apply_T_word_refuses_a_value_already_packed(kind):
+    # the one AnchoredSeries boundary: a PackedSeries is refused, not packed
+    # again (its int coefficients have no VPoly dict)
+    p = _packed(_mono(A2, (1, 1)), kind)
+    for word in ((), (1,)):
+        with pytest.raises(HeckeError, match="AnchoredSeries"):
+            heckeops.apply_T_word(A2, word, p, kind)
+
+
 @pytest.mark.parametrize("text", ["A2", "A2!"])
 @pytest.mark.parametrize("kind", [T_KIND, TPRIME_KIND])
 def test_apply_T_rejects_out_of_range_generators(text, kind):
@@ -98,24 +114,30 @@ def test_quadratic_relation_on_awkward_monomials():
         s = _mono(A2, labels)
         for i in (1, 2):
             for kind in (T_KIND, TPRIME_KIND):
-                assert heckeops.quadratic_difference(A2, i, s, kind) is None
+                assert heckeops.quadratic_difference(
+                    A2, i, _packed(s, kind), kind) is None
 
 
 def test_quadratic_relation_affine_double_bond():
     for labels in [(0, 1), (2, -2), (-1, 3)]:
         for i in (1, 2):
             assert heckeops.quadratic_difference(
-                A1A, i, _mono(A1A, labels)) is None
+                A1A, i, _packed(_mono(A1A, labels))) is None
 
 
 def test_braid_relation_a2():
     assert heckeops.word_difference(A2, (1, 2, 1), (2, 1, 2),
-                                    _mono(A2, (2, -1))) is None
+                                    _packed(_mono(A2, (2, -1)))) is None
+
+
+def _conjugation_difference(i, s):
+    return heckeops.conjugation_difference(s.spec, i, _packed(s),
+                                           _packed(s, TPRIME_KIND))
 
 
 def test_conjugation_identity():
-    assert heckeops.conjugation_difference(A2, 1, _mono(A2, (1, -2))) is None
-    assert heckeops.conjugation_difference(A1A, 2, _mono(A1A, (0, 1))) is None
+    assert _conjugation_difference(1, _mono(A2, (1, -2))) is None
+    assert _conjugation_difference(2, _mono(A1A, (0, 1))) is None
 
 
 def test_word_operator_composes_right_to_left():
@@ -208,7 +230,8 @@ def test_apply_T_raw_divides_the_series_numerator(data, s, kind):
 @given(st.data(), exact_series(), KINDS)
 def test_quadratic_relation_on_multi_term_series(data, s, kind):
     i = data.draw(st.integers(1, s.spec.num_nodes))
-    assert heckeops.quadratic_difference(s.spec, i, s, kind) is None
+    assert heckeops.quadratic_difference(s.spec, i, _packed(s, kind),
+                                         kind) is None
 
 
 def _bonds(spec):
@@ -222,14 +245,15 @@ def _bonds(spec):
                                 if str(s) != "A1!"]))
 def test_braid_relation_on_multi_term_series(data, s):
     i, j = data.draw(st.sampled_from(_bonds(s.spec)))
-    assert heckeops.word_difference(s.spec, (i, j, i), (j, i, j), s) is None
+    assert heckeops.word_difference(s.spec, (i, j, i), (j, i, j),
+                                    _packed(s)) is None
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data(), exact_series())
 def test_conjugation_identity_on_multi_term_series(data, s):
     i = data.draw(st.integers(1, s.spec.num_nodes))
-    assert heckeops.conjugation_difference(s.spec, i, s) is None
+    assert _conjugation_difference(i, s) is None
 
 
 # -- the packed kernel -----------------------------------------------------
@@ -324,13 +348,36 @@ def _shallow_part(terms, depth):
     return {b: c for b, c in terms.items() if sum(b) <= depth}
 
 
+def _reachable_terms(cartan, anchor, terms, i, depth):
+    """The terms of a map whose T_i image can reach ht <= depth: those with
+    ht(beta) + min(0, k) < depth, k = <a_i, anchor - beta>, each k a dot
+    product of its own: the oracle of the string table's reach test."""
+    row, label = cartan[i - 1], anchor[i - 1]
+    return {beta: cf for beta, cf in terms.items()
+            if sum(beta) + min(0, label - sum(map(mul, row, beta))) < depth}
+
+
+def _strings_reaching_by_ends(cartan, p, i, js, depth):
+    """The keys of the a_i-strings that _strings_reaching keeps, decided
+    from each string's end as a displacement: kept if the end lies at
+    ht <= depth or is j-reachable for some j in js."""
+    ii = i - 1
+    strings = heckeops._strings(cartan, p.anchor, p.terms, i)
+    ends = {key[:ii] + (min(min(string), c - max(string)) + 1,) + key[ii:]:
+            key for key, (c, string) in strings.items()}
+    kept = {key for end, key in ends.items() if sum(end) <= depth}
+    kept.update(key for j in js for key in _reachable_terms(
+        cartan, p.anchor, ends, j, depth).values())
+    return kept
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data(), exact_series(), st.integers(0, 8))
 def test_reachable_terms_keep_every_shallow_output(data, s, depth):
     # dropping the unreachable terms changes nothing at ht <= depth
     i = data.draw(st.integers(1, s.spec.num_nodes))
     cartan = rootdata.build_cartan(s.spec)
-    kept = heckeops._reachable_terms(cartan, s.anchor, s.terms, i, depth)
+    kept = _reachable_terms(cartan, s.anchor, s.terms, i, depth)
     full = heckeops.apply_T_word(s.spec, (i,), s).unpack()
     part = heckeops.apply_T_word(s.spec, (i,),
                                  AnchoredSeries(s.spec, s.anchor, kept)).unpack()
@@ -359,8 +406,111 @@ def test_reaching_strings_keep_every_shallow_output_two_steps_on(
               if b[:i - 1] + b[i:] in strings}, i)
     full = T(s.terms, i)
     assert _shallow_part(kept, depth) == _shallow_part(full, depth)
-    part = T(heckeops._reachable_terms(cartan, s.anchor, kept, j, depth), j)
+    part = T(_reachable_terms(cartan, s.anchor, kept, j, depth), j)
     assert _shallow_part(part, depth) == _shallow_part(T(full, j), depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), exact_series(OPERATOR_SPECS + [RootSystemSpec.parse(
+    "D4!")]), st.integers(0, 8), st.integers(-4, 30))
+def test_the_string_table_matches_the_direct_formulas(data, s, depth, q_max):
+    # c, the skipped range and the reach decision of every a_i-string, read
+    # from a table that other generators' strings have filled as well,
+    # against a dot product, Q(beta) > q_max tested along the string, and
+    # the string's end tested as a displacement
+    n = s.spec.num_nodes
+    cartan = rootdata.build_cartan(s.spec)
+    i = data.draw(st.integers(1, n))
+    js = tuple(data.draw(st.sets(st.integers(1, n).filter(
+        lambda j: j != i), max_size=2)))
+    p = PackedSeries.pack(s.anchor, s.terms, -1)
+    hull = heckeops._Hull(cartan, s.anchor, q_max)
+    for g in range(1, n + 1):
+        heckeops._strings(cartan, s.anchor, p.terms, g, hull)
+    strings = heckeops._strings(cartan, s.anchor, p.terms, i, hull)
+    assert strings == heckeops._strings(cartan, s.anchor, p.terms, i)
+    skips = hull.tables[i - 1].skips
+    for key in strings:
+        dropped = {b for b in range(-40, 41) if _q(
+            s.spec, s.anchor, key[:i - 1] + (b,) + key[i - 1:]) > q_max}
+        assert not dropped & {-40, 40}
+        lo, hi = skips.get(key, (0, 0))
+        assert dropped == {-t for t in range(lo, hi)}
+    assert set(heckeops._strings_reaching(cartan, p, i, js, depth, hull)) \
+        == _strings_reaching_by_ends(cartan, p, i, js, depth)
+
+
+def test_each_string_is_computed_once_per_walk(monkeypatch):
+    # a walk's table computes each (i, kappa) on its first lookup alone,
+    # however many values and kernel calls meet that string
+    computed, looked_up = [], [0]
+    missing, strings = heckeops._StringTable.__missing__, heckeops._strings
+
+    def counting_missing(table, key):
+        computed.append((table._ii, key))
+        return missing(table, key)
+
+    def counting_strings(cartan, anchor, terms, i, limit=None):
+        out = strings(cartan, anchor, terms, i, limit)
+        looked_up[0] += len(out)
+        return out
+
+    monkeypatch.setattr(heckeops._StringTable, "__missing__",
+                        counting_missing)
+    monkeypatch.setattr(heckeops, "_strings", counting_strings)
+    for text, labels, depth in (("A2!", (0, 0, 1), 4),
+                                ("D4!", (0, 0, 0, 0, 1), 3)):
+        computed.clear()
+        looked_up[0] = 0
+        heckeops.symmetrizer_stabilized(RootSystemSpec.parse(text), labels,
+                                        depth)
+        assert computed and len(set(computed)) == len(computed)
+        assert looked_up[0] > len(computed)
+
+
+def _least_dominant_displacement(cartan, lam, betas):
+    """m, the componentwise least beta+ over betas, lam - beta+ the
+    dominant conjugate of lam - beta."""
+    return tuple(map(min, zip(*(
+        _hull_displacement(cartan, lam, beta) for beta in betas))))
+
+
+def _q_max_by_enumeration(cartan, lam, betas, depth):
+    """_q_max by enumerating every gamma >= m of height at most the depth,
+    C(depth - ht(m) + n, n) points, keeping the dominant lam - gamma: its
+    oracle."""
+    low = _least_dominant_displacement(cartan, lam, betas)
+    best = None
+    for up in nonneg_vectors_up_to(len(low), depth - sum(low)):
+        gamma = tuple(x + y for x, y in zip(low, up))
+        pairings = [x - sum(map(mul, row, gamma))
+                    for x, row in zip(lam, cartan)]
+        if min(pairings) >= 0:
+            q = sum(g * (x + k) for g, x, k in zip(gamma, lam, pairings))
+            best = q if best is None else max(best, q)
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([RootSystemSpec.parse(t) for t in (
+    "A1", "A2", "A3", "D4", "A1!", "A2!", "A3!", "D4!")]),
+    st.integers(-1, 8))
+def test_q_max_search_matches_the_enumeration(data, spec, depth):
+    # a seed's displacements and a lam of positive level on an affine spec
+    n = spec.num_nodes
+    cartan = rootdata.build_cartan(spec)
+    lam = data.draw(st.tuples(*[st.integers(-1, 3)] * n))
+    if spec.affine:
+        level = sum(map(mul, rootdata.minimal_imaginary_coroot(
+            spec).coords, lam))
+        assume(level > 0)
+    betas = data.draw(st.lists(st.tuples(*[st.integers(-2, 3)] * n),
+                               min_size=1, max_size=4))
+    # at most C(10 + n, n) points for the oracle
+    assume(depth - sum(_least_dominant_displacement(cartan, lam, betas))
+           <= 10)
+    assert heckeops._q_max(cartan, lam, betas, depth) == \
+        _q_max_by_enumeration(cartan, lam, betas, depth)
 
 
 def _exact_layers(spec, seed, kind, max_length):
@@ -516,16 +666,21 @@ def test_walker_values_have_the_terms_of_the_exact_route(monkeypatch):
     assert len(checked) > 20 and all(checked) and dropped > 0
 
 
-def _hull_height(cartan, lam, beta):
-    """ht(beta+), lam - beta+ the dominant conjugate of lam - beta, found
-    by simple reflections."""
+def _hull_displacement(cartan, lam, beta):
+    """beta+, lam - beta+ the dominant conjugate of lam - beta, found by
+    simple reflections."""
     n = len(cartan)
     while True:
         j = next((j for j in range(1, n + 1)
                   if weyl.pairing(cartan, lam, beta, j) < 0), None)
         if j is None:
-            return sum(beta)
+            return beta
         beta = weyl.reflect(cartan, lam, beta, j)
+
+
+def _hull_height(cartan, lam, beta):
+    """ht(beta+), lam - beta+ the dominant conjugate of lam - beta."""
+    return sum(_hull_displacement(cartan, lam, beta))
 
 
 @settings(max_examples=40, deadline=None)

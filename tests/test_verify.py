@@ -470,6 +470,23 @@ def test_hecke_relations_seeded_smoke():
     assert verify.verify_hecke_relations(A2, count=5, seed=7).passed
 
 
+def test_hecke_relations_pack_each_monomial_once_per_kind(monkeypatch):
+    # every relation on a monomial reads its two packings, one for T and
+    # one for T' (4n + 2 per monomial on A2 before)
+    packs = []
+    pack = vars(PackedSeries)["pack"].__func__
+
+    def counting_pack(cls, anchor, terms, var, width=64):
+        packs.append(var)
+        return pack(cls, anchor, terms, var, width)
+
+    monkeypatch.setattr(PackedSeries, "pack", classmethod(counting_pack))
+    for spec in (A2, A1A):
+        packs.clear()
+        assert verify.verify_hecke_relations(spec, count=5, seed=7).passed
+        assert sorted(packs) == [-1] * 5 + [1] * 5
+
+
 def test_symmetrizer_properties_finite():
     r = verify.verify_symmetrizer_properties(A1, (2,), 4, buffer=2)
     assert r.passed

@@ -297,6 +297,10 @@ CANCELLING = ({(0, 0): VP_ONE, (1, 0): VP_ONE, (0, 1): VP_ONE},
 @given(product_problems())
 @example(CANCELLING)
 @example((CANCELLING[1], CANCELLING[0], 1))
+# the smaller map's first term is 1 at beta = 0: out starts as a copy of
+# the other map within the depth
+@example(({(0, 0): VP_ONE, (1, 0): -VINV},
+          {(0, 0): VINV, (1, 1): V, (0, 3): VP_ONE, (2, 0): -VP_ONE}, 2))
 def test_mul_maps_matches_the_parent_loop(problem):
     t1, t2, depth = problem
     before = _snapshot(t1, t2)

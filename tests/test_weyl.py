@@ -1,4 +1,6 @@
 """Unit tests for Weyl-group enumeration and reflection actions."""
+from itertools import islice
+
 import pytest
 
 from dlhecke import rootdata, weyl
@@ -80,6 +82,57 @@ def test_orbit_layers_keep_prunes_without_expanding():
     kept = [c for layer in layers for c, _, _ in layer]
     assert all(sum(c) <= 4 for c in kept)
     assert len(kept) == len(set(kept)) == 4
+
+
+RANK_5_SPECS = [RootSystemSpec.parse(f"{family}{rank}{bang}")
+                for family, ranks in (("A", range(1, 6)), ("D", (4, 5)))
+                for rank in ranks for bang in ("", "!")]
+
+
+def _orbit_layers_by_reflections(cartan, labels, keep=None):
+    """orbit_layers as a plain BFS that tries all n simple reflections of
+    every element: its oracle."""
+    n = len(cartan)
+    layer = [(0,) * n]
+    seen = set(layer)
+    while True:
+        nxt = []
+        for parent in layer:
+            for i in range(1, n + 1):
+                child = weyl.reflect(cartan, labels, parent, i)
+                if child not in seen and (keep is None or keep(child)):
+                    seen.add(child)
+                    nxt.append((child, i, parent))
+        if not nxt:
+            return
+        yield nxt
+        layer = [child for child, _, _ in nxt]
+
+
+@pytest.mark.parametrize("spec", RANK_5_SPECS, ids=str)
+def test_orbit_layers_match_the_bfs_over_every_reflection(spec):
+    # the ascent-only BFS against the one trying every generator, on
+    # regular, fundamental and mixed dominant labels; an affine orbit
+    # without keep is compared on its first layers
+    cartan = rootdata.build_cartan(spec)
+    n = len(cartan)
+    labelings = [(1,) * n, tuple(2 if j == 0 else int(j == n - 1)
+                                 for j in range(n))]
+    labelings += [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    for labels in labelings:
+        for keep in (None, lambda beta: sum(beta) <= 4):
+            layers = 8 if spec.affine and keep is None else None
+            got = list(islice(weyl.orbit_layers(cartan, labels, keep),
+                              layers))
+            want = list(islice(_orbit_layers_by_reflections(
+                cartan, labels, keep), layers))
+            assert got == want
+
+
+def test_orbit_layers_refuse_labels_that_are_not_dominant():
+    cartan = rootdata.build_cartan(A2)
+    with pytest.raises(weyl.WeylError, match="dominant"):
+        next(weyl.orbit_layers(cartan, (1, -1)))
 
 
 def test_act_on_series_is_group_action():
