@@ -7,32 +7,35 @@ apply_T realizes, per monomial e^mu with k = <a_i, mu>,
 
 with the division carried out exactly in the Laurent ring.  One kernel,
 _kernel, does it on packed coefficients (vseries.PackedSeries: u ->
-2^width with u = v^-1 for T and v for T', Kronecker substitution), so
-that every coefficient is one int.  It builds the numerator string by
-string: the three numerator positions of a monomial lie on its
-a_i-string, and each is one big-int addition, the factor u a left shift.
-It then hands the strings to vseries._divide_strings, the same routine
-behind vseries.divide_exact, which sums each string from its shallow end
-and asserts the zero remainder of every string on every call; that is
-the one private name heckeops imports, since the numerator is built
-straight into the strings that routine takes.  Every packed value
-carries a bound on its coefficients, which the kernel keeps below half
-its width (_kernel).  apply_T maps a PackedSeries to a PackedSeries;
-apply_T_word, the one boundary, packs an exact AnchoredSeries once and
-applies a word to it, and the Hecke relations take a series so packed.
-Word operators compose right-to-left, so the first letter of a BFS word
-(a left descent) is applied last.
+2^width with u = v^var, Kronecker substitution), so that every
+coefficient is one int; a packed value's var fixes the operator, T for
+var = -1 (u = v^-1) and T' for var = +1 (u = v).  The kernel builds the
+numerator string by string: the three numerator positions of a monomial
+lie on its a_i-string, and each is one big-int addition, the factor u a
+left shift.  It then hands the strings to vseries._divide_strings, the
+same routine behind vseries.divide_exact, which sums each string from
+its shallow end and asserts the zero remainder of every string on every
+call; that is the one private name heckeops imports, since the numerator
+is built straight into the strings that routine takes.  Every packed
+value carries a bound on its coefficients, which the kernel keeps below
+half its width (_kernel).  apply_T maps a PackedSeries to a
+PackedSeries; apply_T_word, the one boundary and the one function that
+names a kind, packs an exact AnchoredSeries once and applies a word to
+it, and the Hecke relations take a series so packed.  Word operators
+compose right-to-left, so the first letter of a BFS word (a left
+descent) is applied last.
 
 Every sum of T_w(seed) over a Weyl orbit runs through one walker, _walk:
-every sum to a depth (symmetrizer_stabilized), which stops once it has
-stabilized over an affine W and walks the whole of a finite W, and each
-coset of the parabolic chain that sums exactly over a finite W
-(symmetrizer_chain), whose value stays packed from coset to coset.  At a
-depth, the kernel drops from each value the terms that the rho-shifted
-hull shows can no longer feed the sum, one skipped range per a_i-string
-(_Hull), and what each a_i-string's pairings give, its c, its skipped
-range and its reach, is computed once per walk in the walk's string
-table.
+every sum to a depth (symmetrizer_stabilized, at most MAX_LAYERS
+layers), which stops once it has stabilized over an affine W and walks
+the whole of a finite W, and each coset of the parabolic chain that
+sums exactly over a finite W (symmetrizer_chain), whose value stays
+packed from coset to coset.  At a depth, the walk passes its list of
+string tables (_StringTable, one per generator) to the kernel as its
+limit: what each a_i-string's pairings give, its c, its skipped range
+and its reach, is computed once per walk, and the kernel drops from
+each value the terms that the rho-shifted hull shows can no longer feed
+the sum, one skipped range per a_i-string.
 """
 from __future__ import annotations
 
@@ -53,6 +56,8 @@ TPRIME_KIND = "Tprime"
 # of exact values a walk may hold
 DEFAULT_MARGIN = 2
 DEFAULT_LAYER_CAP = 20000
+# the most layers a sum to a depth walks before it reports unstabilized
+MAX_LAYERS = 500
 
 
 def _row(cartan, i):
@@ -62,25 +67,16 @@ def _row(cartan, i):
     return cartan[i - 1]
 
 
-def _sign(kind):
-    """s = +1 for T and -1 for T'; the kernel's u is v^-s."""
-    if kind == T_KIND:
-        return 1
-    if kind == TPRIME_KIND:
-        return -1
-    raise HeckeError(f"unknown operator kind {kind!r}")
-
-
 def _strings(cartan, anchor, terms, i, limit=None):
     """A term map grouped by a_i-string: {beta without coordinate i:
     (c, {beta_i: coefficient})}, with c = <a_i, anchor - beta> at
     beta_i = 0, so that a term at beta_i = b pairs to k = c - 2b
-    (a_ii = 2); a walk's string table (limit, a _Hull) supplies c."""
+    (a_ii = 2); a walk's string tables (limit) supply c."""
     ii = i - 1
     row = _row(cartan, i)
     row = row[:ii] + row[ii + 1:]
     label = anchor[ii]
-    table = None if limit is None else limit.tables[ii]
+    table = None if limit is None else limit[ii]
     strings = {}
     for beta, x in terms.items():
         key = beta[:ii] + beta[ii + 1:]
@@ -93,15 +89,17 @@ def _strings(cartan, anchor, terms, i, limit=None):
     return strings
 
 
-def _kernel(p, strings, i, kind, limit=None):
-    """T_i (or T'_i) of the a_i-strings of a PackedSeries p (all of them,
-    or some, as _strings groups them), as a PackedSeries; with a limit
-    (a walk's _Hull), without the positions of each string that it drops.
+def _kernel(p, strings, i, limit=None):
+    """T_i (or T'_i, as p.var says) of the a_i-strings of a PackedSeries p
+    (all of them, or some, as _strings groups them), as a PackedSeries;
+    with a limit (a walk's string tables), without the positions of each
+    string that they drop.
 
     A term x e^{anchor - beta} with b = beta_i and k = <a_i, anchor - beta>
     = c - 2b, c the string's pairing at b = 0, puts x at b + k (its
-    reflection), -u x at b + k + s and (u - 1) x at b (u = v^-1, s = +1
-    for T; u = v, s = -1 for T'); p packs u, so u x is x << width.  Each
+    reflection), -u x at b + k + s and (u - 1) x at b, where p packs
+    u = v^var (var = -1 for T, +1 for T') and s = -var; so u x is
+    x << width.  Each
     string is then divided by (1 - e^{a_i}), that is by (1 - e^{-alpha})
     with alpha = -a_i, from its shallow end by vseries._divide_strings.
 
@@ -114,9 +112,7 @@ def _kernel(p, strings, i, kind, limit=None):
     does not fit p's width, the strings, still within M, are first
     repacked at the width of the widening rule (PackedSeries.width_for).
     """
-    s = _sign(kind)
-    if p.var != -s:
-        raise HeckeError("a series packed for the other operator kind")
+    s = -p.var
     bound = 2 * p.bound * max((len(st) for _, st in strings.values()),
                               default=0)
     width = p.width_for(bound, p.width)
@@ -135,54 +131,56 @@ def _kernel(p, strings, i, kind, limit=None):
             num[-b] = num.get(-b, 0) + y - x
     # _strings grouped the strings under the limit's table, so its skips
     # holds the range of each string that loses terms
-    skips = None if limit is None else limit.tables[i - 1].skips
+    skips = None if limit is None else limit[i - 1].skips
     return PackedSeries(p.anchor, _divide_strings(nums, i - 1, -1, width,
                                                   bound, skips=skips),
                         width, bound, p.low, p.var)
 
 
-def apply_T(spec, i, s, kind=T_KIND, limit=None):
-    """T_i (or T'_i) of a PackedSeries packed for the kind, as a
-    PackedSeries; see the module docstring.  A walk's limit (_Hull) drops
-    the terms of the image that can no longer feed its sum.  A generator
-    outside 1..n raises WeylError."""
+def apply_T(spec, i, s, limit=None):
+    """T_i of a PackedSeries, or T'_i if s is packed in v (s.var = 1), as a
+    PackedSeries; see the module docstring.  A walk's limit (its string
+    tables) drops the terms of the image that can no longer feed its sum.
+    A generator outside 1..n raises WeylError."""
     return _kernel(s, _strings(rootdata.build_cartan(spec), s.anchor,
-                               s.terms, i, limit), i, kind, limit)
+                               s.terms, i, limit), i, limit)
 
 
 def apply_T_word(spec, word, s, kind=T_KIND):
     """T_w (or T'_w) of an exact AnchoredSeries, rightmost letter first:
     s is packed once for the kind (u = v^-1 for T, v for T') and stays
-    packed from letter to letter.  Anything but an exact AnchoredSeries
-    (a truncated one, or a value already packed) raises HeckeError."""
+    packed from letter to letter, and the packed value's var names the
+    kind to every later step.  Anything but an exact AnchoredSeries (a
+    truncated one, or a value already packed) raises HeckeError."""
     if not isinstance(s, AnchoredSeries) or not s.exact:
         raise HeckeError("the operators need an exact (finite) "
                          "AnchoredSeries")
-    return _word(spec, word, PackedSeries.pack(s.anchor, s.terms,
-                                               -_sign(kind)), kind)
+    if kind not in (T_KIND, TPRIME_KIND):
+        raise HeckeError(f"unknown operator kind {kind!r}")
+    return _word(spec, word, PackedSeries.pack(
+        s.anchor, s.terms, -1 if kind == T_KIND else 1))
 
 
-def _word(spec, word, p, kind=T_KIND):
-    """T_w (or T'_w) of a PackedSeries packed for the kind, rightmost
-    letter first."""
+def _word(spec, word, p):
+    """T_w (or T'_w, as p.var says) of a PackedSeries, rightmost letter
+    first."""
     for i in reversed(tuple(word)):
-        p = apply_T(spec, i, p, kind)
+        p = apply_T(spec, i, p)
     return p
 
 
-def quadratic_difference(spec, i, p, kind=T_KIND):
-    """First (beta, lhs, rhs) where T_i^2 = (v^-1 - 1) T_i + v^-1 (or the
-    v-version for T') fails on p, a series packed for the kind
-    (apply_T_word with the empty word), or None; compared packed, the
-    right side u T_i p - T_i p + u p built by shifts (a factor u is
-    x << width)."""
-    t1 = apply_T(spec, i, p, kind)
+def quadratic_difference(spec, i, p):
+    """First (beta, lhs, rhs) where T_i^2 = (u - 1) T_i + u fails on p, a
+    series packed for T (u = v^-1) or T' (u = v) by apply_T_word with the
+    empty word, or None; compared packed, the right side u T_i p - T_i p
+    + u p built by shifts (a factor u is x << width)."""
+    t1 = apply_T(spec, i, p)
     rhs = PackedSeries(p.anchor, {}, p.width, 0, p.low, p.var)
     for q, shift, sign in ((t1, 1, 1), (t1, 0, -1), (p, 1, 1)):
         rhs.add(PackedSeries(q.anchor, {b: sign * (x << shift * q.width)
                                         for b, x in q.terms.items()},
                              q.width, q.bound, q.low, q.var))
-    return apply_T(spec, i, t1, kind).first_difference(rhs)
+    return apply_T(spec, i, t1).first_difference(rhs)
 
 
 def word_difference(spec, w1, w2, p):
@@ -207,22 +205,21 @@ def conjugation_difference(spec, i, p, q):
     shifted = PackedSeries(tuple(a + 1 for a in q.anchor), q.terms, q.width,
                            q.bound, q.low, q.var)
     lhs, rhs = (AnchoredSeries(spec, p.anchor, t.unpack(), _trusted=True)
-                for t in (apply_T(spec, i, shifted, TPRIME_KIND),
-                          apply_T(spec, i, p)))
+                for t in (apply_T(spec, i, shifted), apply_T(spec, i, p)))
     return lhs.first_difference(rhs.scale(-V))
 
 
 def symmetrizer_stabilized(spec, anchor_labels, depth, margin=DEFAULT_MARGIN,
-                           layer_cap=DEFAULT_LAYER_CAP, seed=None,
-                           max_layers=500):
+                           layer_cap=DEFAULT_LAYER_CAP, seed=None):
     """Partial symmetrizer truncated to `depth`, run until stabilization.
 
     On an affine spec, layers are added until `margin` consecutive layers
-    contribute nothing at ht <= depth.  On a finite spec the walk takes
-    every layer of W, margin unread, and stabilizes when the orbit ends.
-    The walk starts at e^anchor, or at a seed packed for T (apply_T_word).
-    Returns (series, achieved_length, stabilized); an unstabilized result
-    must be treated as unverified by callers.
+    contribute nothing at ht <= depth, for at most MAX_LAYERS layers.  On
+    a finite spec the walk takes every layer of W, margin unread, and
+    stabilizes when the orbit ends.  The walk starts at e^anchor, or at a
+    seed packed for T (apply_T_word).  Returns (series, achieved_length,
+    stabilized); an unstabilized result, MAX_LAYERS run out first, must
+    be treated as unverified by callers.
     """
     if depth < 0:
         raise HeckeError(f"depth must be >= 0, got {depth}")
@@ -235,7 +232,7 @@ def symmetrizer_stabilized(spec, anchor_labels, depth, margin=DEFAULT_MARGIN,
             spec, tuple(anchor_labels)))
     total, length, stabilized = _walk(
         spec, rootdata.build_cartan(spec), (1,) * spec.num_nodes, seed,
-        max_layers, layer_cap, depth, margin)
+        MAX_LAYERS, layer_cap, depth, margin)
     return (AnchoredSeries(spec, seed.anchor, total.unpack(), depth=depth,
                            _trusted=True), length, stabilized)
 
@@ -312,23 +309,25 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
     lam - gamma dominant (_q_max), bounds Q of every term with
     ht(beta+) <= depth: a term with Q(beta) > q_max, and everything that
     any word of T's makes from it, lies deeper than the depth.  The kernel
-    drops those terms of each value, one interval per a_i-string (_Hull).
+    drops those terms of each value, one interval per a_i-string
+    (_StringTable).
     T_i is linear, so every value keeps its terms at ht <= depth and those
     of every value built from it: the accumulator, every quiet test, the
     length and the flag are those of the unpruned walk, and the bounds
     still hold, as a coefficient sums fewer terms.
 
-    The string table.  The walk's _Hull, handed to every apply_T and
-    _loud as their limit, is also its one table of a_i-strings: on first
-    sight of a generator i and a string key kappa (beta without coordinate
-    i) it computes every pairing <a_j, anchor - kappa> from the nonzero
-    Cartan entries, and from them c (_strings), ht(kappa), Q(kappa) and
-    the skipped range (_StringTable.skips); the reach test
-    (_strings_reaching) reads c, ht(kappa) and the pairings.  None of
-    these depends on the value a string belongs to, so each (i, kappa) is
-    computed once per walk, however many values and calls meet it.  A
-    walk at a depth always has its table; without a certificate its q_max
-    is None and nothing is skipped.  The chain (depth None) has none.
+    The string tables.  A walk at a depth keeps one table of a_i-strings
+    per generator (_StringTable, built by _hull), and hands the list to
+    every apply_T and _loud as their limit: on first sight of a string
+    key kappa (beta without coordinate i) the table of i computes every
+    pairing <a_j, anchor - kappa> from the nonzero Cartan entries, and
+    from them c (_strings), ht(kappa), Q(kappa) and the skipped range
+    (_StringTable.skips); the reach test (_strings_reaching) reads c,
+    ht(kappa) and the pairings.  None of these depends on the value a
+    string belongs to, so each (i, kappa) is computed once per walk,
+    however many values and calls meet it.  Without a certificate the
+    tables' q_max is None and nothing is skipped.  The chain (depth None)
+    has no tables.
 
     The last layers of a stop are settled without their exact values,
     from the values of the layer before them.  When one more quiet layer
@@ -396,15 +395,17 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
 
 
 def _hull(spec, cartan, seed, depth):
-    """The _Hull of a walk of seed at depth (see _walk); its q_max is None
-    where the certificate is void (an affine anchor + rho of level <= 0,
-    whose conjugates have no dominant one) or finds no gamma."""
+    """The string tables of a walk of seed at depth, [_StringTable of a_i
+    for i in 1..n] (see _walk), with the hull's q_max; it is None where
+    the certificate is void (an affine anchor + rho of level <= 0, whose
+    conjugates have no dominant one) or finds no gamma."""
     lam = tuple(a + 1 for a in seed.anchor)
     q_max = None
     if not spec.affine or sum(map(
             mul, rootdata.minimal_imaginary_coroot(spec).coords, lam)) > 0:
         q_max = _q_max(cartan, lam, seed.terms, depth)
-    return _Hull(cartan, seed.anchor, q_max)
+    return [_StringTable(cartan, seed.anchor, ii, q_max)
+            for ii in range(len(cartan))]
 
 
 def _q_max(cartan, lam, betas, depth):
@@ -457,47 +458,32 @@ def _q_max(cartan, lam, betas, depth):
     return best
 
 
-class _Hull:
-    """The string table of a walk at a depth, and its hull certificate
-    (see _walk): with q_max not None, a term beta with Q(beta) > q_max is
-    dropped, lam being anchor + rho.
-
-    tables[i - 1] holds the a_i-strings (_StringTable).  Along a string,
-    beta = kappa + b a_i with kappa_i = 0 and c the string's pairing at
-    b = 0 (_strings), Q(beta) = Q(kappa) + 2b(c + 1 - b).  So the dropped
-    b are those with (2b - c - 1)^2 < (c + 1)^2 - 2(q_max - Q(kappa)), one
-    interval per string, found with isqrt."""
-
-    __slots__ = ("q_max", "tables")
-
-    def __init__(self, cartan, anchor, q_max):
-        self.q_max = q_max
-        # column k's nonzero entries (j, a_jk)
-        cols = [[(j, row[k]) for j, row in enumerate(cartan) if row[k]]
-                for k in range(len(anchor))]
-        self.tables = [_StringTable(ii, anchor, cols, q_max)
-                       for ii in range(len(anchor))]
-
-
 class _StringTable(dict):
     """{kappa: (c, ht(kappa), (P_1, ..., P_n))} for the a_i-strings of a
-    walk, kappa being beta without coordinate i (kappa_i = 0), each entry
-    computed on its first lookup and kept for the rest of the walk: the
-    pairings P_j = <a_j, anchor - kappa>, from the nonzero Cartan entries
-    in O(n + edges), and c = P_i.  With a q_max, Q(kappa) =
-    sum_j kappa_j (anchor_j + P_j + 2) gives the string's dropped range
-    (_Hull), and skips maps the key of each string that loses terms to
-    (lo, hi), as the kernel's division takes it: the terms at
-    beta_i = -t with lo <= t < hi are dropped."""
+    walk (i = ii + 1), kappa being beta without coordinate i (kappa_i =
+    0), each entry computed on its first lookup and kept for the rest of
+    the walk: the pairings P_j = <a_j, anchor - kappa>, from the nonzero
+    Cartan entries in O(n + edges), and c = P_i.
 
-    __slots__ = ("skips", "_ii", "_anchor", "_cols", "_lams", "_q_max")
+    With q_max not None, the hull certificate (see _walk) drops each term
+    beta with Q(beta) > q_max.  Along a string, beta = kappa + b a_i and
+    Q(beta) = Q(kappa) + 2b(c + 1 - b), with Q(kappa) =
+    sum_j kappa_j (anchor_j + P_j + 2).  So the dropped b are those with
+    (2b - c - 1)^2 < (c + 1)^2 - 2(q_max - Q(kappa)), one interval per
+    string, found with isqrt; skips maps the key of each string that
+    loses terms to (lo, hi), as the kernel's division takes it: the terms
+    at beta_i = -t with lo <= t < hi are dropped."""
 
-    def __init__(self, ii, anchor, cols, q_max):
+    __slots__ = ("skips", "q_max", "_ii", "_anchor", "_cols", "_lams")
+
+    def __init__(self, cartan, anchor, ii, q_max):
         super().__init__()
         self.skips = {}
-        self._ii, self._anchor, self._q_max = ii, anchor, q_max
-        # the columns and anchor_j + 2 of the coordinates a key keeps
-        self._cols = cols[:ii] + cols[ii + 1:]
+        self.q_max, self._ii, self._anchor = q_max, ii, anchor
+        # the nonzero entries (j, a_jk) of each column k a key keeps, and
+        # anchor_k + 2
+        self._cols = [[(j, row[k]) for j, row in enumerate(cartan) if row[k]]
+                      for k in range(len(anchor)) if k != ii]
         self._lams = [a + 2 for a in anchor[:ii] + anchor[ii + 1:]]
 
     def __missing__(self, key):
@@ -507,10 +493,10 @@ class _StringTable(dict):
                 for j, a in col:
                     pairings[j] -= a * x
         c = pairings[ii]
-        if self._q_max is not None:
+        if self.q_max is not None:
             q = sum(map(mul, key, map(add, self._lams,
                                       pairings[:ii] + pairings[ii + 1:])))
-            r = (c + 1) ** 2 - 2 * (self._q_max - q)
+            r = (c + 1) ** 2 - 2 * (self.q_max - q)
             if r > 0:
                 r = isqrt(r - 1)  # |2b - c - 1| <= r
                 self.skips[key] = (-((c + 1 + r) // 2), (r - c - 1) // 2 + 1)
@@ -526,32 +512,30 @@ def _capped(steps, layer_cap):
     return steps
 
 
-def _loud(cartan, p, i, depth, js=(), limit=None):
+def _loud(cartan, p, i, depth, limit, js=()):
     """True iff T_i(p), or T_j T_i(p) for some j in js, has a term at
     ht <= depth with nonnegative displacement, p a PackedSeries; T_i is
     applied to the a_i-strings that _strings_reaching keeps, under the
     walk's limit."""
     out = _kernel(p, _strings_reaching(cartan, p, i, js, depth, limit), i,
-                  T_KIND, limit)
+                  limit)
     return (any(sum(b) <= depth and min(b) >= 0 for b in out.terms)
-            or any(_loud(cartan, out, j, depth, limit=limit) for j in js))
+            or any(_loud(cartan, out, j, depth, limit) for j in js))
 
 
-def _strings_reaching(cartan, p, i, js, depth, limit=None):
+def _strings_reaching(cartan, p, i, js, depth, limit):
     """The a_i-strings of a PackedSeries, grouped as _strings groups them,
     on which T_i can leave a term at ht <= depth, or a term that is
     j-reachable for some j in js, each tested at the shallowest position
     its image can hold; see _walk.  The strings' c, ht and pairings come
-    from the walk's string table (limit), or from a table of their own.
+    from the walk's string tables (limit).
 
     s_i reverses a string, b -> c - b with b = beta_i, where c is
     <a_i, anchor - beta> at b = 0 (a_ii = 2).  So the shallowest numerator
     position on it is the lower of its least b and of its greatest b
     reflected, and the image starts one step deeper, at e: ht there is
     ht(kappa) + e, and the pairing with a_j is P_j(kappa) - a_ji e."""
-    if limit is None:
-        limit = _Hull(cartan, p.anchor, None)
-    table = limit.tables[i - 1]
+    table = limit[i - 1]
     column = [(j - 1, cartan[j - 1][i - 1]) for j in js]
     kept = {}
     for key, string in _strings(cartan, p.anchor, p.terms, i,
@@ -574,6 +558,6 @@ def _quiet(cartan, steps, ahead, layer, depth, limit):
     children = {}
     for _, j, c in ahead:
         children.setdefault(c, []).append(j)
-    return not any(_loud(cartan, layer[p], i, depth, children.get(c, ()),
-                         limit)
+    return not any(_loud(cartan, layer[p], i, depth, limit,
+                         children.get(c, ()))
                    for c, i, p in steps)

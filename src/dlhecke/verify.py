@@ -230,16 +230,23 @@ def verify_recursion(spec, labels, wprime_word, i):
     params = {"labels": list(labels), "wprime": list(wprime_word), "i": i}
     packed = heckeops.apply_T_word(spec, wprime_word,
                                    AnchoredSeries.monomial(spec, labels))
-    route_a, f = (AnchoredSeries(spec, labels, p.unpack(), _trusted=True)
-                  for p in (heckeops.apply_T(spec, i, packed), packed))
-    fw = weyl.act_on_series(spec, (i,), f)
-    unit = tuple(1 if j == i - 1 else 0 for j in range(n))
-    numerator = add_maps(times_factors(fw.terms, [(unit, VINV, 1)], None),
-                         f.scale(VINV - 1).terms)
+    route_a = AnchoredSeries(spec, labels, heckeops.apply_T(
+        spec, i, packed).unpack(), _trusted=True)
+    numerator = _t_numerator(cartan, labels, packed.unpack(), i)
+    alpha = tuple(-1 if j == i - 1 else 0 for j in range(n))
     route_b = AnchoredSeries(spec, labels, divide_exact(
-        numerator, tuple(-x for x in unit), from_deep=True), _trusted=True)
+        numerator, alpha, from_deep=True), _trusted=True)
     diff = route_a.first_difference(route_b)
     return _report("recursion", spec, params, start, diff)
+
+
+def _t_numerator(cartan, anchor, terms, i):
+    """The term map (1 - v^-1 e^{-a_i}) F^{s_i} + (v^-1 - 1) F of a term
+    map F, T_i(F) times (1 - e^{a_i}) (heckeops module docstring)."""
+    unit = tuple(1 if j == i - 1 else 0 for j in range(len(anchor)))
+    image = weyl.reflect_terms(cartan, anchor, terms, i)
+    return add_maps(times_factors(image, [(unit, VINV, 1)], None),
+                    {b: c * (VINV - 1) for b, c in terms.items()})
 
 
 # -- symmetrizer properties ------------------------------------------------
@@ -298,14 +305,11 @@ def verify_symmetrizer_properties(spec, labels, depth, buffer=3,
     pv_terms = p.scale(VINV).terms
     diff = None
     for i in range(1, n + 1):
-        unit = tuple(1 if j == i - 1 else 0 for j in range(n))
-        neg_unit = tuple(-x for x in unit)
-        refl = weyl.reflect_terms(cartan, p.anchor, p.terms, i)
+        alpha = tuple(-1 if j == i - 1 else 0 for j in range(n))
         # (i), numerator form:
         #   (1 - v^-1 e^{-a_i}) P^{s_i} + (v^-1 - 1) P = v^-1 (1 - e^{a_i}) P
-        lhs = add_maps(times_factors(refl, [(unit, VINV, 1)], None),
-                       {b: c * (VINV - 1) for b, c in p.terms.items()})
-        rhs = times_factors(pv_terms, [(neg_unit, VP_ONE, 1)], None)
+        lhs = _t_numerator(cartan, p.anchor, p.terms, i)
+        rhs = times_factors(pv_terms, [(alpha, VP_ONE, 1)], None)
         diff = _cone_window_diff(lhs, rhs, window)
         if diff is not None:
             params["property"] = f"(i) generator {i}"
@@ -483,7 +487,7 @@ def _relation_differences(spec, s):
     for i in range(1, n + 1):
         for kind, p in packed.items():
             yield (f"quadratic {kind} generator {i}",
-                   heckeops.quadratic_difference(spec, i, p, kind))
+                   heckeops.quadratic_difference(spec, i, p))
         yield (f"conjugation generator {i}",
                heckeops.conjugation_difference(
                    spec, i, packed[heckeops.T_KIND],

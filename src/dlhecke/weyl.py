@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import rootdata
-from .vseries import AnchoredSeries, SeriesError
 
 
 class WeylError(ValueError):
@@ -126,17 +125,3 @@ def reflect_terms(cartan, anchor, terms, i):
     return {reflect(cartan, anchor, beta, i): cf
             for beta, cf in terms.items()}
 
-
-def act_on_series(spec, word, s):
-    """Apply a word to a finite series, letter by letter from the right.
-
-    Only exact (finite-support) series are accepted; the images may leave
-    the anchor cone, which exact series are allowed to do.
-    """
-    if not s.exact:
-        raise SeriesError("W-action is only exact on finite series")
-    cartan = rootdata.build_cartan(spec)
-    terms = dict(s.terms)
-    for i in reversed(word):
-        terms = reflect_terms(cartan, s.anchor, terms, i)
-    return AnchoredSeries(s.spec, s.anchor, terms, _trusted=True)

@@ -12,6 +12,7 @@ from dlhecke.rootdata import RootSystemSpec
 from dlhecke.vseries import (AnchoredSeries, VPoly, VP_ONE, VINV, ht,
                              mul_maps, times_factors)
 from series_json import series_from_json
+from weyl_action import act_on_series
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -134,8 +135,8 @@ def _w0_height(spec, labels):
     """ht(Lambda - w0 Lambda): the depth at which the truncated Weyl-Kac
     product holds the whole finite character."""
     w0 = weyl.enumerate_layers(spec, 10 ** 9)[-1][0]
-    image = weyl.act_on_series(spec, w0.word,
-                               AnchoredSeries.monomial(spec, labels))
+    image = act_on_series(spec, w0.word,
+                          AnchoredSeries.monomial(spec, labels))
     (beta,) = image.terms
     return ht(beta)
 

@@ -6,9 +6,10 @@ import json
 import pathlib
 import re
 import shlex
+from random import Random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, find, given, settings, strategies as st
 
 from dlhecke import cli
 
@@ -384,7 +385,11 @@ def argvs(draw):
     0.04 s, and stays <= 0 on A2! and D4, where it would cost about 1 s;
     a window <= 0 is refused with exit 3 before any walk, as affine-cs,
     proportionality and denominator-identity refuse depth 0: each would
-    compare the beta = 0 coefficient alone."""
+    compare the beta = 0 coefficient alone.  A symmetrizer draw always
+    gives its required --spec and --labels, and is mostly well formed
+    besides (labels >= 0, a margin >= 1, the window 1 where it may be,
+    and a buffer >= 0), so that some reach a verdict; the other checks'
+    draws leave required options out."""
     argv = []
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["text", "json"]))]
@@ -413,20 +418,28 @@ def argvs(draw):
               "--count": SMALL}
     reads = CHECK_OPTIONS[what] if what else COMMAND_OPTIONS[command]
     argv += [command] + ([what] if what else [])
+    symmetrizer = what == "symmetrizer"
+    if symmetrizer:
+        values["--labels"] = _vector(_mostly(st.integers(0, 2),
+                                             st.just(-1)), n)
+        values["--margin"] = _mostly(st.integers(1, 3), st.integers(-1, 0))
     for name in reads:
-        if what == "symmetrizer" and name in ("--depth", "--buffer"):
+        if symmetrizer and name in ("--depth", "--buffer"):
             continue  # drawn together below
-        if draw(_mostly(st.just(False), st.just(True))):
+        if (not (symmetrizer and name in ("--spec", "--labels"))
+                and draw(_mostly(st.just(False), st.just(True)))):
             continue  # leave a (maybe required) option out
         value = str(draw(values[name]))
         if draw(st.booleans()):
             argv.append(f"{name}={value}")
         else:
             argv += [name, value]  # "-1,2" then reads as an option
-    if what == "symmetrizer":
-        d = draw(values["--depth"])
-        window = st.integers(-1, 0 if spec in ("A2!", "D4") else 1)
-        argv += ["--depth", str(d), "--buffer", str(d - draw(window))]
+    if symmetrizer:
+        window = (st.integers(-1, 0) if spec in ("A2!", "D4")
+                  else _mostly(st.just(1), st.integers(-1, 0)))
+        w = draw(window)
+        d = draw(_mostly(st.integers(max(w, 1), 3), values["--depth"]))
+        argv += ["--depth", str(d), "--buffer", str(d - w)]
     if draw(_mostly(st.just(False), st.just(True))):
         argv.append(draw(st.sampled_from(["--bogus", "x", "--depth", "7"])))
     return argv
@@ -456,10 +469,23 @@ SYMMETRIZER_VERDICTS = [
 @example(SYMMETRIZER_VERDICTS[0])
 @example(SYMMETRIZER_VERDICTS[1])
 def test_any_argv_exits_with_a_documented_code(argv):
+    assert _exit_code(argv) in (0, 1, 2, 3, 64)
+
+
+def _exit_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
-        code = cli.run(argv)
-    assert code in (0, 1, 2, 3, 64)
+        return cli.run(argv)
+
+
+def test_argvs_draws_symmetrizer_requests_that_reach_a_verdict():
+    # a search over argvs' own draws finds a symmetrizer request that the
+    # check answers, pass (0) or fail (1), not one it refuses
+    argv = find(argvs(), lambda argv: "symmetrizer" in argv
+                and _exit_code(argv) in (0, 1),
+                settings=settings(database=None, max_examples=2000),
+                random=Random(0))
+    assert argv[argv.index("verify") + 1] == "symmetrizer"
 
 
 @pytest.mark.parametrize("argv", D4_VERDICTS, ids=shlex.join)

@@ -13,6 +13,7 @@ from dlhecke.vseries import (AnchoredSeries, PackedSeries, VPoly, VP_ONE, V,
                              VINV, divide_exact, nonneg_vectors_up_to)
 from dlhecke.weyl import WeylError
 from series_json import series_from_json
+from weyl_action import act_on_series
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -104,7 +105,7 @@ def test_apply_T_rejects_out_of_range_generators(text, kind):
     p = heckeops.apply_T_word(spec, (), s, kind)
     for i in (0, spec.num_nodes + 1):
         with pytest.raises(WeylError):
-            heckeops.apply_T(spec, i, p, kind)
+            heckeops.apply_T(spec, i, p)
         with pytest.raises(WeylError):
             heckeops.apply_T_word(spec, (1, i), s)
 
@@ -115,7 +116,7 @@ def test_quadratic_relation_on_awkward_monomials():
         for i in (1, 2):
             for kind in (T_KIND, TPRIME_KIND):
                 assert heckeops.quadratic_difference(
-                    A2, i, _packed(s, kind), kind) is None
+                    A2, i, _packed(s, kind)) is None
 
 
 def test_quadratic_relation_affine_double_bond():
@@ -161,8 +162,10 @@ def test_symmetrizer_stabilized_affine_flags():
     assert total.depth == 3
     assert total.coefficient((0, 0)) == VP_ONE
     # forcing an unreachable margin inside a tiny layer budget reports honestly
-    _, _, flag = heckeops.symmetrizer_stabilized(A1A, (0, 1), 3, margin=2,
-                                                 max_layers=2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heckeops, "MAX_LAYERS", 2)
+        _, _, flag = heckeops.symmetrizer_stabilized(A1A, (0, 1), 3,
+                                                     margin=2)
     assert not flag
     # a truncated seed is refused where it is packed, before any walk
     deep = _mono(A1A, (0, 1), beta=(2, 1), depth=3)
@@ -209,7 +212,7 @@ def _numerator(s, i, kind):
     u, sign = (VINV, 1) if kind == T_KIND else (V, -1)
     shift = tuple(sign if j == i - 1 else 0 for j in range(n))
     factor = AnchoredSeries(s.spec, (0,) * n, {(0,) * n: VP_ONE, shift: -u})
-    return factor * weyl.act_on_series(s.spec, (i,), s) + s.scale(u - 1)
+    return factor * act_on_series(s.spec, (i,), s) + s.scale(u - 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -230,8 +233,7 @@ def test_apply_T_raw_divides_the_series_numerator(data, s, kind):
 @given(st.data(), exact_series(), KINDS)
 def test_quadratic_relation_on_multi_term_series(data, s, kind):
     i = data.draw(st.integers(1, s.spec.num_nodes))
-    assert heckeops.quadratic_difference(s.spec, i, _packed(s, kind),
-                                         kind) is None
+    assert heckeops.quadratic_difference(s.spec, i, _packed(s, kind)) is None
 
 
 def _bonds(spec):
@@ -308,12 +310,12 @@ def test_packed_kernel_matches_the_per_degree_loop(data, spec, kind):
     terms = {b: c for b, c in data.draw(_big_term_maps(n)).items() if c}
     anchor = data.draw(st.tuples(*[st.integers(-3, 3)] * n))
     cartan = rootdata.build_cartan(spec)
-    packed = PackedSeries.pack(anchor, terms, -heckeops._sign(kind))
+    packed = PackedSeries.pack(anchor, terms, -1 if kind == T_KIND else 1)
     for i in range(1, n + 1):
         want = _per_degree_T(cartan, anchor, terms, i, kind)
         exact = AnchoredSeries(spec, anchor, terms)
         assert heckeops.apply_T_word(spec, (i,), exact, kind).unpack() == want
-        out = heckeops.apply_T(spec, i, packed, kind)
+        out = heckeops.apply_T(spec, i, packed)
         assert out.unpack() == want
         # the carried bound covers every coefficient it vouches for
         assert all(abs(x) <= out.bound
@@ -355,6 +357,13 @@ def _reachable_terms(cartan, anchor, terms, i, depth):
     row, label = cartan[i - 1], anchor[i - 1]
     return {beta: cf for beta, cf in terms.items()
             if sum(beta) + min(0, label - sum(map(mul, row, beta))) < depth}
+
+
+def _tables(cartan, anchor, q_max=None):
+    """A walk's string tables for the anchor, one per generator, with a
+    given q_max (None: nothing skipped)."""
+    return [heckeops._StringTable(cartan, anchor, ii, q_max)
+            for ii in range(len(cartan))]
 
 
 def _strings_reaching_by_ends(cartan, p, i, js, depth):
@@ -401,7 +410,8 @@ def test_reaching_strings_keep_every_shallow_output_two_steps_on(
         return heckeops.apply_T_word(
             s.spec, (g,), AnchoredSeries(s.spec, s.anchor, terms)).unpack()
     p = PackedSeries.pack(s.anchor, s.terms, -1)
-    strings = heckeops._strings_reaching(cartan, p, i, (j,), depth)
+    strings = heckeops._strings_reaching(cartan, p, i, (j,), depth,
+                                         _tables(cartan, s.anchor))
     kept = T({b: cf for b, cf in s.terms.items()
               if b[:i - 1] + b[i:] in strings}, i)
     full = T(s.terms, i)
@@ -424,19 +434,19 @@ def test_the_string_table_matches_the_direct_formulas(data, s, depth, q_max):
     js = tuple(data.draw(st.sets(st.integers(1, n).filter(
         lambda j: j != i), max_size=2)))
     p = PackedSeries.pack(s.anchor, s.terms, -1)
-    hull = heckeops._Hull(cartan, s.anchor, q_max)
+    tables = _tables(cartan, s.anchor, q_max)
     for g in range(1, n + 1):
-        heckeops._strings(cartan, s.anchor, p.terms, g, hull)
-    strings = heckeops._strings(cartan, s.anchor, p.terms, i, hull)
+        heckeops._strings(cartan, s.anchor, p.terms, g, tables)
+    strings = heckeops._strings(cartan, s.anchor, p.terms, i, tables)
     assert strings == heckeops._strings(cartan, s.anchor, p.terms, i)
-    skips = hull.tables[i - 1].skips
+    skips = tables[i - 1].skips
     for key in strings:
         dropped = {b for b in range(-40, 41) if _q(
             s.spec, s.anchor, key[:i - 1] + (b,) + key[i - 1:]) > q_max}
         assert not dropped & {-40, 40}
         lo, hi = skips.get(key, (0, 0))
         assert dropped == {-t for t in range(lo, hi)}
-    assert set(heckeops._strings_reaching(cartan, p, i, js, depth, hull)) \
+    assert set(heckeops._strings_reaching(cartan, p, i, js, depth, tables)) \
         == _strings_reaching_by_ends(cartan, p, i, js, depth)
 
 
@@ -614,9 +624,9 @@ def test_last_layer_skips_the_full_parent_values(monkeypatch):
     calls = []
     apply_T = heckeops.apply_T
 
-    def counting_apply_T(spec, i, s, kind=T_KIND, limit=None):
+    def counting_apply_T(spec, i, s, limit=None):
         calls.append(i)
-        return apply_T(spec, i, s, kind, limit)
+        return apply_T(spec, i, s, limit)
 
     monkeypatch.setattr(heckeops, "apply_T", counting_apply_T)
     got = heckeops.symmetrizer_stabilized(spec, labels, depth)
@@ -644,15 +654,14 @@ def test_walker_values_have_the_terms_of_the_exact_route(monkeypatch):
     dropped = 0
     apply_T = heckeops.apply_T
 
-    def checking_apply_T(spec, i, s, kind=T_KIND, limit=None):
+    def checking_apply_T(spec, i, s, limit=None):
         nonlocal dropped
-        out = apply_T(spec, i, s, kind, limit)
+        out = apply_T(spec, i, s, limit)
         terms = s.unpack()
-        exact = apply_T(spec, i, heckeops.apply_T_word(
-            spec, (), AnchoredSeries(spec, s.anchor, terms), kind),
-            kind).unpack()
-        kept = {b: cf for b, cf in exact.items()
-                if limit is None or _q(spec, s.anchor, b) <= limit.q_max}
+        exact = apply_T(spec, i, PackedSeries.pack(s.anchor, terms,
+                                                   s.var)).unpack()
+        kept = {b: cf for b, cf in exact.items() if limit is None
+                or _q(spec, s.anchor, b) <= limit[i - 1].q_max}
         dropped += len(exact) - len(kept)
         checked.append(set(s.terms) == set(terms)
                        and set(out.terms) == set(kept)
@@ -702,18 +711,19 @@ def test_every_term_the_kernel_drops_lies_deeper_in_its_hull(
     kernel = heckeops._kernel
     dropped = []
 
-    def recording_kernel(p, strings, i, kind, limit=None):
-        out = kernel(p, strings, i, kind, limit)
+    def recording_kernel(p, strings, i, limit=None):
+        out = kernel(p, strings, i, limit)
         if limit is not None:
-            full = kernel(p, strings, i, kind).terms
+            full = kernel(p, strings, i).terms
             assert all(full[b] == x for b, x in out.terms.items())
             dropped.extend(b for b in full if b not in out.terms)
         return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(heckeops, "_kernel", recording_kernel)
+        mp.setattr(heckeops, "MAX_LAYERS", 12)
         heckeops.symmetrizer_stabilized(spec, labels, depth, margin=margin,
-                                        seed=seed, max_layers=12)
+                                        seed=seed)
     assert all(_hull_height(cartan, lam, b) > depth for b in dropped)
 
 
@@ -731,8 +741,8 @@ def test_a_q_max_one_step_too_small_changes_the_walk(monkeypatch):
 def test_stop_is_the_same_at_the_edges_of_max_layers_and_layer_cap(
         text, labels, depth, kind, max_length):
     """The last `margin` layers of a stop are quiet, so the series is
-    already whole one layer earlier: max_layers = L - 1 returns it
-    unstabilized, and max_layers = L stabilized.  The final layer L, the
+    already whole one layer earlier: MAX_LAYERS = L - 1 returns it
+    unstabilized, and MAX_LAYERS = L stabilized.  The final layer L, the
     one settled ahead of the layer before it when margin >= 2, is still
     capped: a cap below its size raises, and a cap of its size changes
     nothing."""
@@ -741,9 +751,11 @@ def test_stop_is_the_same_at_the_edges_of_max_layers_and_layer_cap(
                                (1,) * spec.num_nodes)
     sizes = [len(steps) for _, steps in zip(range(max_length + 3), layers)]
     for margin in (1, 2, 3):
-        def walk(**kw):
-            return heckeops.symmetrizer_stabilized(
-                spec, labels, depth, margin=margin, **kw)
+        def walk(max_layers=heckeops.MAX_LAYERS, **kw):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(heckeops, "MAX_LAYERS", max_layers)
+                return heckeops.symmetrizer_stabilized(
+                    spec, labels, depth, margin=margin, **kw)
         total, length, stabilized = walk()
         assert stabilized and sizes[length - 1] == max(sizes[:length])
         assert walk(max_layers=length - 1) == (total, length - 1, False)

@@ -14,6 +14,7 @@ from dlhecke.rootdata import RootSystemSpec
 from dlhecke.vseries import (AnchoredSeries, PackedSeries, VPoly, VP_ONE,
                              VP_ZERO, V, VINV, divide_exact)
 from series_json import series_from_json
+from weyl_action import act_on_series
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -295,7 +296,7 @@ def test_divide_deep_end_matches_shallow_end():
     numerator is built by series arithmetic, as verify_recursion does."""
     s = AnchoredSeries.monomial(A2, (2, 1))
     cnum = AnchoredSeries(A2, (0, 0), {(0, 0): VP_ONE, (1, 0): -VINV})
-    num = cnum * weyl.act_on_series(A2, (1,), s) + s.scale(VINV - 1)
+    num = cnum * act_on_series(A2, (1,), s) + s.scale(VINV - 1)
     shallow = divide_exact(num.terms, (-1, 0))
     deep = divide_exact(num.terms, (-1, 0), from_deep=True)
     assert shallow == deep
@@ -319,9 +320,9 @@ def test_recursion_applies_each_letter_of_the_word_once(monkeypatch):
     kernel = heckeops._kernel
     calls = []
 
-    def counting_kernel(p, strings, i, kind, limit=None):
+    def counting_kernel(p, strings, i, limit=None):
         calls.append(i)
-        return kernel(p, strings, i, kind, limit)
+        return kernel(p, strings, i, limit)
 
     monkeypatch.setattr(heckeops, "_kernel", counting_kernel)
     for spec, labels, word, i in ((A2, (1, 1), (), 1), (A2, (1, 1), (2,), 1),
@@ -379,9 +380,10 @@ def test_hecke_failure_carries_real_witness():
     for faulty, relation in faults:
         made = {}  # id of a kernel value -> (letters that built it, value)
 
-        def planted(p, strings, i, kind, limit=None):
-            out = kernel(p, strings, i, kind, limit)
+        def planted(p, strings, i, limit=None):
+            out = kernel(p, strings, i, limit)
             before = made.get(id(p), (0,))[0]
+            kind = heckeops.T_KIND if p.var == -1 else heckeops.TPRIME_KIND
             if faulty(i, kind, before):
                 out = PackedSeries(out.anchor, {b: -x for b, x in
                                                 out.terms.items()},
