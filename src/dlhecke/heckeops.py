@@ -9,14 +9,17 @@ with the division carried out exactly in the Laurent ring.  One kernel,
 _kernel, does it on packed coefficients (vseries.PackedSeries: u ->
 2^width with u = v^var, Kronecker substitution), so that every
 coefficient is one int; a packed value's var fixes the operator, T for
-var = -1 (u = v^-1) and T' for var = +1 (u = v).  The kernel builds the
-numerator string by string: the three numerator positions of a monomial
-lie on its a_i-string, and each is one big-int addition, the factor u a
-left shift.  It then hands the strings to vseries._divide_strings, the
-same routine behind vseries.divide_exact, which sums each string from
-its shallow end and asserts the zero remainder of every string on every
-call; that is the one private name heckeops imports, since the numerator
-is built straight into the strings that routine takes.  Every packed
+var = -1 (u = v^-1) and T' for var = +1 (u = v).  The kernel groups the
+terms by a_i-string, since the three numerator positions of a monomial
+lie on its string.  It writes the quotient of a one-term string in
+closed form, whose remainder x - u x + (u - 1) x is 0 identically.  It
+builds the numerator of every longer string, each position one big-int
+addition and the factor u a left shift, and hands those strings to
+vseries._divide_strings, the same routine behind vseries.divide_exact,
+which sums each string from its shallow end and asserts the zero
+remainder of every string it divides; that is the one private name
+heckeops imports, since the numerator is built straight into the
+strings that routine takes.  Every packed
 value carries a bound on its coefficients, which the kernel keeps below
 half its width (_kernel).  apply_T maps a PackedSeries to a
 PackedSeries; apply_T_word, the one boundary and the one function that
@@ -32,10 +35,11 @@ the whole of a finite W, and each coset of the parabolic chain that
 sums exactly over a finite W (symmetrizer_chain), whose value stays
 packed from coset to coset.  At a depth, the walk passes its list of
 string tables (_StringTable, one per generator) to the kernel as its
-limit: what each a_i-string's pairings give, its c, its skipped range
-and its reach, is computed once per walk, and the kernel drops from
-each value the terms that the rho-shifted hull shows can no longer feed
-the sum, one skipped range per a_i-string.
+limit: what each a_i-string's pairings give, its c and its reach, is
+computed once per walk, and its skipped range once, on the kernel's
+first use of the string; the kernel drops from each value the terms
+that the rho-shifted hull shows can no longer feed the sum, one skipped
+range per a_i-string.
 """
 from __future__ import annotations
 
@@ -99,9 +103,14 @@ def _kernel(p, strings, i, limit=None):
     = c - 2b, c the string's pairing at b = 0, puts x at b + k (its
     reflection), -u x at b + k + s and (u - 1) x at b, where p packs
     u = v^var (var = -1 for T, +1 for T') and s = -var; so u x is
-    x << width.  Each
-    string is then divided by (1 - e^{a_i}), that is by (1 - e^{-alpha})
-    with alpha = -a_i, from its shallow end by vseries._divide_strings.
+    x << width.  Each string of two or more terms is divided by
+    (1 - e^{a_i}), that is by (1 - e^{-alpha}) with alpha = -a_i, from its
+    shallow end by vseries._divide_strings, which tests its remainder.
+    The quotient of a one-term string, summed the same way, has a closed
+    form; with e = b + k + 1 for T and e = b + k for T', it is
+    (1 - u) x on b + 1 ... e - 1, then -u x (T) or x (T') at e, if e > b;
+    else -x (T) or u x (T') at e, then (u - 1) x on e + 1 ... b.  Its
+    remainder x - u x + (u - 1) x is 0 identically.
 
     The bound: the partial sums of one term's three numerator
     contributions, in any order along its string, are x, -u x, (u - 1) x,
@@ -112,29 +121,55 @@ def _kernel(p, strings, i, limit=None):
     does not fit p's width, the strings, still within M, are first
     repacked at the width of the widening rule (PackedSeries.width_for).
     """
-    s = -p.var
+    s, ii = -p.var, i - 1
     bound = 2 * p.bound * max((len(st) for _, st in strings.values()),
                               default=0)
     width = p.width_for(bound, p.width)
     if width != p.width:
         strings = {key: (c, p.repacked(string, width))
                    for key, (c, string) in strings.items()}
-    nums = {}
-    # t = -b is the string coordinate along alpha = -a_i
+    table = None if limit is None else limit[ii]
+    is_t = s > 0  # T (u = v^-1), not T'
+    out, nums, skips = {}, {}, {}
     for key, (c, string) in strings.items():
-        nums[key] = num = {}
-        for b, x in string.items():
-            y = x << width
-            t = b - c  # -(b + k)
-            num[t] = num.get(t, 0) + x
-            num[t - s] = num.get(t - s, 0) - y
-            num[-b] = num.get(-b, 0) + y - x
-    # _strings grouped the strings under the limit's table, so its skips
-    # holds the range of each string that loses terms
-    skips = None if limit is None else limit[i - 1].skips
-    return PackedSeries(p.anchor, _divide_strings(nums, i - 1, -1, width,
-                                                  bound, skips=skips),
-                        width, bound, p.low, p.var)
+        skip = None
+        if table is not None:
+            skip = table[key][3]
+            if skip is _PENDING:
+                skip = table.skip(key)
+        if len(string) > 1:
+            if skip:
+                skips[key] = skip
+            # t = -b is the string coordinate along alpha = -a_i
+            nums[key] = num = {}
+            for b, x in string.items():
+                y = x << width
+                t = b - c  # -(b + k)
+                num[t] = num.get(t, 0) + x
+                num[t - s] = num.get(t - s, 0) - y
+                num[-b] = num.get(-b, 0) + y - x
+            continue
+        (b, x), = string.items()
+        if not x:
+            continue
+        y = x << width
+        e = c - b + is_t
+        head, tail = key[:ii], key[ii:]
+        if e > b:
+            z, first, last, run = -y if is_t else x, b + 1, e, x - y
+        else:
+            z, first, last, run = -x if is_t else y, e + 1, b + 1, y - x
+        # the b in [lo, hi) are dropped: the skip's t = -b (none: an empty
+        # range at last)
+        lo, hi = (last, last) if skip is None else (1 - skip[1], 1 - skip[0])
+        if not lo <= e < hi:
+            out[head + (e,) + tail] = z
+        for b in range(first, min(last, lo)):
+            out[head + (b,) + tail] = run
+        for b in range(max(first, hi), last):
+            out[head + (b,) + tail] = run
+    out.update(_divide_strings(nums, ii, -1, width, bound, skips=skips))
+    return PackedSeries(p.anchor, out, width, bound, p.low, p.var)
 
 
 def apply_T(spec, i, s, limit=None):
@@ -321,13 +356,15 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
     every apply_T and _loud as their limit: on first sight of a string
     key kappa (beta without coordinate i) the table of i computes every
     pairing <a_j, anchor - kappa> from the nonzero Cartan entries, and
-    from them c (_strings), ht(kappa), Q(kappa) and the skipped range
-    (_StringTable.skips); the reach test (_strings_reaching) reads c,
-    ht(kappa) and the pairings.  None of these depends on the value a
-    string belongs to, so each (i, kappa) is computed once per walk,
-    however many values and calls meet it.  Without a certificate the
-    tables' q_max is None and nothing is skipped.  The chain (depth None)
-    has no tables.
+    from them c (_strings) and ht(kappa); the reach test
+    (_strings_reaching) reads c, ht(kappa) and the pairings.  Q(kappa)
+    and the skipped range (_StringTable.skip) wait for the kernel's first
+    use of the string, as the reach test drops many strings, and go into
+    its entry; an empty range is stored as None.  None of these depends
+    on the value a string belongs to, so each (i, kappa) is computed once
+    per walk, however many values and calls meet it.  Without a
+    certificate the tables' q_max is None and nothing is skipped.  The
+    chain (depth None) has no tables.
 
     The last layers of a stop are settled without their exact values,
     from the values of the layer before them.  When one more quiet layer
@@ -458,10 +495,14 @@ def _q_max(cartan, lam, betas, depth):
     return best
 
 
+# the skipped range of a table entry that the kernel has not used yet
+_PENDING = object()
+
+
 class _StringTable(dict):
-    """{kappa: (c, ht(kappa), (P_1, ..., P_n))} for the a_i-strings of a
-    walk (i = ii + 1), kappa being beta without coordinate i (kappa_i =
-    0), each entry computed on its first lookup and kept for the rest of
+    """{kappa: (c, ht(kappa), (P_1, ..., P_n), skip)} for the a_i-strings
+    of a walk (i = ii + 1), kappa being beta without coordinate i (kappa_i
+    = 0), each entry computed on its first lookup and kept for the rest of
     the walk: the pairings P_j = <a_j, anchor - kappa>, from the nonzero
     Cartan entries in O(n + edges), and c = P_i.
 
@@ -470,15 +511,16 @@ class _StringTable(dict):
     Q(beta) = Q(kappa) + 2b(c + 1 - b), with Q(kappa) =
     sum_j kappa_j (anchor_j + P_j + 2).  So the dropped b are those with
     (2b - c - 1)^2 < (c + 1)^2 - 2(q_max - Q(kappa)), one interval per
-    string, found with isqrt; skips maps the key of each string that
-    loses terms to (lo, hi), as the kernel's division takes it: the terms
-    at beta_i = -t with lo <= t < hi are dropped."""
+    string, found with isqrt.  skip is that range, (lo, hi) as the
+    kernel's division takes it (the terms at beta_i = -t with
+    lo <= t < hi are dropped), or None if it drops nothing; it is _PENDING
+    until the kernel first divides the string (skip), so strings that
+    only the reach test reads never compute Q."""
 
-    __slots__ = ("skips", "q_max", "_ii", "_anchor", "_cols", "_lams")
+    __slots__ = ("q_max", "_ii", "_anchor", "_cols", "_lams")
 
     def __init__(self, cartan, anchor, ii, q_max):
         super().__init__()
-        self.skips = {}
         self.q_max, self._ii, self._anchor = q_max, ii, anchor
         # the nonzero entries (j, a_jk) of each column k a key keeps, and
         # anchor_k + 2
@@ -492,16 +534,24 @@ class _StringTable(dict):
             if x:
                 for j, a in col:
                     pairings[j] -= a * x
-        c = pairings[ii]
-        if self.q_max is not None:
-            q = sum(map(mul, key, map(add, self._lams,
-                                      pairings[:ii] + pairings[ii + 1:])))
-            r = (c + 1) ** 2 - 2 * (self.q_max - q)
-            if r > 0:
-                r = isqrt(r - 1)  # |2b - c - 1| <= r
-                self.skips[key] = (-((c + 1 + r) // 2), (r - c - 1) // 2 + 1)
-        self[key] = found = (c, sum(key), tuple(pairings))
+        self[key] = found = (pairings[ii], sum(key), tuple(pairings),
+                             None if self.q_max is None else _PENDING)
         return found
+
+    def skip(self, key):
+        """The skipped range of the string key, stored in its entry."""
+        c, h, pairings, _ = self[key]
+        ii, skip = self._ii, None
+        q = sum(map(mul, key, map(add, self._lams,
+                                  pairings[:ii] + pairings[ii + 1:])))
+        r = (c + 1) ** 2 - 2 * (self.q_max - q)
+        if r > 0:
+            r = isqrt(r - 1)  # |2b - c - 1| <= r
+            lo, hi = -((c + 1 + r) // 2), (r - c - 1) // 2 + 1
+            if lo < hi:
+                skip = (lo, hi)
+        self[key] = (c, h, pairings, skip)
+        return skip
 
 
 def _capped(steps, layer_cap):
@@ -540,7 +590,7 @@ def _strings_reaching(cartan, p, i, js, depth, limit):
     kept = {}
     for key, string in _strings(cartan, p.anchor, p.terms, i,
                                 limit).items():
-        c, h, pairings = table[key]
+        c, h, pairings, _ = table[key]
         bs = string[1]
         e = min(min(bs), c - max(bs)) + 1
         # beyond the depth, ht(end) + min(0, x) < depth iff x < room

@@ -1,4 +1,5 @@
 """Unit tests for the Demazure-Lusztig operators and symmetrizers."""
+import itertools
 import json
 import pathlib
 from operator import mul
@@ -10,7 +11,8 @@ from dlhecke import heckeops, rootdata, weyl
 from dlhecke.heckeops import HeckeError, T_KIND, TPRIME_KIND
 from dlhecke.rootdata import RootSystemSpec
 from dlhecke.vseries import (AnchoredSeries, PackedSeries, VPoly, VP_ONE, V,
-                             VINV, divide_exact, nonneg_vectors_up_to)
+                             VINV, _divide_strings, divide_exact,
+                             nonneg_vectors_up_to)
 from dlhecke.weyl import WeylError
 from series_json import series_from_json
 from weyl_action import act_on_series
@@ -344,6 +346,53 @@ def test_a_width_too_small_for_the_step_is_widened():
     assert acc.unpack() == {b: cf * 3 for b, cf in terms.items()}
 
 
+@pytest.mark.parametrize("kind", (T_KIND, TPRIME_KIND))
+@pytest.mark.parametrize("k", range(-6, 7))
+def test_one_term_strings_match_the_division_and_the_per_degree_loop(k, kind):
+    # the kernel's closed form for a string of one term, at pairing k, term
+    # for term against _divide_strings of its numerator and against the
+    # per-degree loop, under every skipped range that lies before, across,
+    # inside or after the image's runs; the packed width is 8, and the
+    # coefficients reach 20 (no widening) or 100 (2 M P = 200 widens)
+    cartan = rootdata.build_cartan(A2)
+    var = -1 if kind == T_KIND else 1
+    s = -var
+    for i, b, scale in itertools.product((1, 2), (-2, 0, 3), (4, 20)):
+        ii = i - 1
+        beta = (b, 1) if i == 1 else (1, b)
+        key = beta[:ii] + beta[i:]
+        c = k + 2 * b
+        # the other coordinate, 1, adds -a_{i,j} = 1 to the pairing
+        anchor = (c - 1, 0) if i == 1 else (0, c - 1)
+        terms = {beta: VPoly({-2: 3, 0: -5, 1: 2, 3: -1}) * scale}
+        p = PackedSeries.pack(anchor, terms, var)
+        narrow = PackedSeries(anchor, p.repacked(p.terms, 8), 8, p.bound,
+                              p.low, var)
+        strings = heckeops._strings(cartan, anchor, narrow.terms, i)
+        assert strings[key][0] == c
+        want = _per_degree_T(cartan, anchor, terms, i, kind)
+        full = heckeops._kernel(narrow, strings, i)
+        assert full.unpack() == want and (full.width > 8) == (scale == 20)
+        (x,) = narrow.repacked(strings[key][1], full.width).values()
+        y = x << full.width
+        num = {}
+        for t, z in ((-b - k, x), (-b - k - s, -y), (-b, y - x)):
+            num[t] = num.get(t, 0) + z
+        ts = [-g[ii] for g in full.terms]
+        window = range(min(ts) - 2, max(ts) + 3)
+        for skip in [None] + [(lo, hi) for lo in window for hi in window
+                              if lo < hi]:
+            tables = _tables(cartan, anchor, 0)
+            tables[ii][key] = tables[ii][key][:3] + (skip,)
+            got = heckeops._kernel(narrow, strings, i, tables)
+            assert got.terms == _divide_strings(
+                {key: num}, ii, -1, full.width, full.bound,
+                skips=None if skip is None else {key: skip})
+            lo, hi = skip or (0, 0)
+            assert got.unpack() == {g: cf for g, cf in want.items()
+                                    if not lo <= -g[ii] < hi}
+
+
 # -- the stabilized walk ---------------------------------------------------
 
 def _shallow_part(terms, depth):
@@ -439,12 +488,11 @@ def test_the_string_table_matches_the_direct_formulas(data, s, depth, q_max):
         heckeops._strings(cartan, s.anchor, p.terms, g, tables)
     strings = heckeops._strings(cartan, s.anchor, p.terms, i, tables)
     assert strings == heckeops._strings(cartan, s.anchor, p.terms, i)
-    skips = tables[i - 1].skips
     for key in strings:
         dropped = {b for b in range(-40, 41) if _q(
             s.spec, s.anchor, key[:i - 1] + (b,) + key[i - 1:]) > q_max}
         assert not dropped & {-40, 40}
-        lo, hi = skips.get(key, (0, 0))
+        lo, hi = tables[i - 1].skip(key) or (0, 0)
         assert dropped == {-t for t in range(lo, hi)}
     assert set(heckeops._strings_reaching(cartan, p, i, js, depth, tables)) \
         == _strings_reaching_by_ends(cartan, p, i, js, depth)
@@ -452,9 +500,12 @@ def test_the_string_table_matches_the_direct_formulas(data, s, depth, q_max):
 
 def test_each_string_is_computed_once_per_walk(monkeypatch):
     # a walk's table computes each (i, kappa) on its first lookup alone,
-    # however many values and kernel calls meet that string
-    computed, looked_up = [], [0]
+    # however many values and kernel calls meet that string, and its
+    # skipped range at most once, on the kernel's first use of the string:
+    # never for a string that only the reach test reads, and never empty
+    computed, looked_up, ranged, divided = [], [0], [], set()
     missing, strings = heckeops._StringTable.__missing__, heckeops._strings
+    skip, kernel = heckeops._StringTable.skip, heckeops._kernel
 
     def counting_missing(table, key):
         computed.append((table._ii, key))
@@ -465,17 +516,36 @@ def test_each_string_is_computed_once_per_walk(monkeypatch):
         looked_up[0] += len(out)
         return out
 
+    def counting_skip(table, key):
+        found = skip(table, key)
+        ranged.append((table._ii, key, found))
+        return found
+
+    def recording_kernel(p, strings, i, limit=None):
+        divided.update((i - 1, key) for key in strings)
+        return kernel(p, strings, i, limit)
+
     monkeypatch.setattr(heckeops._StringTable, "__missing__",
                         counting_missing)
+    monkeypatch.setattr(heckeops._StringTable, "skip", counting_skip)
     monkeypatch.setattr(heckeops, "_strings", counting_strings)
+    monkeypatch.setattr(heckeops, "_kernel", recording_kernel)
     for text, labels, depth in (("A2!", (0, 0, 1), 4),
                                 ("D4!", (0, 0, 0, 0, 1), 3)):
         computed.clear()
+        ranged.clear()
+        divided.clear()
         looked_up[0] = 0
         heckeops.symmetrizer_stabilized(RootSystemSpec.parse(text), labels,
                                         depth)
         assert computed and len(set(computed)) == len(computed)
         assert looked_up[0] > len(computed)
+        keys = [(ii, key) for ii, key, _ in ranged]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == divided and len(keys) < len(computed)
+        assert all(found is None or found[0] < found[1]
+                   for _, _, found in ranged)
+        assert any(found for _, _, found in ranged)
 
 
 def _least_dominant_displacement(cartan, lam, betas):
