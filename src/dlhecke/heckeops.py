@@ -11,22 +11,22 @@ _kernel, does it on packed coefficients (vseries.PackedSeries: u ->
 coefficient is one int; a packed value's var fixes the operator, T for
 var = -1 (u = v^-1) and T' for var = +1 (u = v).  The kernel groups the
 terms by a_i-string, since the three numerator positions of a monomial
-lie on its string.  It writes the quotient of a one-term string in
-closed form, whose remainder x - u x + (u - 1) x is 0 identically.  It
-builds the numerator of every longer string, each position one big-int
-addition and the factor u a left shift, and hands those strings to
-vseries._divide_strings, the same routine behind vseries.divide_exact,
-which sums each string from its shallow end and asserts the zero
-remainder of every string it divides; that is the one private name
-heckeops imports, since the numerator is built straight into the
-strings that routine takes.  Every packed
-value carries a bound on its coefficients, which the kernel keeps below
-half its width (_kernel).  apply_T maps a PackedSeries to a
-PackedSeries; apply_T_word, the one boundary and the one function that
-names a kind, packs an exact AnchoredSeries once and applies a word to
-it, and the Hecke relations take a series so packed.  Word operators
-compose right-to-left, so the first letter of a BFS word (a left
-descent) is applied last.
+lie on its string; a one-term string is a (c, b, x) tuple, and a string
+gets a dict only when a second term arrives.  It writes the quotient of
+a one-term string in closed form, whose remainder x - u x + (u - 1) x is
+0 identically.  It builds the numerator of every longer string, each
+position one big-int addition and the factor u a left shift, and hands
+those strings to vseries._divide_strings, the same routine behind
+vseries.divide_exact, which sums each string from its shallow end and
+asserts the zero remainder of every string it divides; that is the one
+private name heckeops imports, since the numerator is built straight
+into the strings that routine takes.  Every packed value carries a
+bound on its coefficients, which the kernel keeps below half its width
+(_kernel).  apply_T maps a PackedSeries to a PackedSeries; apply_T_word,
+the one boundary and the one function that names a kind, packs an exact
+AnchoredSeries once and applies a word to it, and the Hecke relations
+take a series so packed.  Word operators compose right-to-left, so the
+first letter of a BFS word (a left descent) is applied last.
 
 Every sum of T_w(seed) over a Weyl orbit runs through one walker, _walk:
 every sum to a depth (symmetrizer_stabilized, at most MAX_LAYERS
@@ -73,9 +73,10 @@ def _row(cartan, i):
 
 def _strings(cartan, anchor, terms, i, limit=None):
     """A term map grouped by a_i-string: {beta without coordinate i:
-    (c, {beta_i: coefficient})}, with c = <a_i, anchor - beta> at
-    beta_i = 0, so that a term at beta_i = b pairs to k = c - 2b
-    (a_ii = 2); a walk's string tables (limit) supply c."""
+    (c, b, x)} for a string of one term x at beta_i = b, and
+    (c, {beta_i: coefficient}) once a second term arrives, with c =
+    <a_i, anchor - beta> at beta_i = 0, so that a term at beta_i = b pairs
+    to k = c - 2b (a_ii = 2); a walk's string tables (limit) supply c."""
     ii = i - 1
     row = _row(cartan, i)
     row = row[:ii] + row[ii + 1:]
@@ -88,8 +89,12 @@ def _strings(cartan, anchor, terms, i, limit=None):
         if string is None:
             c = (label - sum(map(mul, row, key)) if table is None
                  else table[key][0])
-            strings[key] = string = (c, {})
-        string[1][beta[ii]] = x
+            strings[key] = (c, beta[ii], x)
+        elif len(string) == 3:
+            c, b, y = string
+            strings[key] = (c, {b: y, beta[ii]: x})
+        else:
+            string[1][beta[ii]] = x
     return strings
 
 
@@ -122,22 +127,29 @@ def _kernel(p, strings, i, limit=None):
     repacked at the width of the widening rule (PackedSeries.width_for).
     """
     s, ii = -p.var, i - 1
-    bound = 2 * p.bound * max((len(st) for _, st in strings.values()),
-                              default=0)
+    # P; the strings hold some of p's terms, so as many strings as terms
+    # hold one term each
+    longest = min(len(strings), 1)
+    if len(strings) < len(p.terms):
+        longest = max(map(len, [st[1] for st in strings.values()
+                                if len(st) == 2]), default=longest)
+    bound = 2 * p.bound * longest
     width = p.width_for(bound, p.width)
     if width != p.width:
-        strings = {key: (c, p.repacked(string, width))
-                   for key, (c, string) in strings.items()}
+        strings = {key: (st[0], p.repacked(st[1], width)) if len(st) == 2
+                   else (st[0], st[1], p.repacked({0: st[2]}, width)[0])
+                   for key, st in strings.items()}
     table = None if limit is None else limit[ii]
     is_t = s > 0  # T (u = v^-1), not T'
     out, nums, skips = {}, {}, {}
-    for key, (c, string) in strings.items():
+    for key, string in strings.items():
         skip = None
         if table is not None:
             skip = table[key][3]
             if skip is _PENDING:
                 skip = table.skip(key)
-        if len(string) > 1:
+        if len(string) == 2:
+            c, string = string
             if skip:
                 skips[key] = skip
             # t = -b is the string coordinate along alpha = -a_i
@@ -149,7 +161,7 @@ def _kernel(p, strings, i, limit=None):
                 num[t - s] = num.get(t - s, 0) - y
                 num[-b] = num.get(-b, 0) + y - x
             continue
-        (b, x), = string.items()
+        c, b, x = string
         if not x:
             continue
         y = x << width
@@ -168,7 +180,8 @@ def _kernel(p, strings, i, limit=None):
             out[head + (b,) + tail] = run
         for b in range(max(first, hi), last):
             out[head + (b,) + tail] = run
-    out.update(_divide_strings(nums, ii, -1, width, bound, skips=skips))
+    if nums:
+        out.update(_divide_strings(nums, ii, -1, width, bound, skips=skips))
     return PackedSeries(p.anchor, out, width, bound, p.low, p.var)
 
 
@@ -370,10 +383,11 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
     from the values of the layer before them.  When one more quiet layer
     would stop the walk, layer L is settled: T_i is applied only to the
     a_i-strings of each parent's value that _strings_reaching keeps
-    (_loud).  When two would, layers L and L + 1 are settled together:
-    for each child s_j c of c = s_i p, that image of p's value is tested
-    in turn with T_j.  If every contribution is zero the walk ends there,
-    the settled layers counted; otherwise layer L is built exactly.
+    (_loud), and not at all to a value that keeps none.  When two would,
+    layers L and L + 1 are settled together: for each child s_j c of
+    c = s_i p, that image of p's value is tested in turn with T_j.  If
+    every contribution is zero the walk ends there, the settled layers
+    counted; otherwise layer L is built exactly.
 
     This is exact.  T_i is linear and maps each a_i-string (the terms that
     differ only in beta_i) into itself.  A term beta with
@@ -389,6 +403,16 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
     and only j-reachable terms (ht(beta) + min(0, k) < depth, k =
     <a_j, anchor - beta>, by the same argument) have a T_j image at
     ht <= depth.
+
+    That decision is made term by term.  With e the position one step
+    deeper than b0, e = min(least b, c - greatest b) + 1, and that is the
+    least over the string's terms of e_b = min(b, c - b) + 1.  Both tests
+    fail more as e grows: ht = ht(kappa) + e rises, and so does
+    ht + min(0, k_j) for each j.  So the string passes at e iff one of its
+    terms passes at its own e_b: a term's pass at e_b >= e carries to e,
+    and at e the string's test is the test of the term whose e_b is
+    least.  Only the terms of kept strings are grouped into strings
+    (_strings_reaching).
     """
     limit = None if depth is None else _hull(spec, cartan, seed, depth)
     acc = PackedSeries(seed.anchor, {}, seed.width, 0, seed.low, seed.var)
@@ -566,9 +590,11 @@ def _loud(cartan, p, i, depth, limit, js=()):
     """True iff T_i(p), or T_j T_i(p) for some j in js, has a term at
     ht <= depth with nonnegative displacement, p a PackedSeries; T_i is
     applied to the a_i-strings that _strings_reaching keeps, under the
-    walk's limit."""
-    out = _kernel(p, _strings_reaching(cartan, p, i, js, depth, limit), i,
-                  limit)
+    walk's limit, and not at all if it keeps none."""
+    strings = _strings_reaching(cartan, p, i, js, depth, limit)
+    if not strings:
+        return False
+    out = _kernel(p, strings, i, limit)
     return (any(sum(b) <= depth and min(b) >= 0 for b in out.terms)
             or any(_loud(cartan, out, j, depth, limit) for j in js))
 
@@ -576,29 +602,52 @@ def _loud(cartan, p, i, depth, limit, js=()):
 def _strings_reaching(cartan, p, i, js, depth, limit):
     """The a_i-strings of a PackedSeries, grouped as _strings groups them,
     on which T_i can leave a term at ht <= depth, or a term that is
-    j-reachable for some j in js, each tested at the shallowest position
-    its image can hold; see _walk.  The strings' c, ht and pairings come
-    from the walk's string tables (limit).
+    j-reachable for some j in js (j != i), each tested at the shallowest
+    position its image can hold; see _walk.  The strings' c, ht and
+    pairings come from the walk's string tables (limit).
 
     s_i reverses a string, b -> c - b with b = beta_i, where c is
     <a_i, anchor - beta> at b = 0 (a_ii = 2).  So the shallowest numerator
     position on it is the lower of its least b and of its greatest b
-    reflected, and the image starts one step deeper, at e: ht there is
-    ht(kappa) + e, and the pairing with a_j is P_j(kappa) - a_ji e."""
-    table = limit[i - 1]
-    column = [(j - 1, cartan[j - 1][i - 1]) for j in js]
-    kept = {}
-    for key, string in _strings(cartan, p.anchor, p.terms, i,
-                                limit).items():
+    reflected, and the image starts one step deeper, at
+    e = min(least b, c - greatest b) + 1: ht there is ht(kappa) + e, and
+    the pairing with a_j is P_j(kappa) - a_ji e.  The string is kept iff
+    room = depth - ht(kappa) - e >= 0, or P_j - a_ji e < room for some j,
+    that is P_j + (1 - a_ji) e < depth - ht(kappa).
+
+    Reach is decided term by term, and only the terms of the kept strings
+    are grouped.  e is the least over the string's terms of
+    e_b = min(b, c - b) + 1, and the test holds at e iff it holds at some
+    e_b.  Proof: both halves are monotone in e.  room falls as e grows,
+    and 1 - a_ji >= 1 (a_ji <= 0 for j != i), so P_j + (1 - a_ji) e
+    rises with e.  So the test passing at some e_b >= e passes at e, and
+    at e it is the test at the e_b of the term where the least is taken.
+    A term whose string is already kept is not tested."""
+    ii = i - 1
+    table = limit[ii]
+    column = [(j - 1, cartan[j - 1][ii]) for j in js]
+    kept = set()
+    for beta in p.terms:
+        key = beta[:ii] + beta[ii + 1:]
+        if key in kept:
+            continue
         c, h, pairings, _ = table[key]
-        bs = string[1]
-        e = min(min(bs), c - max(bs)) + 1
+        b = beta[ii]
+        e = (b if b + b <= c else c - b) + 1  # min(b, c - b) + 1
         # beyond the depth, ht(end) + min(0, x) < depth iff x < room
         room = depth - h - e
-        if room >= 0 or column and any(pairings[j] - a * e < room
-                                       for j, a in column):
-            kept[key] = string
-    return kept
+        if room < 0:  # kept only if some j-test passes
+            for j, a in column:
+                if pairings[j] - a * e < room:
+                    break
+            else:
+                continue
+        kept.add(key)
+    if not kept:
+        return {}
+    return _strings(cartan, p.anchor, {
+        beta: x for beta, x in p.terms.items()
+        if beta[:ii] + beta[ii + 1:] in kept}, i, limit)
 
 
 def _quiet(cartan, steps, ahead, layer, depth, limit):

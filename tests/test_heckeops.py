@@ -373,7 +373,8 @@ def test_one_term_strings_match_the_division_and_the_per_degree_loop(k, kind):
         want = _per_degree_T(cartan, anchor, terms, i, kind)
         full = heckeops._kernel(narrow, strings, i)
         assert full.unpack() == want and (full.width > 8) == (scale == 20)
-        (x,) = narrow.repacked(strings[key][1], full.width).values()
+        (x,) = narrow.repacked(_grouped(strings)[key][1],
+                               full.width).values()
         y = x << full.width
         num = {}
         for t, z in ((-b - k, x), (-b - k - s, -y), (-b, y - x)):
@@ -408,6 +409,13 @@ def _reachable_terms(cartan, anchor, terms, i, depth):
             if sum(beta) + min(0, label - sum(map(mul, row, beta))) < depth}
 
 
+def _grouped(strings):
+    """_strings' a_i-strings as {key: (c, {beta_i: coefficient})}, a
+    one-term string (c, b, x) as well."""
+    return {key: (st[0], st[1]) if len(st) == 2 else (st[0], {st[1]: st[2]})
+            for key, st in strings.items()}
+
+
 def _tables(cartan, anchor, q_max=None):
     """A walk's string tables for the anchor, one per generator, with a
     given q_max (None: nothing skipped)."""
@@ -420,7 +428,7 @@ def _strings_reaching_by_ends(cartan, p, i, js, depth):
     from each string's end as a displacement: kept if the end lies at
     ht <= depth or is j-reachable for some j in js."""
     ii = i - 1
-    strings = heckeops._strings(cartan, p.anchor, p.terms, i)
+    strings = _grouped(heckeops._strings(cartan, p.anchor, p.terms, i))
     ends = {key[:ii] + (min(min(string), c - max(string)) + 1,) + key[ii:]:
             key for key, (c, string) in strings.items()}
     kept = {key for end, key in ends.items() if sum(end) <= depth}
@@ -498,23 +506,123 @@ def test_the_string_table_matches_the_direct_formulas(data, s, depth, q_max):
         == _strings_reaching_by_ends(cartan, p, i, js, depth)
 
 
+@st.composite
+def _long_strings(draw):
+    """(spec, i, js, a PackedSeries for T) whose a_i-strings each hold two
+    to four terms, the terms of the map in a drawn order."""
+    spec = draw(st.sampled_from([RootSystemSpec.parse(t) for t in (
+        "A1!", "A2!", "D4!", "A2", "D4")]))
+    n = spec.num_nodes
+    i = draw(st.integers(1, n))
+    js = tuple(draw(st.sets(st.integers(1, n).filter(lambda j: j != i),
+                            max_size=2)))
+    anchor = draw(st.tuples(*[st.integers(-3, 4)] * n))
+    terms = []
+    for key in draw(st.sets(st.tuples(*[st.integers(-1, 3)] * (n - 1)),
+                            min_size=1, max_size=3)):
+        for b in draw(st.sets(st.integers(-4, 6), min_size=2, max_size=4)):
+            terms.append((key[:i - 1] + (b,) + key[i - 1:], 1))
+    terms = draw(st.permutations(terms))
+    return spec, i, js, PackedSeries(anchor, dict(terms), 8, 1, 0, -1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_long_strings(), st.integers(0, 8))
+def test_reach_decided_term_by_term_matches_the_string_ends(case, depth):
+    # a string of two or more terms is kept iff its end, tested as a
+    # displacement, lies at ht <= depth or is j-reachable, whichever of its
+    # terms the map lists first
+    spec, i, js, p = case
+    cartan = rootdata.build_cartan(spec)
+    strings = heckeops._strings_reaching(cartan, p, i, js, depth,
+                                         _tables(cartan, p.anchor))
+    assert set(strings) == _strings_reaching_by_ends(cartan, p, i, js, depth)
+    assert strings == heckeops._strings(cartan, p.anchor, {
+        b: x for b, x in p.terms.items() if b[:i - 1] + b[i:] in strings}, i)
+
+
+def test_reach_decided_term_by_term_where_one_term_alone_decides():
+    # two-term strings on A2!, each listed least b first and greatest b
+    # first, against the string ends; among them strings kept only by the
+    # greatest b's reflection reaching the depth, and strings kept only by
+    # a j-test, neither of which the least b's own test keeps
+    spec = RootSystemSpec.parse("A2!")
+    cartan = rootdata.build_cartan(spec)
+    reflected = j_only = 0
+    for anchor, i, depth in itertools.product(((0, 0, 1), (2, 1, 0)),
+                                              (1, 2, 3), range(7)):
+        js = tuple(j for j in (1, 2, 3) if j != i)
+        tables = _tables(cartan, anchor)
+        for key, (b0, b1) in itertools.product(
+                itertools.product(range(3), repeat=2),
+                itertools.combinations(range(-3, 6), 2)):
+            betas = [key[:i - 1] + (b,) + key[i - 1:] for b in (b0, b1)]
+            ps = [PackedSeries(anchor, dict.fromkeys(order, 1), 8, 1, 0, -1)
+                  for order in (betas, betas[::-1])]
+            kept = _strings_reaching_by_ends(cartan, ps[0], i, js, depth)
+            for p in ps:
+                assert set(heckeops._strings_reaching(
+                    cartan, p, i, js, depth, tables)) == kept
+            if not kept:
+                continue
+            one = [bool(_strings_reaching_by_ends(cartan, PackedSeries(
+                anchor, {beta: 1}, 8, 1, 0, -1), i, js, depth))
+                for beta in betas]
+            alone = _strings_reaching_by_ends(cartan, ps[0], i, (), depth)
+            c = tables[i - 1][key][0]
+            if one == [False, True] and alone and c - b1 < b0:
+                reflected += 1
+            if one[0] is False and not alone:
+                j_only += 1
+    assert reflected and j_only
+
+
+def test_the_settle_runs_the_kernel_only_where_a_string_is_kept(monkeypatch):
+    # _loud hands _kernel the strings that _strings_reaching keeps, and
+    # returns quiet without a kernel call where it keeps none; the walks
+    # meet both
+    reaching, kernel = heckeops._strings_reaching, heckeops._kernel
+    found, settled = [], []
+
+    def recording_reaching(cartan, p, i, js, depth, limit):
+        out = reaching(cartan, p, i, js, depth, limit)
+        found.append(out)
+        return out
+
+    def recording_kernel(p, strings, i, limit=None):
+        if any(strings is out for out in found):
+            settled.append(strings)
+        return kernel(p, strings, i, limit)
+
+    monkeypatch.setattr(heckeops, "_strings_reaching", recording_reaching)
+    monkeypatch.setattr(heckeops, "_kernel", recording_kernel)
+    for text, labels, depth in (("A2!", (0, 0, 1), 6),
+                                ("D4!", (0, 0, 0, 0, 1), 3)):
+        found.clear()
+        settled.clear()
+        heckeops.symmetrizer_stabilized(RootSystemSpec.parse(text), labels,
+                                        depth)
+        assert any(out for out in found) and not all(found)
+        assert all(settled) and len(settled) == sum(map(bool, found))
+
+
 def test_each_string_is_computed_once_per_walk(monkeypatch):
     # a walk's table computes each (i, kappa) on its first lookup alone,
     # however many values and kernel calls meet that string, and its
     # skipped range at most once, on the kernel's first use of the string:
     # never for a string that only the reach test reads, and never empty
     computed, looked_up, ranged, divided = [], [0], [], set()
-    missing, strings = heckeops._StringTable.__missing__, heckeops._strings
+    missing, getitem = (heckeops._StringTable.__missing__,
+                        heckeops._StringTable.__getitem__)
     skip, kernel = heckeops._StringTable.skip, heckeops._kernel
 
     def counting_missing(table, key):
         computed.append((table._ii, key))
         return missing(table, key)
 
-    def counting_strings(cartan, anchor, terms, i, limit=None):
-        out = strings(cartan, anchor, terms, i, limit)
-        looked_up[0] += len(out)
-        return out
+    def counting_getitem(table, key):
+        looked_up[0] += 1
+        return getitem(table, key)
 
     def counting_skip(table, key):
         found = skip(table, key)
@@ -528,7 +636,8 @@ def test_each_string_is_computed_once_per_walk(monkeypatch):
     monkeypatch.setattr(heckeops._StringTable, "__missing__",
                         counting_missing)
     monkeypatch.setattr(heckeops._StringTable, "skip", counting_skip)
-    monkeypatch.setattr(heckeops, "_strings", counting_strings)
+    monkeypatch.setattr(heckeops._StringTable, "__getitem__",
+                        counting_getitem)
     monkeypatch.setattr(heckeops, "_kernel", recording_kernel)
     for text, labels, depth in (("A2!", (0, 0, 1), 4),
                                 ("D4!", (0, 0, 0, 0, 1), 3)):
