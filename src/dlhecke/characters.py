@@ -134,9 +134,11 @@ def finite_character_exact(spec, labels):
             for beta, cf in image.items()}), unit)
 
 
-def denominator_wtwist_difference(spec, i, depth):
+def denominator_wtwist_difference(spec, i, den):
     """First (beta, lhs, rhs) where the w_i-twisted denominator identity
-    D^{w_i} = -e^{a_i} D fails to the depth, or None.
+    D^{w_i} = -e^{a_i} D fails to the depth of den, or None; den is the
+    plain denominator D (denominator(spec, depth)), which the caller
+    builds once for every generator.
 
     Both sides are pushed into the anchor cone: with P = the product over
     the remaining positive coroots of their s_i-images, the identity
@@ -144,6 +146,7 @@ def denominator_wtwist_difference(spec, i, depth):
     coroots of height <= depth+2 cover every factor that can matter."""
     cartan = rootdata.build_cartan(spec)
     n = spec.num_nodes
+    depth = den.depth
     unit = tuple(1 if j == i - 1 else 0 for j in range(n))
     factors = [(unit, VP_ONE, 1)]
     for cr in rootdata.positive_coroots_up_to(spec, depth + 2):
@@ -152,5 +155,5 @@ def denominator_wtwist_difference(spec, i, depth):
         img = weyl.reflect(cartan, (0,) * n, cr.coords, i)
         assert all(x >= 0 for x in img)
         factors.append((img, VP_ONE, cr.multiplicity))
-    return denominator(spec, depth, deformed=False).first_difference(
+    return den.first_difference(
         AnchoredSeries.one(spec, n, depth).times_factors(factors))

@@ -3,13 +3,15 @@ series, and the identity-verification suite.
 
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 a check did
 not stabilize under the layer cap, 3 the library could not carry out the
-request (for example a layer-cap overflow), 64 usage error.  All
-arithmetic is exact.
+request (for example a layer-cap overflow), 64 usage error, 141 standard
+output was closed before the output was written (128 + SIGPIPE, as a
+shell reports a process that SIGPIPE ended).  All arithmetic is exact.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__, characters, heckeops, rootdata, verify, weyl
@@ -21,6 +23,7 @@ EXIT_FAIL = 1
 EXIT_UNSTABILIZED = 2
 EXIT_ERROR = 3
 EXIT_USAGE = 64
+EXIT_PIPE = 141
 
 
 class UsageError(Exception):
@@ -314,7 +317,18 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    """The console entry point: run, then flush standard output inside the
+    try, so that a reader that has gone (`dlhecke ... | head -c 1`) ends
+    the run with EXIT_PIPE and no traceback (the SIGPIPE recipe of the
+    Python docs: standard output moves to devnull, so that the flush at
+    exit raises nothing more)."""
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -25,8 +25,12 @@ bound on its coefficients, which the kernel keeps below half its width
 (_kernel).  apply_T maps a PackedSeries to a PackedSeries; apply_T_word,
 the one boundary and the one function that names a kind, packs an exact
 AnchoredSeries once and applies a word to it, and the Hecke relations
-take a series so packed.  Word operators compose right-to-left, so the
-first letter of a BFS word (a left descent) is applied last.
+take a series so packed.  The relation helpers (quadratic_difference,
+word_difference, conjugation_difference) share one image T_i p (of the
+kind p is packed for) per generator: they take it as an argument and
+never recompute it, and a word's rightmost letter is read from it.
+Word operators compose right-to-left, so the first letter of a BFS word
+(a left descent) is applied last.
 
 Every sum of T_w(seed) over a Weyl orbit runs through one walker, _walk:
 every sum to a depth (symmetrizer_stabilized, at most MAX_LAYERS
@@ -217,33 +221,38 @@ def _word(spec, word, p):
     return p
 
 
-def quadratic_difference(spec, i, p):
+def quadratic_difference(spec, i, p, image):
     """First (beta, lhs, rhs) where T_i^2 = (u - 1) T_i + u fails on p, a
     series packed for T (u = v^-1) or T' (u = v) by apply_T_word with the
-    empty word, or None; compared packed, the right side u T_i p - T_i p
-    + u p built by shifts (a factor u is x << width)."""
-    t1 = apply_T(spec, i, p)
-    rhs = PackedSeries(p.anchor, {}, p.width, 0, p.low, p.var)
-    for q, shift, sign in ((t1, 1, 1), (t1, 0, -1), (p, 1, 1)):
-        rhs.add(PackedSeries(q.anchor, {b: sign * (x << shift * q.width)
-                                        for b, x in q.terms.items()},
-                             q.width, q.bound, q.low, q.var))
-    return apply_T(spec, i, t1).first_difference(rhs)
+    empty word, or None, given image = T_i p; compared packed, the right
+    side u T_i p - T_i p + u p built in one pass at width_for's width (a
+    factor u is x << width)."""
+    bound = 2 * image.bound + p.bound
+    width = p.width_for(bound, max(p.width, image.width))
+    rhs = {b: (x << width) - x
+           for b, x in image.repacked(image.terms, width).items()}
+    for b, x in p.repacked(p.terms, width).items():
+        rhs[b] = rhs.get(b, 0) + (x << width)
+    return apply_T(spec, i, image).first_difference(
+        PackedSeries(p.anchor, rhs, width, bound, p.low, p.var))
 
 
-def word_difference(spec, w1, w2, p):
-    """First (beta, lhs, rhs) where T_{w1} = T_{w2} fails on p, a series
+def word_difference(spec, w1, w2, images):
+    """First (beta, lhs, rhs) where T_{w1} = T_{w2} fails on a series p
     packed for T (apply_T_word with the empty word), or None, compared
     packed: a braid relation T_i T_j T_i = T_j T_i T_j (adjacent i, j;
     simply-laced) or a commutation T_i T_j = T_j T_i (orthogonal i, j).
-    T' is conjugate to -v T, so these hold for T' as well."""
-    return _word(spec, w1, p).first_difference(_word(spec, w2, p))
+    images maps each generator i to T_i p, so the rightmost letter of
+    either word is read there, not applied.  T' is conjugate to -v T, so
+    these hold for T' as well."""
+    return _word(spec, w1[:-1], images[w1[-1]]).first_difference(
+        _word(spec, w2[:-1], images[w2[-1]]))
 
 
-def conjugation_difference(spec, i, p, q):
+def conjugation_difference(spec, i, image, q):
     """First (beta, lhs, rhs) where e^{-rho} T'_i e^{rho} = -v T_i fails on
-    a finite series, or None; p and q are that series packed for T and
-    for T' (apply_T_word with the empty word).
+    a finite series, or None; image is T_i of that series packed for T,
+    and q the series packed for T' (apply_T_word with the empty word).
 
     The rho-shift acts on the anchored data by raising every pairing
     label by one; exponent displacements are untouched, and so are the
@@ -252,8 +261,8 @@ def conjugation_difference(spec, i, p, q):
     """
     shifted = PackedSeries(tuple(a + 1 for a in q.anchor), q.terms, q.width,
                            q.bound, q.low, q.var)
-    lhs, rhs = (AnchoredSeries(spec, p.anchor, t.unpack(), _trusted=True)
-                for t in (apply_T(spec, i, shifted), apply_T(spec, i, p)))
+    lhs, rhs = (AnchoredSeries(spec, image.anchor, t.unpack(), _trusted=True)
+                for t in (apply_T(spec, i, shifted), image))
     return lhs.first_difference(rhs.scale(-V))
 
 

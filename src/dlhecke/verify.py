@@ -277,14 +277,16 @@ def verify_symmetrizer_properties(spec, labels, depth, buffer=3,
     D_v^{s_i} = D_v (1 - v^-1 e^{a_i}) / (1 - v^-1 e^{-a_i}).  Hence
     ((1/D_v) P)^{s_i} = (1/D_v) P exactly when (iii) holds.
 
-    Soundness of the windowed comparison: for gamma >= 0 of height
-    h <= window, (i) reads P at the displacements gamma, gamma + a_i and
-    those of s_i(L - gamma) and s_i(L - gamma + a_i).  No off-diagonal
-    Cartan entry is below -2, so <a_i, L - gamma> <= max(labels) + 2h,
-    and every read lies at height <= 3 window + max(labels) + 1, below
-    the internal depth 3 window + max(labels) + 2 to which P is computed.
+    Soundness of the windowed comparison: at a window point gamma >= 0
+    of height h <= window, with k = <a_i, L - gamma>, (i) reads P at four
+    points of gamma's a_i-string: gamma, gamma + a_i, s_i gamma =
+    gamma + k a_i and s_i(gamma - a_i) = gamma + (k + 1) a_i (each
+    s_i-image the displacement of s_i(L - .)), and nowhere else.  No
+    off-diagonal Cartan entry is below -2, so k <= max(labels) + 2h, and
+    every read lies at height <= 3 window + max(labels) + 1, below the
+    internal depth 3 window + max(labels) + 2 to which P is computed.
     (ii) reruns the stabilized symmetrizer on the finite seed T_i(e^L) to
-    the same depth and reads the window only.
+    the same depth and reads the window points only.
     """
     start = time.perf_counter()
     labels = tuple(labels)
@@ -302,15 +304,14 @@ def verify_symmetrizer_properties(spec, labels, depth, buffer=3,
     if not stabilized:
         return _report("symmetrizer", spec, params, start, None, achieved,
                        stabilized=False)
-    pv_terms = p.scale(VINV).terms
+    points = sorted(nonneg_vectors_up_to(n, window))
+    read = p.terms.get
     diff = None
     for i in range(1, n + 1):
-        alpha = tuple(-1 if j == i - 1 else 0 for j in range(n))
         # (i), numerator form:
         #   (1 - v^-1 e^{-a_i}) P^{s_i} + (v^-1 - 1) P = v^-1 (1 - e^{a_i}) P
-        lhs = _t_numerator(cartan, p.anchor, p.terms, i)
-        rhs = times_factors(pv_terms, [(alpha, VP_ONE, 1)], None)
-        diff = _cone_window_diff(lhs, rhs, window)
+        diff = _first_difference_at(points, lambda gamma: _property_i(
+            cartan, p.anchor, read, i, gamma))
         if diff is not None:
             params["property"] = f"(i) generator {i}"
             break
@@ -322,22 +323,33 @@ def verify_symmetrizer_properties(spec, labels, depth, buffer=3,
         if not st2:
             return _report("symmetrizer", spec, params, start, None, a2,
                            stabilized=False)
-        diff = _cone_window_diff(p2.terms, pv_terms, window)
+        diff = _first_difference_at(points, lambda gamma: (
+            p2.terms.get(gamma, VP_ZERO), VINV * read(gamma, VP_ZERO)))
         if diff is not None:
             params["property"] = f"(ii) generator {i}"
             break
     return _report("symmetrizer", spec, params, start, diff, achieved)
 
 
-def _cone_window_diff(lhs, rhs, window):
-    """First coefficient difference on the anchored cone up to `window`."""
-    keys = set(lhs) | set(rhs)
-    for beta in sorted(k for k in keys
-                       if min(k) >= 0 and ht(k) <= window):
-        lc = lhs.get(beta, VP_ZERO)
-        rc = rhs.get(beta, VP_ZERO)
-        if lc != rc:
-            return beta, lc, rc
+def _property_i(cartan, anchor, read, i, gamma):
+    """(lhs, rhs) of (i) in numerator form at gamma, from the four reads
+    read(gamma + t a_i), t = 0, 1, k, k + 1 with k = <a_i, anchor - gamma>
+    (verify_symmetrizer_properties)."""
+    k = weyl.pairing(cartan, anchor, gamma, i)
+    head, b, tail = gamma[:i - 1], gamma[i - 1], gamma[i:]
+    here, up, image, image_up = (read(head + (b + t,) + tail, VP_ZERO)
+                                 for t in (0, 1, k, k + 1))
+    return (image - VINV * image_up + (VINV - 1) * here,
+            VINV * (here - up))
+
+
+def _first_difference_at(points, sides):
+    """First (beta, lhs, rhs) over the points, in their order, where the
+    two coefficients sides(beta) = (lhs, rhs) differ, or None."""
+    for beta in points:
+        lhs, rhs = sides(beta)
+        if lhs != rhs:
+            return beta, lhs, rhs
     return None
 
 
@@ -478,20 +490,24 @@ def _random_monomial(spec, rng):
 def _relation_differences(spec, s):
     """(relation, first difference or None) for each relation on s, in
     order: quadratic and conjugation per generator, then braid
-    (single-bond pairs) and commutation (orthogonal pairs)."""
+    (single-bond pairs) and commutation (orthogonal pairs).  s is packed
+    once per operator kind, and T_i of each packing computed once per
+    generator, for every relation that reads it."""
     cartan = rootdata.build_cartan(spec)
     n = spec.num_nodes
-    # s packed once per operator kind, for every relation
     packed = {kind: heckeops.apply_T_word(spec, (), s, kind)
               for kind in (heckeops.T_KIND, heckeops.TPRIME_KIND)}
+    images = {}  # T_i of s packed for T, by generator
     for i in range(1, n + 1):
         for kind, p in packed.items():
+            image = heckeops.apply_T(spec, i, p)
+            if kind == heckeops.T_KIND:
+                images[i] = image
             yield (f"quadratic {kind} generator {i}",
-                   heckeops.quadratic_difference(spec, i, p))
+                   heckeops.quadratic_difference(spec, i, p, image))
         yield (f"conjugation generator {i}",
                heckeops.conjugation_difference(
-                   spec, i, packed[heckeops.T_KIND],
-                   packed[heckeops.TPRIME_KIND]))
+                   spec, i, images[i], packed[heckeops.TPRIME_KIND]))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             bond = cartan[i - 1][j - 1] * cartan[j - 1][i - 1]
@@ -499,7 +515,7 @@ def _relation_differences(spec, s):
             words = {1: ((i, j, i), (j, i, j)), 0: ((i, j), (j, i))}.get(bond)
             if words:
                 yield f"braid ({i},{j})", heckeops.word_difference(
-                    spec, *words, packed[heckeops.T_KIND])
+                    spec, *words, images)
 
 
 def verify_hecke_relations(spec, count=100, seed=0):
@@ -528,7 +544,8 @@ def verify_hecke_relations(spec, count=100, seed=0):
 
 def verify_denominator_identity(spec, depth):
     """Macdonald/Weyl denominator identity to the depth (at least 1), plus
-    the one-generator twisted identities."""
+    the one-generator twisted identities, all on one plain denominator D
+    built once."""
     start = time.perf_counter()
     _compared_depth("depth", depth)
     params = {"depth": depth}
@@ -538,7 +555,7 @@ def verify_denominator_identity(spec, depth):
     diff = num.first_difference(den)
     if diff is None:
         for i in range(1, n + 1):
-            diff = characters.denominator_wtwist_difference(spec, i, depth)
+            diff = characters.denominator_wtwist_difference(spec, i, den)
             if diff is not None:
                 params["twist_generator"] = i
                 break

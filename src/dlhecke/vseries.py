@@ -272,10 +272,53 @@ class AnchoredSeries:
                               depth=depth, _trusted=True)
 
     def times_factors(self, factors):
-        """The series times a factor list (times_factors), to its depth."""
-        return AnchoredSeries(self.spec, self.anchor,
-                              times_factors(self.terms, factors, self.depth),
-                              depth=self.depth, _trusted=True)
+        """The series times a factor list (times_factors), to its depth,
+        on packed coefficients: the terms are packed once with u = v^-1
+        (as PackedSeries packs for T), run through the module-level
+        times_factors as ints, each factor's u packed alike, and unpacked
+        once.  A u outside Z[v^-1] would pack to a negative shift, so such
+        a list takes the VPoly route.
+
+        The bound: with M the largest |v-coefficient| of the terms and
+        U = the sum of the |v-coefficients| of a factor's u (1 for a
+        monomial u), a factor that multiplies maps F to F_g - u F_{g-beta},
+        so it multiplies the per-degree bound by 1 + U, and one that
+        divides sums at most T + 1 terms u^t F_{g - t beta} of a
+        beta-string, T = floor((depth - lo) / ht(beta)) and lo the least
+        height of a term (0 on the cone), so it multiplies the bound by
+        1 + U + ... + U^T.  For U = 1 these are the factors 2 and
+        floor(depth / ht(beta)) + 1 of the cone.  The terms are packed at
+        a width that the final bound fits."""
+        if not all(u.in_v_inverse_ring() for _, u, _ in factors):
+            return AnchoredSeries(
+                self.spec, self.anchor,
+                times_factors(self.terms, factors, self.depth),
+                depth=self.depth, _trusted=True)
+        depth = self.depth
+        terms = self.terms
+        if depth is not None:
+            terms = {b: c for b, c in terms.items() if ht(b) <= depth}
+        bound = max((abs(n) for cf in terms.values() for n in cf.c.values()),
+                    default=0)
+        lo = min(0, min(map(ht, terms), default=0))
+        for beta, u, power in factors:
+            h = ht(beta)
+            if depth is not None and h > depth:
+                continue
+            spread = sum(map(abs, u.c.values()))
+            if power > 0:
+                bound *= (1 + spread) ** power
+                lo += min(h, 0) * power
+            elif power < 0 and depth is not None and h >= 1:
+                bound *= sum(spread ** t for t in range((depth - lo) // h + 1)
+                             ) ** -power
+        p = PackedSeries.pack(self.anchor, terms, -1, bound.bit_length() + 1)
+        p.terms = times_factors(
+            p.terms, [(beta, sum(n << -p.width * d for d, n in u.c.items()),
+                       power) for beta, u, power in factors], depth)
+        p.bound = bound
+        return AnchoredSeries(self.spec, self.anchor, p.unpack(),
+                              depth=depth, _trusted=True)
 
     def scale(self, coef):
         """Multiply every coefficient by a VPoly (or int)."""
@@ -467,9 +510,9 @@ def _divide_factor(terms, beta, u, depth):
         strings.setdefault(base, {})[t] = cf
     out = {}
     for base, string in strings.items():
-        q = VP_ZERO
+        q = 0
         for t in range(min(string), (depth - ht(base)) // h + 1):
-            q = string.get(t, VP_ZERO) + q * u
+            q = string.get(t, 0) + q * u
             if q:
                 out[tuple(g + t * b for g, b in zip(base, beta))] = q
     return out

@@ -3,9 +3,12 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 from random import Random
 
 import pytest
@@ -498,3 +501,26 @@ def test_fuzzed_d4_checks_reach_a_verdict(capsys, argv):
 def test_fuzzed_symmetrizer_checks_reach_a_verdict(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "verdict: pass" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--format", "json", "verify", "all"],
+    ["whittaker", "--spec", "A3!", "--labels", "0,0,0,1", "--depth", "6"]])
+def test_a_closed_standard_output_ends_the_run_with_141_and_no_traceback(
+        argv):
+    """The reader of standard output has gone before anything is written
+    (as `dlhecke ... | head -c 1` leaves it once head has its byte): the
+    console entry point exits 141 (128 + SIGPIPE), not 1, which would
+    read as a failed check, and writes nothing to standard error."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "dlhecke.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (cli.EXIT_PIPE, b"")

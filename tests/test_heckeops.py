@@ -33,6 +33,22 @@ def _packed(s, kind=T_KIND):
     return heckeops.apply_T_word(s.spec, (), s, kind)
 
 
+def _quadratic_difference(i, s, kind=T_KIND):
+    """The quadratic relation on s packed for the kind, given T_i of it as
+    the relation battery shares it."""
+    p = _packed(s, kind)
+    return heckeops.quadratic_difference(s.spec, i, p,
+                                         heckeops.apply_T(s.spec, i, p))
+
+
+def _word_difference(w1, w2, s):
+    """T_{w1} = T_{w2} on s packed for T, given T_i of it for the
+    rightmost letter of each word."""
+    p = _packed(s)
+    return heckeops.word_difference(s.spec, w1, w2, {
+        i: heckeops.apply_T(s.spec, i, p) for i in (w1[-1], w2[-1])})
+
+
 def _T(spec, word, s, kind=T_KIND):
     """T_w (or T'_w) of an exact series, decoded: apply_T_word's packed
     value read back as an AnchoredSeries."""
@@ -117,25 +133,24 @@ def test_quadratic_relation_on_awkward_monomials():
         s = _mono(A2, labels)
         for i in (1, 2):
             for kind in (T_KIND, TPRIME_KIND):
-                assert heckeops.quadratic_difference(
-                    A2, i, _packed(s, kind)) is None
+                assert _quadratic_difference(i, s, kind) is None
 
 
 def test_quadratic_relation_affine_double_bond():
     for labels in [(0, 1), (2, -2), (-1, 3)]:
         for i in (1, 2):
-            assert heckeops.quadratic_difference(
-                A1A, i, _packed(_mono(A1A, labels))) is None
+            assert _quadratic_difference(i, _mono(A1A, labels)) is None
 
 
 def test_braid_relation_a2():
-    assert heckeops.word_difference(A2, (1, 2, 1), (2, 1, 2),
-                                    _packed(_mono(A2, (2, -1)))) is None
+    assert _word_difference((1, 2, 1), (2, 1, 2),
+                            _mono(A2, (2, -1))) is None
 
 
 def _conjugation_difference(i, s):
-    return heckeops.conjugation_difference(s.spec, i, _packed(s),
-                                           _packed(s, TPRIME_KIND))
+    return heckeops.conjugation_difference(
+        s.spec, i, heckeops.apply_T(s.spec, i, _packed(s)),
+        _packed(s, TPRIME_KIND))
 
 
 def test_conjugation_identity():
@@ -235,7 +250,7 @@ def test_apply_T_raw_divides_the_series_numerator(data, s, kind):
 @given(st.data(), exact_series(), KINDS)
 def test_quadratic_relation_on_multi_term_series(data, s, kind):
     i = data.draw(st.integers(1, s.spec.num_nodes))
-    assert heckeops.quadratic_difference(s.spec, i, _packed(s, kind)) is None
+    assert _quadratic_difference(i, s, kind) is None
 
 
 def _bonds(spec):
@@ -249,8 +264,7 @@ def _bonds(spec):
                                 if str(s) != "A1!"]))
 def test_braid_relation_on_multi_term_series(data, s):
     i, j = data.draw(st.sampled_from(_bonds(s.spec)))
-    assert heckeops.word_difference(s.spec, (i, j, i), (j, i, j),
-                                    _packed(s)) is None
+    assert _word_difference((i, j, i), (j, i, j), s) is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,6 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dlhecke"
 
 ALLOWED = {
-    "in_v_inverse_ring": "acceptance criterion 8's Z[v^-1] check",
     "shifted": "perfbench's tracer wraps it by name (SERIES_METHODS)",
     "as_exact": "perfbench's tracer wraps it by name (SERIES_METHODS)",
     "truncate": "perfbench's tracer wraps it by name (SERIES_METHODS)",

@@ -3,8 +3,10 @@
 The full identity battery lives in test_acceptance.py; here we exercise
 report plumbing, the independent evaluation routes, and small exact cases.
 """
+import functools
 import json
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -370,13 +372,19 @@ def test_hecke_failure_carries_real_witness():
     """A fault planted in the packed kernel's output (its value negated)
     fails the relation that the decoded oracle, fed the same faulty
     values, finds first, with the oracle's witness: once on every T'
-    letter, which a T' quadratic relation catches, and once on the third
-    letter of a word when it is T_1, which only a braid word has."""
+    letter, which a T' quadratic relation catches, once on the third
+    letter of a word when it is T_1, which only a braid word has, and once
+    on the image T_2 s of the T packing, which the battery computes once
+    and every relation on generator 2 reads.  Each failure is on the
+    first monomial of the seed."""
     kernel = heckeops._kernel
     faults = [(lambda i, kind, before: kind == heckeops.TPRIME_KIND,
                "quadratic Tprime generator 1"),
               (lambda i, kind, before: before == 2 and i == 1,
-               "braid (1,2)")]
+               "braid (1,2)"),
+              (lambda i, kind, before: (before, i, kind)
+               == (0, 2, heckeops.T_KIND), "quadratic T generator 2")]
+    first = verify._random_monomial(A2, random.Random(1)).anchor
     for faulty, relation in faults:
         made = {}  # id of a kernel value -> (letters that built it, value)
 
@@ -400,6 +408,7 @@ def test_hecke_failure_carries_real_witness():
             if diff is not None)
         assert r.verdict == verify.FAIL
         assert r.params["relation"] == label == relation
+        assert tuple(r.params["monomial"]) == first
         assert r.witness == {"beta": list(beta),
                              "lhs": [list(dn) for dn in lhs.pairs()],
                              "rhs": [list(dn) for dn in rhs.pairs()]}
@@ -468,6 +477,39 @@ def test_gk_limit_depth_precondition():
         verify.verify_gk_limit(A1, (3,), 2)
 
 
+def test_hecke_relations_apply_each_image_once(monkeypatch):
+    # per monomial and generator: T_i and T_i T_i of each packing and T'_i
+    # of the rho-shifted one (5), and per braid pair the two letters that
+    # follow the shared images (4): 14 on A2, 10 on A1! (no braid)
+    calls = []
+    apply_T = heckeops.apply_T
+
+    def counting(spec, i, s, limit=None):
+        calls.append(i)
+        return apply_T(spec, i, s, limit)
+
+    monkeypatch.setattr(heckeops, "apply_T", counting)
+    for spec, per_monomial in ((A2, 14), (A1A, 10)):
+        calls.clear()
+        assert verify.verify_hecke_relations(spec, count=5, seed=7).passed
+        assert len(calls) == 5 * per_monomial
+
+
+def test_denominator_identity_builds_one_denominator(monkeypatch):
+    built = []
+    denominator = characters.denominator
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return denominator(*args, **kwargs)
+
+    monkeypatch.setattr(characters, "denominator", counting)
+    for spec, depth in ((A1A, 8), (RootSystemSpec.parse("A2!"), 6)):
+        built.clear()
+        assert verify.verify_denominator_identity(spec, depth).passed
+        assert len(built) == 1
+
+
 def test_hecke_relations_seeded_smoke():
     assert verify.verify_hecke_relations(A2, count=5, seed=7).passed
 
@@ -492,6 +534,21 @@ def test_hecke_relations_pack_each_monomial_once_per_kind(monkeypatch):
 def test_symmetrizer_properties_finite():
     r = verify.verify_symmetrizer_properties(A1, (2,), 4, buffer=2)
     assert r.passed
+
+
+def _cone_window_diff(lhs, rhs, window):
+    """First coefficient difference of two term maps on the anchored cone
+    up to `window`, over the sorted union of their keys: the map-based
+    comparison that the symmetrizer check made before it read P at the
+    window points only."""
+    keys = set(lhs) | set(rhs)
+    for beta in sorted(k for k in keys
+                       if min(k) >= 0 and vseries.ht(k) <= window):
+        lc = lhs.get(beta, VP_ZERO)
+        rc = rhs.get(beta, VP_ZERO)
+        if lc != rc:
+            return beta, lc, rc
+    return None
 
 
 def _planted(series, beta):
@@ -535,7 +592,7 @@ def test_symmetrizer_check_fails_on_a_planted_fault(monkeypatch, text,
     cartan = rootdata.build_cartan(spec)
     for i in range(1, spec.num_nodes + 1):
         image = weyl.reflect_terms(cartan, p.anchor, s_inv, i)
-        assert verify._cone_window_diff(image, s_inv, window) is None
+        assert _cone_window_diff(image, s_inv, window) is None
 
     for faulty, where in ((0, "(i) generator 1"), (1, "(ii) generator 1")):
         for beta in vseries.nonneg_vectors_up_to(spec.num_nodes, window):
@@ -548,6 +605,101 @@ def test_symmetrizer_check_fails_on_a_planted_fault(monkeypatch, text,
             r = verify.verify_symmetrizer_properties(spec, labels, depth)
             assert (r.verdict, r.params["property"]) == (verify.FAIL, where)
             assert r.witness["lhs"] != r.witness["rhs"]
+
+
+@pytest.mark.parametrize("text, labels, depth", [("A1!", (0, 1), 6),
+                                                 ("A2!", (0, 0, 1), 5),
+                                                 ("A3!", (0, 0, 0, 1), 4)])
+def test_symmetrizer_window_reads_lie_within_the_internal_depth(
+        text, labels, depth):
+    """At each window point gamma and generator i, (i) reads P at gamma,
+    gamma + a_i, s_i gamma and s_i(gamma - a_i) (displacements of
+    s_i(L - .)), and only there.  With P computed four deeper than the
+    check computes it, every nonzero read lies at height <= the internal
+    depth, so the check's P holds every coefficient that (i) reads."""
+    spec = RootSystemSpec.parse(text)
+    n = spec.num_nodes
+    cartan = rootdata.build_cartan(spec)
+    window = depth - 3
+    internal = 3 * window + max(labels) + 2
+    deep, _, stabilized = heckeops.symmetrizer_stabilized(spec, labels,
+                                                          internal + 4)
+    assert stabilized
+    nonzero = set()
+    for gamma in vseries.nonneg_vectors_up_to(n, window):
+        for i in range(1, n + 1):
+            unit = tuple(int(j == i - 1) for j in range(n))
+            down = tuple(g - u for g, u in zip(gamma, unit))
+            expected = [gamma, tuple(g + u for g, u in zip(gamma, unit)),
+                        weyl.reflect(cartan, labels, gamma, i),
+                        weyl.reflect(cartan, labels, down, i)]
+            reads = []
+
+            def read(beta, default):
+                reads.append(beta)
+                return deep.terms.get(beta, default)
+
+            verify._property_i(cartan, deep.anchor, read, i, gamma)
+            assert reads == expected
+            nonzero.update(b for b in reads if deep.terms.get(b))
+    assert nonzero
+    assert max(map(vseries.ht, nonzero)) <= internal
+
+
+def test_symmetrizer_window_reads_reach_height_ten_on_a1_affine():
+    """The internal depth cannot fall to 6 at window 3 on A1! (0,1): P is
+    -v^-3 + v^-2 at (3, 7), of height 10, and (i) reads it at gamma =
+    (3, 0) for generator 2, as s_2 gamma."""
+    deep, _, _ = heckeops.symmetrizer_stabilized(A1A, (0, 1), 16)
+    assert deep.terms[(3, 7)] == VPoly({-3: -1, -2: 1})
+    reads = []
+    verify._property_i(rootdata.build_cartan(A1A), deep.anchor,
+                       lambda beta, default: reads.append(beta) or default,
+                       2, (3, 0))
+    assert (3, 7) in reads
+
+
+@functools.lru_cache(maxsize=None)
+def _symmetrizer_sum(text, labels, window):
+    """P to the symmetrizer check's internal depth at the window."""
+    spec = RootSystemSpec.parse(text)
+    p, _, stabilized = heckeops.symmetrizer_stabilized(
+        spec, labels, 3 * window + max(labels) + 2)
+    assert stabilized
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([("A1!", (0, 1), 3), ("A2!", (0, 0, 1), 2),
+                                   ("A2", (1, 1), 2)]))
+def test_property_i_at_window_points_matches_the_map_route(data, case):
+    """The check's (i), four reads of P per window point, finds the first
+    difference that the map-based comparison finds on a P perturbed at
+    drawn positions: the T_i numerator map (verify._t_numerator), the
+    right side v^-1 (1 - e^{a_i}) P by times_factors, and the first
+    difference on the cone window over the sorted union of their keys."""
+    text, labels, window = case
+    p = _symmetrizer_sum(text, labels, window)
+    n = p.spec.num_nodes
+    cartan = rootdata.build_cartan(p.spec)
+    terms = dict(p.terms)
+    coords = st.integers(0, p.depth)
+    for beta in data.draw(st.lists(st.tuples(*[coords] * n).filter(
+            lambda b: vseries.ht(b) <= p.depth), max_size=3)):
+        terms[beta] = terms.get(beta, VP_ZERO) + data.draw(st.sampled_from(
+            [VP_ONE, VINV, VPoly({0: -1, -2: 2})]))
+    terms = {b: cf for b, cf in terms.items() if cf}
+    i = data.draw(st.integers(1, n))
+    alpha = tuple(-1 if j == i - 1 else 0 for j in range(n))
+    by_maps = _cone_window_diff(
+        verify._t_numerator(cartan, p.anchor, terms, i),
+        vseries.times_factors({b: cf * VINV for b, cf in terms.items()},
+                              [(alpha, VP_ONE, 1)], None), window)
+    at_points = verify._first_difference_at(
+        sorted(vseries.nonneg_vectors_up_to(n, window)),
+        lambda gamma: verify._property_i(cartan, p.anchor, terms.get, i,
+                                         gamma))
+    assert at_points == by_maps
 
 
 def test_denominator_identity_report():

@@ -232,6 +232,71 @@ def test_times_factors_refuses_a_division_it_cannot_truncate():
         times_factors({(0, 0): VP_ONE}, [((-1, 0), VP_ONE, -1)], 3)
 
 
+@st.composite
+def exact_factor_problems(draw):
+    """(terms, factors): an exact rank-2 term map, displacements of either
+    sign, and up to three factors with powers -1..2 (a negative power has
+    no depth to stop at)."""
+    coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3),
+                             max_size=3).map(VPoly)
+    betas = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    terms = draw(st.dictionaries(betas, coeffs, max_size=5))
+    factors = draw(st.lists(st.tuples(st.sampled_from(FACTOR_BETAS),
+                                      st.sampled_from(FACTOR_US),
+                                      st.integers(-1, 2)), max_size=3))
+    return {b: c for b, c in terms.items() if c}, factors
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_problems(), st.sampled_from([(0, 1), (3, -2)]))
+def test_packed_series_times_factors_matches_the_vpoly_route(problem, anchor):
+    """AnchoredSeries.times_factors packs its terms once and runs the
+    factor pass on ints; term for term it is the pass on VPolys."""
+    terms, factors, depth = problem
+    s = AnchoredSeries(A1A, anchor, terms, depth=depth)
+    out = s.times_factors(factors)
+    assert (out.anchor, out.depth) == (s.anchor, depth)
+    assert out.terms == times_factors(terms, factors, depth)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_factor_problems())
+def test_packed_series_times_factors_on_exact_series(problem):
+    """An exact series multiplies packed as the VPoly route does, and a
+    division, which has no depth to stop at, keeps its SeriesError."""
+    terms, factors = problem
+    s = AnchoredSeries(A1A, (0, 1), terms)
+    if any(power < 0 for _, _, power in factors):
+        with pytest.raises(SeriesError, match="finite depth"):
+            s.times_factors(factors)
+    else:
+        assert s.times_factors(factors).terms == times_factors(
+            terms, factors, None)
+
+
+def test_packed_series_times_factors_widens_for_its_divisions():
+    """Repeated divisions grow the coefficients far past those of the
+    input (1 and v^-1 here): the packed width must come from the bound
+    of every factor, not from the input alone."""
+    s = AnchoredSeries(A1A, (0, 1), {(0, 0): VP_ONE, (1, 1): VINV}, depth=14)
+    factors = [((1, 0), VP_ONE, -4), ((0, 1), VINV, -3), ((1, 1), VINV, -2),
+               ((1, 0), VPoly.term(1, -2), 1)]
+    out = s.times_factors(factors).terms
+    assert out == times_factors(s.terms, factors, 14)
+    assert max(abs(n) for cf in out.values() for n in cf.c.values()) > 1000
+
+
+@pytest.mark.parametrize("us", [(V, VINV), (VPoly({0: 2, -1: 3}), VP_ONE)])
+def test_packed_series_times_factors_on_other_factors(us):
+    """A list with a u outside Z[v^-1] takes the VPoly route, and a u that
+    is no monomial widens the packed bound by the sum of its |coefficients|;
+    each matches the pass on VPolys."""
+    terms = {(0, 0): VPoly({0: 3, -2: -1}), (1, 0): VINV, (0, 2): V}
+    factors = [((1, 0), us[0], 2), ((1, 1), us[1], -2), ((0, 1), us[1], 1)]
+    s = AnchoredSeries(A1A, (0, 1), terms, depth=5)
+    assert s.times_factors(factors).terms == times_factors(terms, factors, 5)
+
+
 def test_raw_map_helpers():
     t1 = {(0, 0): VP_ONE, (1, 0): -VP_ONE}
     t2 = {(0, 0): VP_ONE, (1, 0): VP_ONE}
