@@ -287,48 +287,82 @@ def symmetrizer_stabilized(spec, anchor_labels, depth, margin=DEFAULT_MARGIN,
     if seed is None:
         seed = apply_T_word(spec, (), AnchoredSeries.monomial(
             spec, tuple(anchor_labels)))
+    n = spec.num_nodes
     total, length, stabilized = _walk(
-        spec, rootdata.build_cartan(spec), (1,) * spec.num_nodes, seed,
-        MAX_LAYERS, layer_cap, depth, margin)
+        spec, tuple(range(1, n + 1)), (1,) * n, seed, MAX_LAYERS, layer_cap,
+        depth, margin)
     return (AnchoredSeries(spec, seed.anchor, total.unpack(), depth=depth,
                            _trusted=True), length, stabilized)
 
 
 def symmetrizer_chain(spec, anchor_labels, layer_cap=None):
-    """sum_{w in W} T_w(e^anchor) over a finite Weyl group, exactly, by the
-    parabolic chain J_k = {1..k}.  Returns (total, l(w0)), total packed.
+    """sum_{w in W} T_w(e^anchor) over a finite Weyl group, exactly, by a
+    chain of parabolic subgroups J_1 < ... < J_n, J_k the first k nodes of
+    _chain_nodes.  Returns (total, l(w0)), total packed.
 
     Every w in W_{J_k} factors uniquely as w = u x with x in W_{J_{k-1}},
     u a minimal coset representative and l(w) = l(u) + l(x) (Humphreys,
     Reflection Groups and Coxeter Groups, 1.10).  So with X_0 = e^anchor,
     X_k = sum_u T_u(X_{k-1}) over those u, and X_n is the whole sum.  The
-    u of step k are the orbit of the k-th fundamental coweight under
-    W_{J_k}, which _walk walks on the leading k x k block of the Cartan
-    matrix with labels (0, ..., 0, 1); a step of pairing <= 0 lands on a
-    seen key.  l(w0) is the sum of the cosets' lengths, and layer_cap
-    bounds each coset layer, the most the chain holds at once.  X_k goes
-    packed from coset to coset (_walk), without its zero ints.
+    u of step k are the orbit of the fundamental coweight of J_k's last
+    node under W_{J_k}, which _walk walks on the principal block of the
+    Cartan matrix over J_k with labels (0, ..., 0, 1).  l(w0) is the sum
+    of the cosets' lengths, and layer_cap bounds each coset layer, the
+    most the chain holds at once.  X_k goes packed from coset to coset
+    (_walk), without its zero ints.
     """
     if spec.affine:
         raise HeckeError("the parabolic chain needs a finite spec")
-    cartan = rootdata.build_cartan(spec)
+    nodes = _chain_nodes(rootdata.build_cartan(spec), tuple(anchor_labels))
     total = apply_T_word(spec, (), AnchoredSeries.monomial(
         spec, tuple(anchor_labels)))
     length = 0
-    for k in range(1, len(cartan) + 1):
-        block = tuple(row[:k] for row in cartan[:k])
+    for k in range(1, len(nodes) + 1):
         total.terms = {beta: x for beta, x in total.terms.items() if x}
-        total, coset_length, _ = _walk(spec, block, (0,) * (k - 1) + (1,),
+        total, coset_length, _ = _walk(spec, nodes[:k], (0,) * (k - 1) + (1,),
                                        total, None, layer_cap)
         length += coset_length
     return total, length
 
 
-def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
+def _chain_nodes(cartan, labels):
+    """The chain's nodes (1-based), chosen from the back: of the leaves of
+    the Dynkin diagram on the nodes S still left, the node x placed last
+    is one whose coset W_S / W_{S - x} is smallest, ties going to the
+    larger label and then the lower index.  The coset's size is that of
+    the orbit of x's fundamental coweight under W_S, which the chain's
+    coset walk walks.  A small last coset applies few T_i to the largest
+    value X_{k-1}, and a large label put late keeps the early values
+    small, as T_i of a term grows with its pairing.  S stays connected,
+    as a leaf of a tree is taken each time."""
+    left, chosen = list(range(1, len(cartan) + 1)), []
+    while left:
+        block = _block(cartan, left)
+
+        def cost(k):
+            x = left[k]
+            orbit = weyl.orbit_layers(block, tuple(
+                int(j == k) for j in range(len(left))))
+            return (sum(map(len, orbit)), -labels[x - 1], x)
+
+        leaves = [k for k, row in enumerate(block)
+                  if sum(1 for a in row if a) <= 2]
+        chosen.append(left.pop(min(leaves, key=cost)))
+    return tuple(reversed(chosen))
+
+
+def _block(cartan, nodes):
+    """The principal block of the Cartan matrix over nodes (1-based)."""
+    return tuple(tuple(cartan[a - 1][b - 1] for b in nodes) for a in nodes)
+
+
+def _walk(spec, nodes, labels, seed, max_layers, layer_cap, depth=None,
           margin=None):
     """Sum T_w(seed) over the w of weyl.orbit_layers(cartan, labels), one
-    BFS layer at a time, seed a PackedSeries for T; cartan is a leading
-    block of spec's matrix, all of it when a depth is given.
+    BFS layer at a time, seed a PackedSeries for T, cartan the principal
+    block of spec's matrix over nodes (1-based; all of them, in order,
+    when a depth is given); the block's letter i is the generator
+    nodes[i - 1], which apply_T applies.
 
     Returns (total, length, stabilized), length being the number of layers
     walked.  The walk extends by left multiplication: w = s_i w' with the
@@ -423,6 +457,7 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
     least.  Only the terms of kept strings are grouped into strings
     (_strings_reaching).
     """
+    cartan = _block(rootdata.build_cartan(spec), nodes)
     limit = None if depth is None else _hull(spec, cartan, seed, depth)
     acc = PackedSeries(seed.anchor, {}, seed.width, 0, seed.low, seed.var)
     acc.add(seed, depth)
@@ -452,7 +487,8 @@ def _walk(spec, cartan, labels, seed, max_layers, layer_cap, depth=None,
                 length += 1
                 stabilized = True
                 break
-        layer = {child: apply_T(spec, i, layer[parent], limit=limit)
+        layer = {child: apply_T(spec, nodes[i - 1], layer[parent],
+                                limit=limit)
                  for child, i, parent in steps}
         loud = False
         for value in layer.values():

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter, mul
 
 
 class SeriesError(ValueError):
@@ -429,21 +429,39 @@ def mul_maps(t1, t2, depth):
     of multiplying, which is safe because no VPoly is mutated in place;
     so a first outer term 1 at beta = 0, as the 1 of every factor of
     times_factors, makes out a copy of the other map, within the depth.
+
+    The larger map's keys are transposed into columns once per call.  An
+    outer term b1 shifts only the columns where b1 is nonzero and zips the
+    columns back into its keys; with a depth, it keeps the keys whose
+    height fits, read from one column of heights computed once.  Its
+    products are then one map over the kept coefficients.  Keys have rank
+    at least 1, as a rank-0 map has no column to zip.
     """
     if len(t1) > len(t2):
         t1, t2 = t2, t1
     out = {}
+    rank = len(next(iter(t2), ()))
+    cols = [list(map(itemgetter(j), t2)) for j in range(rank)]
+    coeffs = list(t2.values())
+    heights = None if depth is None else list(map(sum, t2))  # ht
     for b1, c1 in t1.items():
         unit = c1 == 1
         if unit and not out and not any(b1):
-            out = {b2: c2 for b2, c2 in t2.items()
-                   if depth is None or ht(b2) <= depth}
+            out = dict(t2) if depth is None else {
+                b2: c2 for b2, c2, h in zip(t2, coeffs, heights)
+                if h <= depth}
             continue
-        for b2, c2 in t2.items():
-            beta = tuple(map(add, b1, b2))
-            if depth is not None and ht(beta) > depth:
-                continue
-            c = c2 if unit else c1 * c2
+        keys = zip(*[map(add, col, itertools.repeat(d)) if d else col
+                     for col, d in zip(cols, b1)])
+        cs = coeffs
+        if depth is not None:
+            room = depth - ht(b1)
+            kept = [h <= room for h in heights]
+            keys, cs = itertools.compress(keys, kept), itertools.compress(
+                cs, kept)
+        if not unit:
+            cs = map(mul, cs, itertools.repeat(c1))
+        for beta, c in zip(keys, cs):
             prev = out.get(beta)
             if prev is None:
                 out[beta] = c

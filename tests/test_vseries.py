@@ -329,15 +329,17 @@ def _parent_mul_maps(t1, t2, depth):
 
 @st.composite
 def product_problems(draw, big=False):
-    """(t1, t2, depth): two rank-2 term maps of independent sizes, so that
-    either may be the smaller, whose coefficients are often the units
-    +-1 or +-(1 - v^-1), so that products share and cancel; depth None or
-    0..6.  With big, the other coefficients reach 2^80."""
+    """(t1, t2, depth): two term maps of one rank, 1 to 5, and independent
+    sizes, so that either may be the smaller, whose coefficients are often
+    the units +-1 or +-(1 - v^-1), so that products share and cancel;
+    depth None or 0..6.  Above rank 2 the coordinates stay in 0..1, so
+    that keys still meet.  With big, the other coefficients reach 2^80."""
     top = 2 ** 80 if big else 3
     polys = st.dictionaries(st.integers(-4, 4), st.integers(-top, top),
                             max_size=3).map(VPoly)
     coeffs = st.sampled_from([VP_ONE, -VP_ONE, 1 - VINV, VINV - 1]) | polys
-    betas = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    rank = draw(st.integers(1, 5))
+    betas = st.tuples(*[st.integers(0, 3 if rank <= 2 else 1)] * rank)
     t1, t2 = (draw(st.dictionaries(betas, coeffs, max_size=size))
               for size in (3, 7))
     if draw(st.booleans()):
@@ -366,6 +368,12 @@ CANCELLING = ({(0, 0): VP_ONE, (1, 0): VP_ONE, (0, 1): VP_ONE},
 # the other map within the depth
 @example(({(0, 0): VP_ONE, (1, 0): -VINV},
           {(0, 0): VINV, (1, 1): V, (0, 3): VP_ONE, (2, 0): -VP_ONE}, 2))
+# an empty map, either side, and keys of rank 1, a single key column
+@example(({}, {(0, 1): V, (2, 0): VP_ONE}, None))
+@example(({(1, 2, 0): -VINV}, {}, 3))
+@example(({(0,): VP_ONE, (1,): -VP_ONE},
+          {(0,): VP_ONE, (1,): VP_ONE, (3,): 1 - VINV}, None))
+@example(({(1,): V, (2,): -VP_ONE}, {(0,): VINV, (1,): V, (4,): VP_ONE}, 3))
 def test_mul_maps_matches_the_parent_loop(problem):
     t1, t2, depth = problem
     before = _snapshot(t1, t2)
