@@ -443,7 +443,8 @@ def mul_maps(t1, t2, depth):
     rank = len(next(iter(t2), ()))
     cols = [list(map(itemgetter(j), t2)) for j in range(rank)]
     coeffs = list(t2.values())
-    heights = None if depth is None else list(map(sum, t2))  # ht
+    # ht by the builtin sum, without a Python call per key
+    heights = None if depth is None else list(map(sum, t2))
     for b1, c1 in t1.items():
         unit = c1 == 1
         if unit and not out and not any(b1):
@@ -457,8 +458,8 @@ def mul_maps(t1, t2, depth):
         if depth is not None:
             room = depth - ht(b1)
             kept = [h <= room for h in heights]
-            keys, cs = itertools.compress(keys, kept), itertools.compress(
-                cs, kept)
+            keys = itertools.compress(keys, kept)
+            cs = itertools.compress(cs, kept)
         if not unit:
             cs = map(mul, cs, itertools.repeat(c1))
         for beta, c in zip(keys, cs):
