@@ -313,9 +313,9 @@ def symmetrizer_chain(spec, anchor_labels, layer_cap=None):
     """
     if spec.affine:
         raise HeckeError("the parabolic chain needs a finite spec")
-    nodes = _chain_nodes(rootdata.build_cartan(spec), tuple(anchor_labels))
-    total = apply_T_word(spec, (), AnchoredSeries.monomial(
-        spec, tuple(anchor_labels)))
+    labels = tuple(anchor_labels)
+    nodes = _chain_nodes(rootdata.build_cartan(spec), labels)
+    total = apply_T_word(spec, (), AnchoredSeries.monomial(spec, labels))
     length = 0
     for k in range(1, len(nodes) + 1):
         total.terms = {beta: x for beta, x in total.terms.items() if x}
