@@ -43,12 +43,15 @@ limit: what each a_i-string's pairings give, its c and its reach, is
 computed once per walk, and its skipped range once, on the kernel's
 first use of the string; the kernel drops from each value the terms
 that the rho-shifted hull shows can no longer feed the sum, one skipped
-range per a_i-string.
+range per a_i-string.  A sum to a depth builds one value per orbit of
+each layer under G, the diagram automorphisms that fix the seed
+(_symmetries), and adds the other values of the orbit as relabelled
+copies of it.
 """
 from __future__ import annotations
 
 from math import isqrt
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from . import rootdata, weyl
 from .vseries import AnchoredSeries, PackedSeries, V, _divide_strings
@@ -456,48 +459,159 @@ def _walk(spec, nodes, labels, seed, max_layers, layer_cap, depth=None,
     and at e the string's test is the test of the term whose e_b is
     least.  Only the terms of kept strings are grouped into strings
     (_strings_reaching).
+
+    The symmetries.  A walk to a depth holds one value per G-orbit of each
+    layer, G the permutations g of the nodes with A[g(j)][g(k)] = A[j][k]
+    and anchor[g(k)] = anchor[k] that map the seed's term map onto itself
+    (_symmetries); the exact sum (depth None, the chain) keeps G = {1},
+    where every orbit is one element and the loop is the same.  g moves
+    coordinate k of a displacement to g(k), and acts on W by s_k ->
+    s_{g(k)}; it fixes rho^vee, so the orbit key of g w g^-1 is g of w's,
+    and it keeps lengths, so each layer is a union of G-orbits.  T_i is
+    G-equivariant: T_{g(i)}(g f) = g(T_i f).  For mu = anchor - beta,
+    g mu = anchor - g beta as the anchor is g-invariant, and
+    <a_{g(i)}, g mu> = <a_i, mu> as A is; so the three numerator
+    positions of e^{g mu} under T_{g(i)}, with their coefficients, are
+    the g-images of those of e^mu under T_i, and so is the division by
+    (1 - e^{a_{g(i)}}) = g(1 - e^{a_i}).  With the seed g-invariant,
+    T_{g w g^-1}(seed) = g T_w(seed).  So the walk builds the value of the
+    first element c of each orbit (in the order of orbit_layers) from its
+    parent's, by apply_T, and adds to the accumulator, for one g per
+    element g c of the orbit, the terms of c's value at ht <= depth moved
+    by g; no value is permuted to build a layer.  c's parent p is the
+    first of its own orbit, so its value is held: were p = h e with e
+    earlier in p's orbit, h^-1 c = s_{h^-1(i)} e, of c's orbit and one
+    longer than e, would be reached from e or before it (orbit_layers
+    takes every step that lengthens), so before c, or be c itself and be
+    recorded with a parent earlier than p.
+    Nothing else changes.  ht, beta >= 0, Q (lam and A are g-invariant)
+    and the string tables are G-invariant: the entry of (g(i), g kappa)
+    holds the pairings, c, ht and skipped range of (i, kappa), moved by
+    g.  So the hull drops, under the limit, exactly the g-images of the
+    terms it drops, the reach test keeps the g-images of the strings it
+    keeps, and each relabelled copy is the value the walk over elements
+    would build, with its bound and width (2 M P, P the most terms on a
+    string).  An element contributes at ht <= depth iff the first of its
+    orbit does, so the accumulator, the quiet tests, the settles (run on
+    the first steps of the orbits of L and of L + 1, _quiet), the length
+    and the flag are those of the walk over elements; _capped still
+    counts every element of a layer.
     """
     cartan = _block(rootdata.build_cartan(spec), nodes)
-    limit = None if depth is None else _hull(spec, cartan, seed, depth)
+    limit, acts = None, [_same]
+    if depth is not None:
+        limit = _hull(spec, cartan, seed, depth)
+        acts = _actions(_symmetries(cartan, seed.anchor, seed.terms))
     acc = PackedSeries(seed.anchor, {}, seed.width, 0, seed.low, seed.var)
     acc.add(seed, depth)
-    layer = {(0,) * len(cartan): seed}  # orbit key -> T_w(seed)
-    # [(orbit key, letter, parent's key)] per layer, capped
-    layers = (_capped(steps, layer_cap)
+    # the first orbit key of each G-orbit of a layer -> its T_w(seed)
+    layer = {(0,) * len(cartan): seed}
+    # each layer's steps [(orbit key, letter, parent's key)], capped, as
+    # the first steps of its G-orbits and their images (_orbits)
+    layers = (_orbits(acts, _capped(steps, layer_cap))
               for steps in weyl.orbit_layers(cartan, labels))
-    ahead = None  # the next layer's steps, taken by a look-ahead
+    ahead = None  # the next layer, taken by a look-ahead
     length = quiet = 0
     stabilized = False
     while max_layers is None or length < max_layers:
-        steps = next(layers, None) if ahead is None else ahead
+        orbits = next(layers, None) if ahead is None else ahead
         ahead = None
-        if steps is None:
+        if orbits is None:
             stabilized = True  # finite orbit exhausted
             break
         length += 1
+        firsts, images = orbits
         if margin is not None and quiet == margin - 1 and _quiet(
-                cartan, steps, (), layer, depth, limit):
+                cartan, firsts, (), layer, depth, limit):
             stabilized = True
             break
         if (margin is not None and quiet == margin - 2
                 and length != max_layers):
             ahead = next(layers, None)
-            if ahead is not None and _quiet(cartan, steps, ahead, layer,
+            if ahead is not None and _quiet(cartan, firsts, ahead[0], layer,
                                             depth, limit):
                 length += 1
                 stabilized = True
                 break
         layer = {child: apply_T(spec, nodes[i - 1], layer[parent],
                                 limit=limit)
-                 for child, i, parent in steps}
+                 for child, i, parent in firsts}
         loud = False
-        for value in layer.values():
-            loud = acc.add(value, depth) or loud
+        for child, value in layer.items():
+            terms = value.terms if depth is None else {
+                b: x for b, x in value.terms.items()
+                if sum(b) <= depth and min(b) >= 0}
+            for act in images[child]:
+                loud = acc.add(PackedSeries(
+                    value.anchor, terms if act is _same else
+                    {act(b): x for b, x in terms.items()}, value.width,
+                    value.bound, value.low, value.var)) or loud
         quiet = 0 if loud else quiet + 1
         if margin is not None and quiet >= margin:
             stabilized = True
             break
     return acc, length, stabilized
+
+
+def _symmetries(cartan, anchor, terms):
+    """G: the permutations g of the nodes (g[k] the image of node k,
+    0-based) with A[g[j]][g[k]] = A[j][k] and anchor[g[k]] = anchor[k]
+    that map the term map onto itself, g beta having coordinate beta_k at
+    g[k]; the identity first.  A backtracking search places the images of
+    nodes 0, 1, ... in turn, each only where its label, its diagonal entry
+    and its Cartan entries against every node already placed agree."""
+    n = len(cartan)
+    found = []
+
+    def place(image):
+        k = len(image)
+        if k == n:
+            act = _actions([image])[0]
+            if all(terms.get(act(b)) == x for b, x in terms.items()):
+                found.append(tuple(image))
+            return
+        for q in range(n):
+            if (q not in image and anchor[q] == anchor[k]
+                    and cartan[q][q] == cartan[k][k]
+                    and all(cartan[q][g] == cartan[k][j]
+                            and cartan[g][q] == cartan[j][k]
+                            for j, g in enumerate(image))):
+                place(image + [q])
+
+    place([])
+    return found
+
+
+def _same(beta):
+    return beta
+
+
+def _actions(group):
+    """beta -> g beta for each g of a group of node permutations, in
+    order: _same for the identity, else an itemgetter."""
+    acts = []
+    for g in group:
+        inv = [0] * len(g)
+        for k, q in enumerate(g):
+            inv[q] = k
+        acts.append(_same if list(g) == sorted(g) else itemgetter(*inv))
+    return acts
+
+
+def _orbits(acts, steps):
+    """The first step (c, i, p) of each G-orbit of a layer's steps, in
+    order, and {c: the act of one g per element g c of c's orbit, the
+    identity first}; acts are G's (_actions), the identity first."""
+    firsts, images, seen = [], {}, set()
+    for c, i, p in steps:
+        if c not in seen:
+            found = {}
+            for act in acts:
+                found.setdefault(act(c), act)
+            seen.update(found)
+            firsts.append((c, i, p))
+            images[c] = list(found.values())
+    return firsts, images
 
 
 def _hull(spec, cartan, seed, depth):
@@ -698,7 +812,9 @@ def _strings_reaching(cartan, p, i, js, depth, limit):
 def _quiet(cartan, steps, ahead, layer, depth, limit):
     """True iff no element of the layer of steps, nor of the layer ahead
     of it (() for none), contributes at ht <= depth, computed from the
-    values of the layer before them (layer[parent]) alone; see _walk."""
+    values of the layer before them (layer[parent]) alone; see _walk.
+    The steps are the first steps of each G-orbit (_orbits), those ahead
+    from parents that are the first of theirs."""
     children = {}
     for _, j, c in ahead:
         children.setdefault(c, []).append(j)

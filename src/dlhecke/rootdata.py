@@ -7,7 +7,6 @@ order; the affine node, when present, is node l+1.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass
@@ -125,6 +124,8 @@ def build_cartan(spec):
 
 def spec_hash(spec):
     """Stable content hash of a spec's Cartan matrix (report headers)."""
+    import hashlib  # on first use: slow to import
+
     payload = json.dumps({"spec": str(spec),
                           "cartan": [list(r) for r in build_cartan(spec)]})
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

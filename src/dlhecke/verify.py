@@ -10,7 +10,6 @@ labels alone.
 """
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 
@@ -526,6 +525,8 @@ def verify_hecke_relations(spec, count=100, seed=0):
     checks nothing is refused, not passed."""
     if count < 1:
         raise VerifyError(f"count must be >= 1, got {count}")
+    import random  # on first use: slow to import
+
     start = time.perf_counter()
     rng = random.Random(seed)
     params = {"count": count, "seed": seed}

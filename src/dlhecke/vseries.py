@@ -12,7 +12,6 @@ reflections).
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from operator import add, itemgetter, mul
 
 
@@ -135,6 +134,8 @@ class VPoly:
 
     def evaluate(self, q):
         """Exact value at v = q (a Fraction or int)."""
+        from fractions import Fraction  # on first use: slow to import
+
         q = Fraction(q)
         if q == 0:
             raise SeriesError("cannot evaluate at v = 0")
@@ -398,6 +399,8 @@ class AnchoredSeries:
 
     def evaluate_v(self, q):
         """Substitute v := q exactly; returns {beta: Fraction}, zeros dropped."""
+        from fractions import Fraction  # on first use: slow to import
+
         q = Fraction(q)
         out = {}
         for beta, cf in self.terms.items():

@@ -960,6 +960,139 @@ def test_stop_is_the_same_at_the_edges_of_max_layers_and_layer_cap(
         assert walk(layer_cap=size) == (total, length, True)
 
 
+# -- the walk's symmetries -------------------------------------------------
+
+def _identity_only(cartan, anchor, terms):
+    return [tuple(range(len(cartan)))]
+
+
+def _relabelled(beta, g):
+    """beta with coordinate k moved to g[k]."""
+    out = [0] * len(beta)
+    for k, b in enumerate(beta):
+        out[g[k]] = b
+    return tuple(out)
+
+
+def _symmetries_by_brute_force(cartan, anchor, terms):
+    """Every permutation g of the nodes that keeps the Cartan matrix and
+    the labels and maps the term map onto itself, in lexicographic order:
+    _symmetries' oracle."""
+    n = len(cartan)
+    return [g for g in itertools.permutations(range(n))
+            if all(cartan[g[j]][g[k]] == cartan[j][k]
+                   for j in range(n) for k in range(n))
+            and all(anchor[g[k]] == anchor[k] for k in range(n))
+            and {_relabelled(b, g): x for b, x in terms.items()} == terms]
+
+
+@pytest.mark.parametrize("spec", [RootSystemSpec.parse(t) for t in (
+    "A1", "A2", "A3", "A4", "A5", "D4", "D5",
+    "A1!", "A2!", "A3!", "A4!", "D4!")], ids=str)
+def test_symmetries_match_the_brute_force_search(spec):
+    # every spec of at most 5 nodes, a few label vectors, and the seeds
+    # e^L, T_1(e^L) and T_n(e^L)
+    cartan = rootdata.build_cartan(spec)
+    n = spec.num_nodes
+    for labels in {(0,) * n, (0,) * (n - 1) + (1,), (1,) + (0,) * (n - 1),
+                   tuple(k % 2 for k in range(n)), tuple(range(n)),
+                   (1,) * n}:
+        monomial = _mono(spec, labels)
+        for word in ((), (1,), (n,)):
+            terms = heckeops.apply_T_word(spec, word, monomial).terms
+            got = heckeops._symmetries(cartan, labels, terms)
+            assert got[0] == tuple(range(n))
+            assert got == _symmetries_by_brute_force(cartan, labels, terms)
+
+
+@pytest.mark.parametrize("text, labels, order, broken", [
+    ("A1!", (0, 1), 1, 1),
+    ("A1!", (1, 1), 2, 1),
+    ("A2!", (0, 0, 1), 2, 1),
+    ("A3!", (0, 0, 0, 1), 2, 1),
+    ("D4!", (0, 0, 0, 0, 1), 6, 2)])
+def test_symmetries_of_the_fundamental_weights(text, labels, order, broken):
+    # |G| at e^L, and at the seed T_1(e^L), which breaks the symmetry
+    spec = RootSystemSpec.parse(text)
+    cartan = rootdata.build_cartan(spec)
+    monomial = _mono(spec, labels)
+    assert [len(heckeops._symmetries(
+        cartan, labels, heckeops.apply_T_word(spec, word, monomial).terms))
+        for word in ((), (1,))] == [order, broken]
+
+
+@pytest.mark.parametrize("text, labels, depth, order", [
+    ("A2!", (0, 0, 1), 6, 2),
+    ("A3!", (0, 0, 0, 1), 4, 2),
+    ("D4!", (0, 0, 0, 0, 1), 3, 6),
+    ("D4!", (0, 0, 0, 0, 0), 3, 24),
+    ("A1!", (1, 1), 6, 2)])
+def test_the_walk_over_orbits_matches_the_walk_over_elements(
+        text, labels, depth, order):
+    """With G the walk builds one value per orbit of each layer; with the
+    identity alone, one per element.  Both give the same terms, length and
+    flag, at e^L and at the seeds T_i(e^L) of symmetrizer property (ii),
+    at margins 1-3 and where MAX_LAYERS leaves the sum unstabilized, and
+    G saves apply_T calls at e^L."""
+    spec = RootSystemSpec.parse(text)
+    n = spec.num_nodes
+    monomial = _mono(spec, labels)
+    seeds = [None] + [heckeops.apply_T_word(spec, (i,), monomial)
+                      for i in range(1, n + 1)]
+    assert len(heckeops._symmetries(
+        rootdata.build_cartan(spec), labels,
+        heckeops.apply_T_word(spec, (), monomial).terms)) == order
+    calls = []
+    apply_T = heckeops.apply_T
+
+    def counting_apply_T(spec, i, s, limit=None):
+        calls.append(i)
+        return apply_T(spec, i, s, limit)
+
+    def walk(seed, margin, symmetries, max_layers=heckeops.MAX_LAYERS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heckeops, "_symmetries", symmetries)
+            mp.setattr(heckeops, "MAX_LAYERS", max_layers)
+            mp.setattr(heckeops, "apply_T", counting_apply_T)
+            calls.clear()
+            return heckeops.symmetrizer_stabilized(
+                spec, labels, depth, margin=margin, seed=seed), len(calls)
+
+    for margin in (1, 2, 3):
+        for seed in seeds:
+            (got, fewer), (want, every) = (
+                walk(seed, margin, symmetries)
+                for symmetries in (heckeops._symmetries, _identity_only))
+            assert got == want and fewer <= every
+            if seed is None:
+                assert got[2] and fewer < every
+    cut, want = (walk(None, 2, symmetries, max_layers=3)[0]
+                 for symmetries in (heckeops._symmetries, _identity_only))
+    assert cut == want and not cut[2]
+
+
+def test_a_symmetry_that_moves_the_labels_changes_the_walk(monkeypatch):
+    # the planted fault: a "group" whose swap of nodes 1 and 2 moves the
+    # label of node 2, so that it maps T_w(e^L) to no T_w'(e^L)
+    spec, labels, depth = RootSystemSpec.parse("A2!"), (0, 0, 1), 6
+    expected = heckeops.symmetrizer_stabilized(spec, labels, depth)
+    monkeypatch.setattr(heckeops, "_symmetries",
+                        lambda *args: [(0, 1, 2), (0, 2, 1)])
+    assert heckeops.symmetrizer_stabilized(spec, labels, depth) != expected
+
+
+def test_the_chain_walks_every_element(monkeypatch):
+    # the exact sum (depth None) keeps the identity group and never asks
+    # for G
+    def no_symmetries(*args):
+        raise AssertionError("the chain looked for symmetries")
+
+    monkeypatch.setattr(heckeops, "_symmetries", no_symmetries)
+    total, length = heckeops.symmetrizer_chain(
+        RootSystemSpec.parse("D4"), (0, 1, 0, 0))
+    assert length == 12 and total.terms
+
+
 # -- the parabolic chain ---------------------------------------------------
 
 @pytest.mark.parametrize("text, labels", [("A4", (2, 1, 1, 0)),
