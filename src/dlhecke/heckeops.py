@@ -484,6 +484,7 @@ def _walk(spec, nodes, labels, seed, max_layers, layer_cap, depth=None,
     longer than e, would be reached from e or before it (orbit_layers
     takes every step that lengthens), so before c, or be c itself and be
     recorded with a parent earlier than p.
+
     Nothing else changes.  ht, beta >= 0, Q (lam and A are g-invariant)
     and the string tables are G-invariant: the entry of (g(i), g kappa)
     holds the pairings, c, ht and skipped range of (i, kappa), moved by
@@ -558,8 +559,9 @@ def _symmetries(cartan, anchor, terms):
     0-based) with A[g[j]][g[k]] = A[j][k] and anchor[g[k]] = anchor[k]
     that map the term map onto itself, g beta having coordinate beta_k at
     g[k]; the identity first.  A backtracking search places the images of
-    nodes 0, 1, ... in turn, each only where its label, its diagonal entry
-    and its Cartan entries against every node already placed agree."""
+    nodes 0, 1, ... in turn, each only where its label and its Cartan
+    entries against every node already placed agree (a_kk = 2 for all
+    k)."""
     n = len(cartan)
     found = []
 
@@ -572,7 +574,6 @@ def _symmetries(cartan, anchor, terms):
             return
         for q in range(n):
             if (q not in image and anchor[q] == anchor[k]
-                    and cartan[q][q] == cartan[k][k]
                     and all(cartan[q][g] == cartan[k][j]
                             and cartan[g][q] == cartan[j][k]
                             for j, g in enumerate(image))):
