@@ -287,16 +287,11 @@ def run(argv):
                        "series": chi.to_json_dict()}
             _emit(args, payload)
         elif args.command == "whittaker":
-            if spec.affine:
-                depth = 6 if args.depth is None else args.depth
-                margin = args.margin
-            elif args.depth is not None or args.margin is not None:
-                raise UsageError("a finite Whittaker sum is exact and takes "
-                                 "no --depth or --margin")
-            else:
-                depth = margin = None
+            depth = args.depth
+            if spec.affine and depth is None:
+                depth = 6
             s, achieved, stabilized = verify.whittaker_normalized(
-                spec, labels, depth=depth, margin=margin,
+                spec, labels, depth=depth, margin=args.margin,
                 layer_cap=args.layer_cap)
             payload = {"header": _header(args, spec),
                        "prefactor": "q^<rho,anchor> (symbolic, not folded in)",

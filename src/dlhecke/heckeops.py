@@ -292,8 +292,8 @@ def symmetrizer_stabilized(spec, anchor_labels, depth, margin=DEFAULT_MARGIN,
             spec, tuple(anchor_labels)))
     n = spec.num_nodes
     total, length, stabilized = _walk(
-        spec, tuple(range(1, n + 1)), (1,) * n, seed, MAX_LAYERS, layer_cap,
-        depth, margin)
+        spec, tuple(range(1, n + 1)), (1,) * n, seed, layer_cap, depth,
+        margin)
     return (AnchoredSeries(spec, seed.anchor, total.unpack(), depth=depth,
                            _trusted=True), length, stabilized)
 
@@ -323,7 +323,7 @@ def symmetrizer_chain(spec, anchor_labels, layer_cap=None):
     for k in range(1, len(nodes) + 1):
         total.terms = {beta: x for beta, x in total.terms.items() if x}
         total, coset_length, _ = _walk(spec, nodes[:k], (0,) * (k - 1) + (1,),
-                                       total, None, layer_cap)
+                                       total, layer_cap)
         length += coset_length
     return total, length
 
@@ -359,8 +359,7 @@ def _block(cartan, nodes):
     return tuple(tuple(cartan[a - 1][b - 1] for b in nodes) for a in nodes)
 
 
-def _walk(spec, nodes, labels, seed, max_layers, layer_cap, depth=None,
-          margin=None):
+def _walk(spec, nodes, labels, seed, layer_cap, depth=None, margin=None):
     """Sum T_w(seed) over the w of weyl.orbit_layers(cartan, labels), one
     BFS layer at a time, seed a PackedSeries for T, cartan the principal
     block of spec's matrix over nodes (1-based; all of them, in order,
@@ -378,14 +377,15 @@ def _walk(spec, nodes, labels, seed, max_layers, layer_cap, depth=None,
     a value's bound is 2 M P for a parent's bound M (_kernel), the
     accumulator's is the sum of the bounds added, and each is widened
     before it could reach half its width, the condition for decoding and
-    for the zero-remainder test.  The walk runs max_layers layers (None:
-    no limit) or to the end of a finite orbit, stabilized.  With depth
-    None the sum is exact.  With a depth the accumulator takes each
+    for the zero-remainder test.  A walk to a depth runs at most
+    MAX_LAYERS layers (read at each call), and the chain's (depth None)
+    has no budget; the end of a finite orbit stabilizes either.  With
+    depth None the sum is exact.  With a depth the accumulator takes each
     value's terms at ht <= depth with nonnegative displacement, and each
     value drops the terms that can no longer feed it (the hull, below);
     with a margin as well, the walk stops, stabilized, after `margin`
     consecutive quiet layers, whose elements each contribute nothing
-    there.  stabilized is False when max_layers runs out first.
+    there.  stabilized is False when MAX_LAYERS runs out first.
 
     The hull.  Let lam = anchor + rho.  T_i(e^mu) lies on the a_i-string
     between mu and s_i(mu + rho) - rho (its numerator does, _kernel), so
@@ -499,8 +499,9 @@ def _walk(spec, nodes, labels, seed, max_layers, layer_cap, depth=None,
     counts every element of a layer.
     """
     cartan = _block(rootdata.build_cartan(spec), nodes)
-    limit, acts = None, [_same]
+    limit, acts, max_layers = None, [_same], None
     if depth is not None:
+        max_layers = MAX_LAYERS
         limit = _hull(spec, cartan, seed, depth)
         acts = _actions(_symmetries(cartan, seed.anchor, seed.terms))
     acc = PackedSeries(seed.anchor, {}, seed.width, 0, seed.low, seed.var)

@@ -25,8 +25,10 @@ class VerifyError(ValueError):
 
 
 class SpecKindError(VerifyError):
-    """A check given a spec of the wrong kind, finite or affine, refused
-    before any work runs; the CLI reads it as a usage error."""
+    """A request that does not fit its spec's kind, finite or affine (a
+    check given a spec of the wrong kind, or a depth or margin given to a
+    finite Whittaker sum), refused before any work runs; the CLI reads it
+    as a usage error."""
 
 
 PASS = "pass"
@@ -118,11 +120,11 @@ def whittaker_normalized(spec, labels, depth=None, margin=None,
     Returns (series, achieved_length, stabilized).  The symbolic
     prefactor q^{<rho, anchor>} is deliberately not folded in.
     """
+    if not spec.affine and (depth is not None or margin is not None):
+        raise SpecKindError("a finite Whittaker sum is exact and takes no "
+                            "depth or margin")
     labels = _dominant(labels, spec)
     if not spec.affine:
-        if depth is not None or margin is not None:
-            raise VerifyError("a finite Whittaker sum is exact and takes "
-                              "no depth or margin")
         total, achieved = heckeops.symmetrizer_chain(spec, labels, layer_cap)
         return (AnchoredSeries(spec, total.anchor, total.unpack(),
                                _trusted=True), achieved, True)
@@ -136,31 +138,12 @@ def whittaker_normalized(spec, labels, depth=None, margin=None,
 
 # -- Casselman-Shalika -----------------------------------------------------
 
-def _finite_cs_rhs(spec, chi, width):
-    """prod_{a>0}(1 - v^-1 e^{-a}) chi exactly, as a PackedSeries.
-
-    chi is packed once with u = v^-1 at width (the chain's, so that the
-    sides compare as they are) or wider, and multiplied by the factor list
-    of the deformed denominator in one times_factors pass with the packed
-    u.  Certificate: Q_beta = F_beta - u F_{beta-a}, so one factor at most
-    doubles every per-degree coefficient, and after the N factors they lie
-    within M 2^N, M the largest |v-coefficient| of chi.  The width is
-    chosen up front so that M 2^N < 2^(width-1); decoding and the packed
-    comparison refuse a bound that does not fit."""
-    factors = characters.denominator_factors(spec, None, 1, 1)
-    bound = max(abs(n) for cf in chi.terms.values()
-                for n in cf.c.values()) << len(factors)
-    p = PackedSeries.pack(chi.anchor, chi.terms, -1,
-                          max(width, bound.bit_length() + 1))
-    p.terms = times_factors(p.terms, [(a, 1 << p.width, power)
-                                      for a, _, power in factors], None)
-    p.bound = bound
-    return p
-
-
 def verify_finite_cs(spec, labels, layer_cap=DEFAULT_LAYER_CAP):
     """sum_{w in W_o} T_w(e^L) = prod_{a>0}(1 - v^-1 e^{-a}) chi_L, exactly,
-    on a finite spec, compared packed (PackedSeries.first_difference)."""
+    on a finite spec, compared packed (PackedSeries.first_difference):
+    chi_L is packed at the chain's width and multiplied by the deformed
+    denominator's factor list (PackedSeries.times_factors), so that the
+    sides compare as they are."""
     start = time.perf_counter()
     if spec.affine:
         raise SpecKindError(f"finite-cs runs on finite specs only; {spec} "
@@ -168,7 +151,10 @@ def verify_finite_cs(spec, labels, layer_cap=DEFAULT_LAYER_CAP):
     labels = _dominant(labels, spec)
     lhs, achieved = heckeops.symmetrizer_chain(spec, labels, layer_cap)
     chi = characters.finite_character_exact(spec, labels)
-    diff = lhs.first_difference(_finite_cs_rhs(spec, chi, lhs.width))
+    rhs = PackedSeries.pack(chi.anchor, chi.terms, lhs.var,
+                            lhs.width).times_factors(
+        characters.denominator_factors(spec, None, VINV, 1), None)
+    diff = lhs.first_difference(rhs)
     return _report("finite-cs", spec, {"labels": list(labels)}, start, diff,
                    achieved)
 
@@ -288,7 +274,7 @@ def verify_symmetrizer_properties(spec, labels, depth, buffer=3,
     the same depth and reads the window points only.
     """
     start = time.perf_counter()
-    labels = tuple(labels)
+    labels = _dominant(labels, spec)
     cartan = rootdata.build_cartan(spec)
     n = spec.num_nodes
     params = {"labels": list(labels), "depth": depth, "buffer": buffer,
@@ -299,7 +285,7 @@ def verify_symmetrizer_properties(spec, labels, depth, buffer=3,
     _compared_depth("the window depth - buffer", window)
     internal = 3 * window + max(labels) + 2
     p, achieved, stabilized = heckeops.symmetrizer_stabilized(
-        spec, _dominant(labels, spec), internal, margin, layer_cap)
+        spec, labels, internal, margin, layer_cap)
     if not stabilized:
         return _report("symmetrizer", spec, params, start, None, achieved,
                        stabilized=False)
@@ -450,7 +436,8 @@ def verify_gk_limit(spec, nu, depth, margin=DEFAULT_MARGIN,
     if spec.affine:
         factors += characters.m_factors(spec, depth)
     n = spec.num_nodes
-    target = times_factors({(0,) * n: VP_ONE}, factors, depth).get(nu, VP_ZERO)
+    target = AnchoredSeries.one(spec, n, depth).times_factors(
+        factors).coefficient(nu)
     prev = None
     achieved = None
     found = None

@@ -274,52 +274,17 @@ class AnchoredSeries:
 
     def times_factors(self, factors):
         """The series times a factor list (times_factors), to its depth,
-        on packed coefficients: the terms are packed once with u = v^-1
-        (as PackedSeries packs for T), run through the module-level
-        times_factors as ints, each factor's u packed alike, and unpacked
-        once.  A u outside Z[v^-1] would pack to a negative shift, so such
-        a list takes the VPoly route.
-
-        The bound: with M the largest |v-coefficient| of the terms and
-        U = the sum of the |v-coefficients| of a factor's u (1 for a
-        monomial u), a factor that multiplies maps F to F_g - u F_{g-beta},
-        so it multiplies the per-degree bound by 1 + U, and one that
-        divides sums at most T + 1 terms u^t F_{g - t beta} of a
-        beta-string, T = floor((depth - lo) / ht(beta)) and lo the least
-        height of a term (0 on the cone), so it multiplies the bound by
-        1 + U + ... + U^T.  For U = 1 these are the factors 2 and
-        floor(depth / ht(beta)) + 1 of the cone.  The terms are packed at
-        a width that the final bound fits."""
-        if not all(u.in_v_inverse_ring() for _, u, _ in factors):
-            return AnchoredSeries(
-                self.spec, self.anchor,
-                times_factors(self.terms, factors, self.depth),
-                depth=self.depth, _trusted=True)
-        depth = self.depth
+        on packed coefficients: the terms at the depth are packed once
+        with u = v^-1, as PackedSeries packs for T, multiplied by
+        PackedSeries.times_factors, which holds the bound, and unpacked
+        once.  A u outside Z[v^-1] raises SeriesError."""
         terms = self.terms
-        if depth is not None:
-            terms = {b: c for b, c in terms.items() if ht(b) <= depth}
-        bound = max((abs(n) for cf in terms.values() for n in cf.c.values()),
-                    default=0)
-        lo = min(0, min(map(ht, terms), default=0))
-        for beta, u, power in factors:
-            h = ht(beta)
-            if depth is not None and h > depth:
-                continue
-            spread = sum(map(abs, u.c.values()))
-            if power > 0:
-                bound *= (1 + spread) ** power
-                lo += min(h, 0) * power
-            elif power < 0 and depth is not None and h >= 1:
-                bound *= sum(spread ** t for t in range((depth - lo) // h + 1)
-                             ) ** -power
-        p = PackedSeries.pack(self.anchor, terms, -1, bound.bit_length() + 1)
-        p.terms = times_factors(
-            p.terms, [(beta, sum(n << -p.width * d for d, n in u.c.items()),
-                       power) for beta, u, power in factors], depth)
-        p.bound = bound
+        if self.depth is not None:
+            terms = {b: c for b, c in terms.items() if ht(b) <= self.depth}
+        p = PackedSeries.pack(self.anchor, terms, -1).times_factors(
+            factors, self.depth)
         return AnchoredSeries(self.spec, self.anchor, p.unpack(),
-                              depth=depth, _trusted=True)
+                              depth=self.depth, _trusted=True)
 
     def scale(self, coef):
         """Multiply every coefficient by a VPoly (or int)."""
@@ -583,12 +548,12 @@ class PackedSeries:
 
     @classmethod
     def pack(cls, anchor, terms, var, width=64):
-        """terms {beta: VPoly} packed at width or wider, with room for
-        2 * bound * len(terms)."""
+        """terms {beta: VPoly} packed at width, or wider if their bound
+        does not fit it (width_for)."""
         cs = [cf.c for cf in terms.values()]
         low = min((var * d for c in cs for d in c), default=0)
         bound = max((abs(n) for c in cs for n in c.values()), default=0)
-        width = max(width, (2 * bound * len(cs)).bit_length() + 1)
+        width = cls.width_for(bound, width)
         return cls(anchor, {beta: sum(n << (width * (var * d - low))
                                       for d, n in c.items())
                             for beta, c in zip(terms, cs)},
@@ -617,8 +582,8 @@ class PackedSeries:
 
     @staticmethod
     def width_for(bound, width):
-        """The widening rule: width if bound fits it, else the larger of
-        2 * width and the least width that bound fits."""
+        """The one widening rule: width if bound fits it, else the larger
+        of 2 * width and the least width that bound fits."""
         if bound >> (width - 1):
             width = max(2 * width, bound.bit_length() + 1)
         return width
@@ -632,6 +597,49 @@ class PackedSeries:
         return {key: sum(d << (width * j)
                          for j, d in enumerate(_digits(x, self.width)))
                 for key, x in terms.items()}
+
+    def times_factors(self, factors, depth):
+        """This series times prod (1 - u e^{-beta})^power over the
+        (beta, u, power) of factors, each u a VPoly, to the depth (None:
+        exact), as a PackedSeries of this anchor, low and var: the
+        module-level times_factors on the ints, each u packed as the
+        terms are (u -> 2^width; a degree d of u is a shift by
+        width * var * d).  A u with var * d < 0 for a degree d (for T's
+        packing, a u outside Z[v^-1]) would shift by a negative count and
+        raises SeriesError.
+
+        The bound: with M = self.bound and U the sum of the
+        |v-coefficients| of a factor's u (1 for a monomial u), a factor
+        that multiplies maps F to F_g - u F_{g-beta}, so it multiplies the
+        per-degree bound by 1 + U, and one that divides sums at most T + 1
+        terms u^t F_{g - t beta} of a beta-string, T = floor((depth - lo)
+        / ht(beta)) and lo the least height of a term (0 on the cone), so
+        it multiplies the bound by 1 + U + ... + U^T.  For U = 1 these are
+        the factors 2 and floor(depth / ht(beta)) + 1 of the cone.  The
+        terms move to width_for's width for the final bound before the
+        pass."""
+        var = self.var
+        if any(var * d < 0 for _, u, _ in factors for d in u.c):
+            raise SeriesError(f"a factor's u is no polynomial in v^{var}, "
+                              "so it does not pack")
+        bound = self.bound
+        lo = min(0, min(map(ht, self.terms), default=0))
+        for beta, u, power in factors:
+            h = ht(beta)
+            if depth is not None and h > depth:
+                continue
+            spread = sum(map(abs, u.c.values()))
+            if power > 0:
+                bound *= (1 + spread) ** power
+                lo += min(h, 0) * power
+            elif power < 0 and depth is not None and h >= 1:
+                bound *= sum(spread ** t for t in range((depth - lo) // h + 1)
+                             ) ** -power
+        width = self.width_for(bound, self.width)
+        terms = times_factors(self.repacked(self.terms, width), [
+            (beta, sum(n << width * var * d for d, n in u.c.items()), power)
+            for beta, u, power in factors], depth)
+        return PackedSeries(self.anchor, terms, width, bound, self.low, var)
 
     def add(self, other, depth=None):
         """Add other's terms (of this low and var; with a depth, those at
@@ -688,7 +696,8 @@ def divide_exact(terms, alpha, from_deep=False):
     two agree exactly when the division is exact; a nonzero remainder on
     any string raises SeriesError.  The map is packed (PackedSeries), and
     its strings divided by _divide_strings: each quotient coefficient sums
-    at most the terms of one string, hence the bound.
+    at most the terms of one string, hence the bound, which the strings
+    are repacked to fit (width_for) when the packing's width does not.
     """
     pivot, sign = _direction(tuple(alpha))
     p = PackedSeries.pack(None, terms, 1)
@@ -696,9 +705,13 @@ def divide_exact(terms, alpha, from_deep=False):
     for beta, x in p.terms.items():
         key = beta[:pivot] + beta[pivot + 1:]
         strings.setdefault(key, {})[beta[pivot] * sign] = x
-    p.bound *= max(map(len, strings.values()), default=0)
-    p.terms = _divide_strings(strings, pivot, sign, p.width, p.bound,
-                              from_deep)
+    bound = p.bound * max(map(len, strings.values()), default=0)
+    width = p.width_for(bound, p.width)
+    if width != p.width:
+        strings = {key: p.repacked(string, width)
+                   for key, string in strings.items()}
+    p.terms = _divide_strings(strings, pivot, sign, width, bound, from_deep)
+    p.width, p.bound = width, bound
     return p.unpack()
 
 

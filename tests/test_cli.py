@@ -144,8 +144,8 @@ def test_removed_q_option_is_usage_error(capsys):
 
 
 def test_finite_whittaker_refuses_depth_and_margin(capsys):
-    for argv, message in ((["--depth", "3"], "--depth or --margin"),
-                          (["--margin", "1"], "--depth or --margin"),
+    for argv, message in ((["--depth", "3"], "takes no depth or margin"),
+                          (["--margin", "1"], "takes no depth or margin"),
                           # argparse refuses a margin below 1 first
                           (["--margin", "-1", "--depth", "-2"],
                            "argument --margin: must be >= 1, got -1")):

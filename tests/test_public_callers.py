@@ -20,6 +20,7 @@ ALLOWED = {
     "eq_up_to_depth": "perfbench's tracer wraps it by name (SERIES_METHODS)",
     "evaluate_v": "perfbench's tracer wraps it by name (SERIES_METHODS); "
                   "acceptance criterion 4's spot values",
+    "in_v_inverse_ring": "acceptance criterion 11's polynomiality test",
 }
 
 PRIVATE_IMPORTS = {

@@ -50,6 +50,14 @@ def _rhs_by_series_products(spec, chi):
     return rhs
 
 
+def _packed_rhs(spec, chi, width):
+    """The packed right-hand side as verify_finite_cs builds it: chi
+    packed for T at width (or wider) times the deformed denominator's
+    factor list, by PackedSeries.times_factors."""
+    return PackedSeries.pack(chi.anchor, chi.terms, -1, width).times_factors(
+        characters.denominator_factors(spec, None, VINV, 1), None)
+
+
 @st.composite
 def finite_cs_labels(draw):
     spec = draw(st.sampled_from(["A2", "A3", "A4", "D4"]))
@@ -65,7 +73,7 @@ def finite_cs_labels(draw):
 def test_packed_finite_cs_rhs_matches_the_series_products(case):
     spec, labels = case
     chi = characters.finite_character_exact(spec, labels)
-    rhs = verify._finite_cs_rhs(spec, chi, 64)
+    rhs = _packed_rhs(spec, chi, 64)
     assert (AnchoredSeries(spec, rhs.anchor, rhs.unpack())
             == _rhs_by_series_products(spec, chi))
 
@@ -89,7 +97,7 @@ def test_packed_finite_cs_rhs_widens_past_64_bits(monkeypatch, text, labels):
 
     monkeypatch.setattr(PackedSeries, "unpack", recording_unpack)
     for chi in chis:
-        rhs = verify._finite_cs_rhs(spec, chi, 64)
+        rhs = _packed_rhs(spec, chi, 64)
         assert (AnchoredSeries(spec, rhs.anchor, rhs.unpack())
                 == _rhs_by_series_products(spec, chi))
     assert min(widths) >= 70 + n + 1 > 64
@@ -103,19 +111,21 @@ def test_finite_cs_decodes_only_the_first_differing_beta(monkeypatch, where):
     whole and compared by AnchoredSeries.first_difference."""
     spec, labels = RootSystemSpec.parse("D4"), (1, 0, 1, 0)
     chi = characters.finite_character_exact(spec, labels)
-    finite_cs_rhs = verify._finite_cs_rhs
-    rhs = finite_cs_rhs(spec, chi, 64)
+    rhs = _packed_rhs(spec, chi, 64)
     beta = (sorted(rhs.terms)[len(rhs.terms) // 2]
             if where == "in the support" else (9, 9, 9, 9))
+    times_factors = PackedSeries.times_factors
 
-    def perturbed_rhs(spec, chi, width):
-        p = finite_cs_rhs(spec, chi, width)
+    def perturbed_times_factors(self, factors, depth):
+        p = times_factors(self, factors, depth)
         p.terms[beta] = p.terms.get(beta, 0) + (1 << 2 * p.width)  # + v^-2
         p.bound += 1
         return p
 
     lhs, achieved, _ = verify.whittaker_normalized(spec, labels)
-    bad = perturbed_rhs(spec, chi, 64)
+    bad = perturbed_times_factors(PackedSeries.pack(chi.anchor, chi.terms, -1),
+                                  characters.denominator_factors(
+                                      spec, None, VINV, 1), None)
     diff = lhs.first_difference(AnchoredSeries(spec, bad.anchor,
                                                bad.unpack()))
     assert diff[0] == beta
@@ -139,7 +149,8 @@ def test_finite_cs_decodes_only_the_first_differing_beta(monkeypatch, where):
     monkeypatch.setattr(vseries, "_digits", counting_digits)
     assert verify.verify_finite_cs(spec, labels).passed
     assert decoded == [] and digits == []
-    monkeypatch.setattr(verify, "_finite_cs_rhs", perturbed_rhs)
+    monkeypatch.setattr(PackedSeries, "times_factors",
+                        perturbed_times_factors)
     got = verify.verify_finite_cs(spec, labels).to_json_dict()
     assert decoded == [1, 1] and len(digits) == 2
     del got["ms"], want["ms"]
@@ -224,6 +235,18 @@ def test_negative_depth_and_buffer_are_refused():
 def test_whittaker_rejects_nondominant():
     with pytest.raises(verify.VerifyError):
         verify.whittaker_normalized(A1, (-2,))
+
+
+@pytest.mark.parametrize("labels", [(), (0, 1, 2), (0, -1)])
+@pytest.mark.parametrize("check", [verify.verify_affine_cs,
+                                   verify.extract_proportionality,
+                                   verify.verify_symmetrizer_properties])
+def test_affine_checks_refuse_bad_labels_with_verify_error(check, labels):
+    # the symmetrizer check reads max(labels) for its internal depth, so it
+    # must validate them first: () once raised a bare ValueError from max
+    with pytest.raises(verify.VerifyError, match="labels needs 2 entries "
+                       "for A1!, got [03]|dominant labels required"):
+        check(A1A, labels, 6)
 
 
 def test_whittaker_affine_needs_depth():

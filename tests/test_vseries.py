@@ -248,15 +248,24 @@ def exact_factor_problems(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(factor_problems(), st.sampled_from([(0, 1), (3, -2)]))
-def test_packed_series_times_factors_matches_the_vpoly_route(problem, anchor):
-    """AnchoredSeries.times_factors packs its terms once and runs the
-    factor pass on ints; term for term it is the pass on VPolys."""
+@given(factor_problems(), st.sampled_from([(0, 1), (3, -2)]),
+       st.integers(1, 64))
+def test_packed_series_times_factors_matches_the_vpoly_route(problem, anchor,
+                                                             width):
+    """PackedSeries.times_factors, from a packing at any starting width,
+    runs the factor pass on ints and widens by width_for; term for term it
+    is the pass on VPolys, and so is AnchoredSeries.times_factors, which
+    packs its terms once and calls it."""
     terms, factors, depth = problem
+    want = times_factors(terms, factors, depth)
+    p = PackedSeries.pack(anchor, terms, -1, width)
+    out = p.times_factors(factors, depth)
+    assert (out.anchor, out.low, out.var) == (p.anchor, p.low, p.var)
+    assert out.width >= p.width and out.unpack() == want
     s = AnchoredSeries(A1A, anchor, terms, depth=depth)
     out = s.times_factors(factors)
     assert (out.anchor, out.depth) == (s.anchor, depth)
-    assert out.terms == times_factors(terms, factors, depth)
+    assert out.terms == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -288,13 +297,19 @@ def test_packed_series_times_factors_widens_for_its_divisions():
 
 @pytest.mark.parametrize("us", [(V, VINV), (VPoly({0: 2, -1: 3}), VP_ONE)])
 def test_packed_series_times_factors_on_other_factors(us):
-    """A list with a u outside Z[v^-1] takes the VPoly route, and a u that
-    is no monomial widens the packed bound by the sum of its |coefficients|;
-    each matches the pass on VPolys."""
+    """A list with a u outside Z[v^-1], which would pack to a negative
+    shift, raises SeriesError; a u that is no monomial widens the packed
+    bound by the sum of its |coefficients|, and matches the pass on
+    VPolys."""
     terms = {(0, 0): VPoly({0: 3, -2: -1}), (1, 0): VINV, (0, 2): V}
     factors = [((1, 0), us[0], 2), ((1, 1), us[1], -2), ((0, 1), us[1], 1)]
     s = AnchoredSeries(A1A, (0, 1), terms, depth=5)
-    assert s.times_factors(factors).terms == times_factors(terms, factors, 5)
+    if us[0] == V:
+        with pytest.raises(SeriesError, match=r"no polynomial in v\^-1"):
+            s.times_factors(factors)
+    else:
+        assert s.times_factors(factors).terms == times_factors(terms,
+                                                               factors, 5)
 
 
 def test_raw_map_helpers():
