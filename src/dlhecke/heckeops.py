@@ -43,10 +43,11 @@ limit: what each a_i-string's pairings give, its c and its reach, is
 computed once per walk, and its skipped range once, on the kernel's
 first use of the string; the kernel drops from each value the terms
 that the rho-shifted hull shows can no longer feed the sum, one skipped
-range per a_i-string.  A sum to a depth builds one value per orbit of
-each layer under G, the diagram automorphisms that fix the seed
-(_symmetries), and adds the other values of the orbit as relabelled
-copies of it.
+range per a_i-string.  A sum to a depth walks W/G, G the diagram
+automorphisms that fix the seed (_symmetries): weyl.orbit_layers expands
+one element per G-orbit of each layer, the walk builds one value per
+orbit, and adds the other values of the orbit as relabelled copies of
+it.
 """
 from __future__ import annotations
 
@@ -301,7 +302,7 @@ def symmetrizer_stabilized(spec, anchor_labels, depth, margin=DEFAULT_MARGIN,
 def symmetrizer_chain(spec, anchor_labels, layer_cap=None):
     """sum_{w in W} T_w(e^anchor) over a finite Weyl group, exactly, by a
     chain of parabolic subgroups J_1 < ... < J_n, J_k the first k nodes of
-    _chain_nodes.  Returns (total, l(w0)), total packed.
+    weyl.chain_nodes.  Returns (total, l(w0)), total packed.
 
     Every w in W_{J_k} factors uniquely as w = u x with x in W_{J_{k-1}},
     u a minimal coset representative and l(w) = l(u) + l(x) (Humphreys,
@@ -317,7 +318,7 @@ def symmetrizer_chain(spec, anchor_labels, layer_cap=None):
     if spec.affine:
         raise HeckeError("the parabolic chain needs a finite spec")
     labels = tuple(anchor_labels)
-    nodes = _chain_nodes(rootdata.build_cartan(spec), labels)
+    nodes = weyl.chain_nodes(rootdata.build_cartan(spec), labels)
     total = apply_T_word(spec, (), AnchoredSeries.monomial(spec, labels))
     length = 0
     for k in range(1, len(nodes) + 1):
@@ -326,37 +327,6 @@ def symmetrizer_chain(spec, anchor_labels, layer_cap=None):
                                        total, layer_cap)
         length += coset_length
     return total, length
-
-
-def _chain_nodes(cartan, labels):
-    """The chain's nodes (1-based), chosen from the back: of the leaves of
-    the Dynkin diagram on the nodes S still left, the node x placed last
-    is one whose coset W_S / W_{S - x} is smallest, ties going to the
-    larger label and then the lower index.  The coset's size is that of
-    the orbit of x's fundamental coweight under W_S, which the chain's
-    coset walk walks.  A small last coset applies few T_i to the largest
-    value X_{k-1}, and a large label put late keeps the early values
-    small, as T_i of a term grows with its pairing.  S stays connected,
-    as a leaf of a tree is taken each time."""
-    left, chosen = list(range(1, len(cartan) + 1)), []
-    while left:
-        block = _block(cartan, left)
-
-        def cost(k):
-            x = left[k]
-            orbit = weyl.orbit_layers(block, tuple(
-                int(j == k) for j in range(len(left))))
-            return (sum(map(len, orbit)), -labels[x - 1], x)
-
-        leaves = [k for k, row in enumerate(block)
-                  if sum(1 for a in row if a) <= 2]
-        chosen.append(left.pop(min(leaves, key=cost)))
-    return tuple(reversed(chosen))
-
-
-def _block(cartan, nodes):
-    """The principal block of the Cartan matrix over nodes (1-based)."""
-    return tuple(tuple(cartan[a - 1][b - 1] for b in nodes) for a in nodes)
 
 
 def _walk(spec, nodes, labels, seed, layer_cap, depth=None, margin=None):
@@ -463,27 +433,48 @@ def _walk(spec, nodes, labels, seed, layer_cap, depth=None, margin=None):
     The symmetries.  A walk to a depth holds one value per G-orbit of each
     layer, G the permutations g of the nodes with A[g(j)][g(k)] = A[j][k]
     and anchor[g(k)] = anchor[k] that map the seed's term map onto itself
-    (_symmetries); the exact sum (depth None, the chain) keeps G = {1},
-    where every orbit is one element and the loop is the same.  g moves
-    coordinate k of a displacement to g(k), and acts on W by s_k ->
-    s_{g(k)}; it fixes rho^vee, so the orbit key of g w g^-1 is g of w's,
-    and it keeps lengths, so each layer is a union of G-orbits.  T_i is
-    G-equivariant: T_{g(i)}(g f) = g(T_i f).  For mu = anchor - beta,
-    g mu = anchor - g beta as the anchor is g-invariant, and
-    <a_{g(i)}, g mu> = <a_i, mu> as A is; so the three numerator
-    positions of e^{g mu} under T_{g(i)}, with their coefficients, are
-    the g-images of those of e^mu under T_i, and so is the division by
-    (1 - e^{a_{g(i)}}) = g(1 - e^{a_i}).  With the seed g-invariant,
-    T_{g w g^-1}(seed) = g T_w(seed).  So the walk builds the value of the
-    first element c of each orbit (in the order of orbit_layers) from its
-    parent's, by apply_T, and adds to the accumulator, for one g per
-    element g c of the orbit, the terms of c's value at ht <= depth moved
-    by g; no value is permuted to build a layer.  c's parent p is the
-    first of its own orbit, so its value is held: were p = h e with e
-    earlier in p's orbit, h^-1 c = s_{h^-1(i)} e, of c's orbit and one
-    longer than e, would be reached from e or before it (orbit_layers
-    takes every step that lengthens), so before c, or be c itself and be
-    recorded with a parent earlier than p.
+    (_symmetries); the exact sum (depth None, the chain) walks every
+    element, by the plain BFS of weyl.orbit_layers.  g moves coordinate k
+    of a displacement to g(k), and acts on W by s_k -> s_{g(k)}; it fixes
+    rho^vee, so the orbit key of g w g^-1 is g of w's, and it keeps
+    lengths, so each layer is a union of G-orbits.  T_i is G-equivariant:
+    T_{g(i)}(g f) = g(T_i f).  For mu = anchor - beta, g mu = anchor -
+    g beta as the anchor is g-invariant, and <a_{g(i)}, g mu> =
+    <a_i, mu> as A is; so the three numerator positions of e^{g mu} under
+    T_{g(i)}, with their coefficients, are the g-images of those of e^mu
+    under T_i, and so is the division by (1 - e^{a_{g(i)}}) =
+    g(1 - e^{a_i}).  With the seed g-invariant, T_{g w g^-1}(seed) =
+    g T_w(seed).  So the walk builds the value of the first element c of
+    each orbit (in the order of the plain BFS) from its parent's, by
+    apply_T, and adds to the accumulator, for one g per element g c of the
+    orbit, the terms of c's value at ht <= depth moved by g; no value is
+    permuted to build a layer.
+
+    The walk over W/G.  weyl.orbit_layers, handed G's actions (_actions),
+    expands only the first element it meets of each orbit, and marks the
+    whole orbit seen when it meets it.  It finds the first elements of the
+    plain BFS, with the same letters and parents, in the same order:
+    (a) In the plain BFS, c's parent p is the first of its own orbit, so
+    its value is held: were p = h e with e earlier in p's orbit,
+    h^-1 c = s_{h^-1(i)} e, of c's orbit and one longer than e, would be
+    reached from e or before it (orbit_layers takes every step that
+    lengthens), so before c, or be c itself and be recorded with a parent
+    earlier than p.
+    (b) The plain BFS takes the steps of first elements in the same
+    relative order as the walk over W/G.  Both take a layer's parents in
+    order, each parent's steps in order of generator index, and, by
+    induction on the layer, list the first elements in the same order.
+    Now let O be an orbit of layer L + 1, which holds no element of an
+    earlier layer.  The plain BFS records each element at the first step
+    that reaches it, so O's first element c is the child of the first
+    plain step (p, i) that reaches O.  By (a) p is a first element, so the
+    walk over W/G takes (p, i), and by (b) every step it takes before
+    (p, i) comes before it in the plain BFS too, so reaches no element of
+    O.  The walk therefore meets O first at (p, i), records c there with
+    letter i and parent p, and records the orbits in the order of their
+    first steps, which is the plain order of their first elements.  The
+    images of c are those of the plain layer's orbit: one act per element
+    g c, the identity first.
 
     Nothing else changes.  ht, beta >= 0, Q (lam and A are g-invariant)
     and the string tables are G-invariant: the entry of (g(i), g kappa)
@@ -495,23 +486,27 @@ def _walk(spec, nodes, labels, seed, layer_cap, depth=None, margin=None):
     string).  An element contributes at ht <= depth iff the first of its
     orbit does, so the accumulator, the quiet tests, the settles (run on
     the first steps of the orbits of L and of L + 1, _quiet), the length
-    and the flag are those of the walk over elements; _capped still
-    counts every element of a layer.
+    and the flag are those of the walk over elements; _capped reads the
+    layer's element count, the sum of its orbits' sizes.
     """
-    cartan = _block(rootdata.build_cartan(spec), nodes)
-    limit, acts, max_layers = None, [_same], None
-    if depth is not None:
+    cartan = weyl.block(rootdata.build_cartan(spec), nodes)
+    limit, max_layers = None, None
+    if depth is None:
+        # the chain walks every element: its images are the identity alone
+        layers = ((steps, None, len(steps))
+                  for steps in weyl.orbit_layers(cartan, labels))
+    else:
         max_layers = MAX_LAYERS
         limit = _hull(spec, cartan, seed, depth)
-        acts = _actions(_symmetries(cartan, seed.anchor, seed.terms))
+        layers = weyl.orbit_layers(cartan, labels, acts=_actions(
+            _symmetries(cartan, seed.anchor, seed.terms)))
     acc = PackedSeries(seed.anchor, {}, seed.width, 0, seed.low, seed.var)
     acc.add(seed, depth)
     # the first orbit key of each G-orbit of a layer -> its T_w(seed)
     layer = {(0,) * len(cartan): seed}
-    # each layer's steps [(orbit key, letter, parent's key)], capped, as
-    # the first steps of its G-orbits and their images (_orbits)
-    layers = (_orbits(acts, _capped(steps, layer_cap))
-              for steps in weyl.orbit_layers(cartan, labels))
+    # each layer as (the first steps of its G-orbits [(orbit key, letter,
+    # parent's key)], their images, its element count), capped
+    layers = (_capped(orbits, layer_cap) for orbits in layers)
     ahead = None  # the next layer, taken by a look-ahead
     length = quiet = 0
     stabilized = False
@@ -522,7 +517,7 @@ def _walk(spec, nodes, labels, seed, layer_cap, depth=None, margin=None):
             stabilized = True  # finite orbit exhausted
             break
         length += 1
-        firsts, images = orbits
+        firsts, images, _ = orbits
         if margin is not None and quiet == margin - 1 and _quiet(
                 cartan, firsts, (), layer, depth, limit):
             stabilized = True
@@ -543,7 +538,7 @@ def _walk(spec, nodes, labels, seed, layer_cap, depth=None, margin=None):
             terms = value.terms if depth is None else {
                 b: x for b, x in value.terms.items()
                 if sum(b) <= depth and min(b) >= 0}
-            for act in images[child]:
+            for act in images[child] if images is not None else (_same,):
                 loud = acc.add(PackedSeries(
                     value.anchor, terms if act is _same else
                     {act(b): x for b, x in terms.items()}, value.width,
@@ -598,22 +593,6 @@ def _actions(group):
             inv[q] = k
         acts.append(_same if list(g) == sorted(g) else itemgetter(*inv))
     return acts
-
-
-def _orbits(acts, steps):
-    """The first step (c, i, p) of each G-orbit of a layer's steps, in
-    order, and {c: the act of one g per element g c of c's orbit, the
-    identity first}; acts are G's (_actions), the identity first."""
-    firsts, images, seen = [], {}, set()
-    for c, i, p in steps:
-        if c not in seen:
-            found = {}
-            for act in acts:
-                found.setdefault(act(c), act)
-            seen.update(found)
-            firsts.append((c, i, p))
-            images[c] = list(found.values())
-    return firsts, images
 
 
 def _hull(spec, cartan, seed, depth):
@@ -739,12 +718,13 @@ class _StringTable(dict):
         return skip
 
 
-def _capped(steps, layer_cap):
-    """steps, or HeckeError if the layer is larger than layer_cap."""
-    if layer_cap is not None and len(steps) > layer_cap:
-        raise HeckeError(
-            f"layer of size {len(steps)} exceeds cap {layer_cap}")
-    return steps
+def _capped(orbits, layer_cap):
+    """A layer of orbit_layers (steps, images, size), or HeckeError if its
+    size is larger than layer_cap."""
+    size = orbits[2]
+    if layer_cap is not None and size > layer_cap:
+        raise HeckeError(f"layer of size {size} exceeds cap {layer_cap}")
+    return orbits
 
 
 def _loud(cartan, p, i, depth, limit, js=()):
@@ -815,8 +795,8 @@ def _quiet(cartan, steps, ahead, layer, depth, limit):
     """True iff no element of the layer of steps, nor of the layer ahead
     of it (() for none), contributes at ht <= depth, computed from the
     values of the layer before them (layer[parent]) alone; see _walk.
-    The steps are the first steps of each G-orbit (_orbits), those ahead
-    from parents that are the first of theirs."""
+    The steps are the first steps of each G-orbit (weyl.orbit_layers),
+    those ahead from parents that are the first of theirs."""
     children = {}
     for _, j, c in ahead:
         children.setdefault(c, []).append(j)

@@ -430,14 +430,8 @@ def verify_gk_limit(spec, nu, depth, margin=DEFAULT_MARGIN,
     if ht(nu) > depth:
         raise VerifyError("ht(nu) must be <= depth")
     params = {"nu": list(nu), "depth": depth}
-    # Delta = prod_{a>0} (1 - v^-1 e^{-a})^mult / (1 - e^{-a})^mult
-    factors = (characters.denominator_factors(spec, depth, VINV, 1)
-               + characters.denominator_factors(spec, depth, VP_ONE, -1))
-    if spec.affine:
-        factors += characters.m_factors(spec, depth)
+    target = _gk_target(spec, nu)
     n = spec.num_nodes
-    target = AnchoredSeries.one(spec, n, depth).times_factors(
-        factors).coefficient(nu)
     prev = None
     achieved = None
     found = None
@@ -463,6 +457,21 @@ def verify_gk_limit(spec, nu, depth, margin=DEFAULT_MARGIN,
                        stabilized=False)
     diff = None if found == target else (nu, found, target)
     return _report("gk-limit", spec, params, start, diff)
+
+
+def _gk_target(spec, nu):
+    """[e^{-nu}] of Delta (finite) or m_v * Delta (affine), Delta =
+    prod_{a>0} (1 - v^-1 e^{-a})^mult / (1 - e^{-a})^mult, built to ht(nu)
+    only: each factor at beta, or its inverse, is 1 plus terms of height
+    >= ht(beta), so no factor or term deeper than nu reaches its
+    coefficient."""
+    top = ht(nu)
+    factors = (characters.denominator_factors(spec, top, VINV, 1)
+               + characters.denominator_factors(spec, top, VP_ONE, -1))
+    if spec.affine:
+        factors += characters.m_factors(spec, top)
+    return AnchoredSeries.one(spec, spec.num_nodes, top).times_factors(
+        factors).coefficient(nu)
 
 
 # -- Hecke relations -------------------------------------------------------
@@ -508,8 +517,9 @@ def verify_hecke_relations(spec, count=100, seed=0):
     """Quadratic, braid (single-bond pairs), commutation (orthogonal
     pairs), and the T/T' conjugation identity on seeded random monomials.
     A failure names the relation and the monomial's labels; the witness
-    is relative to that monomial.  count must be at least 1: a run that
-    checks nothing is refused, not passed."""
+    is relative to that monomial.  Each distinct monomial drawn is checked
+    once: a repeat of one that passed cannot fail first.  count must be
+    at least 1: a run that checks nothing is refused, not passed."""
     if count < 1:
         raise VerifyError(f"count must be >= 1, got {count}")
     import random  # on first use: slow to import
@@ -518,8 +528,13 @@ def verify_hecke_relations(spec, count=100, seed=0):
     rng = random.Random(seed)
     params = {"count": count, "seed": seed}
     diff = None
+    checked = set()  # the labels of the monomials checked so far
     for _ in range(count):
         s = _random_monomial(spec, rng)
+        # a repeat passed before, so it cannot fail first
+        if s.anchor in checked:
+            continue
+        checked.add(s.anchor)
         for relation, diff in _relation_differences(spec, s):
             if diff is not None:
                 params["relation"] = relation

@@ -1,13 +1,18 @@
-"""Weyl group orbits by breadth-first search, reduced words, and the
-action on anchored exponents.
+"""Weyl group orbits by breadth-first search, the parabolic chain's
+order of the nodes, reduced words, and the action on anchored exponents.
 
 orbit_layers is the one BFS over a W-orbit in the library: the
-symmetrizer walker, the signed character orbit and enumerate_layers all
-iterate it.  An element w is identified by its orbit key
-rho^vee - w(rho^vee) in simple-coroot coordinates: rho^vee is regular,
-so the key is faithful, and it hashes cheaply.  BFS extends by left
-multiplication, so the first letter of every stored word is a left
-descent.
+symmetrizer walker, the parabolic chain's order (chain_nodes), the
+signed character orbit and enumerate_layers all iterate it.  An element
+w is identified by its orbit key rho^vee - w(rho^vee) in simple-coroot
+coordinates: rho^vee is regular, so the key is faithful, and it hashes
+cheaply.  BFS extends by left multiplication, so the first letter of
+every stored word is a left descent.  Handed the actions of a group G
+of diagram automorphisms, the BFS walks W/G: it expands only the first
+element of each G-orbit of a layer, and yields the layer's first steps
+with each one's images and the layer's element count; the sum to a
+depth walks so (heckeops._walk proves it finds the same first
+elements, letters and parents, in the same order, as the plain BFS).
 """
 from __future__ import annotations
 
@@ -49,7 +54,7 @@ def pairing(cartan, labels, beta, i):
                                for j in range(len(beta)))
 
 
-def orbit_layers(cartan, labels, keep=None):
+def orbit_layers(cartan, labels, keep=None, acts=None):
     """BFS over the W-orbit of e^{anchor}, keyed by displacement from 0.
 
     Yields each new layer as [(child, letter, parent)]: child is the
@@ -68,6 +73,15 @@ def orbit_layers(cartan, labels, keep=None):
     that only raise the displacement, so seen, or refused by keep.  Each
     element carries its pairings, and a child's are its parent's less k
     times column i of the Cartan matrix.
+
+    With acts, the maps beta -> g beta of a group G of diagram
+    automorphisms that fix the labels (the identity first; keep, if
+    given, G-invariant), the walk is over W/G: a child is expanded and
+    yielded only if no element of its G-orbit was seen, and then every
+    image g child is marked seen.  Each layer comes as (steps, images,
+    size): the steps of those first elements, {child: the act of one g
+    per element g child of its orbit, the identity first}, and size, the
+    number of elements in the layer.
     """
     if any(x < 0 for x in labels):
         raise WeylError(f"orbit_layers needs dominant labels, got {labels}")
@@ -78,14 +92,22 @@ def orbit_layers(cartan, labels, keep=None):
     layer = [((0,) * n, labels)]  # (displacement, its pairings)
     seen = {(0,) * n}
     while True:
-        nxt, grown = [], []
+        nxt, grown, images, size = [], [], {}, 0
         for parent, pairings in layer:
             for i, k in enumerate(pairings):
                 if k <= 0:
                     continue
                 child = parent[:i] + (parent[i] + k,) + parent[i + 1:]
                 if child not in seen and (keep is None or keep(child)):
-                    seen.add(child)
+                    if acts is None:
+                        seen.add(child)
+                    else:
+                        found = {}
+                        for act in acts:
+                            found.setdefault(act(child), act)
+                        seen.update(found)
+                        images[child] = list(found.values())
+                        size += len(found)
                     nxt.append((child, i + 1, parent))
                     ks = list(pairings)
                     for j, a in cols[i]:
@@ -93,8 +115,41 @@ def orbit_layers(cartan, labels, keep=None):
                     grown.append((child, ks))
         if not nxt:
             return
-        yield nxt
+        yield nxt if acts is None else (nxt, images, size)
         layer = grown
+
+
+def block(cartan, nodes):
+    """The principal block of the Cartan matrix over nodes (1-based)."""
+    return tuple(tuple(cartan[a - 1][b - 1] for b in nodes) for a in nodes)
+
+
+def chain_nodes(cartan, labels):
+    """The order of the nodes (1-based) of a parabolic chain J_1 < ... <
+    J_n, J_k the first k of them, chosen from the back: of the leaves of
+    the Dynkin diagram on the nodes S still left, the node x placed last
+    is one whose coset W_S / W_{S - x} is smallest, ties going to the
+    larger label and then the lower index.  The coset's size is that of
+    the orbit of x's fundamental coweight under W_S.  A small last coset
+    applies few T_i to the largest value of heckeops.symmetrizer_chain,
+    and a large label put late keeps the early values small, as T_i of a
+    term grows with its pairing; characters.finite_character_exact reads
+    its word of w0 along the same order.  S stays connected, as a leaf of
+    a tree is taken each time."""
+    left, chosen = list(range(1, len(cartan) + 1)), []
+    while left:
+        sub = block(cartan, left)
+
+        def cost(k):
+            x = left[k]
+            orbit = orbit_layers(sub, tuple(
+                int(j == k) for j in range(len(left))))
+            return (sum(map(len, orbit)), -labels[x - 1], x)
+
+        leaves = [k for k, row in enumerate(sub)
+                  if sum(1 for a in row if a) <= 2]
+        chosen.append(left.pop(min(leaves, key=cost)))
+    return tuple(reversed(chosen))
 
 
 def enumerate_layers(spec, max_length, layer_cap=None):

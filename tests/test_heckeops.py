@@ -1071,6 +1071,71 @@ def test_the_walk_over_orbits_matches_the_walk_over_elements(
     assert cut == want and not cut[2]
 
 
+def _orbits_of_the_plain_layer(acts, steps):
+    """The first step (c, i, p) of each G-orbit of a layer of the plain
+    BFS, in order, and {c: the act of one g per element g c of c's orbit,
+    the identity first}: how the walk grouped the plain BFS into orbits
+    before it walked W/G, the oracle of the walk over W/G."""
+    firsts, images, seen = [], {}, set()
+    for c, i, p in steps:
+        if c not in seen:
+            found = {}
+            for act in acts:
+                found.setdefault(act(c), act)
+            seen.update(found)
+            firsts.append((c, i, p))
+            images[c] = list(found.values())
+    return firsts, images
+
+
+@pytest.mark.parametrize("text, labels, order", [
+    ("A2!", (0, 0, 1), 2),
+    ("D4!", (0, 0, 0, 0, 1), 6),
+    ("A3!", (1, 1, 1, 1), 8),
+    ("D4!", (0, 1, 0, 0, 0), 24)])
+def test_the_walk_over_w_mod_g_finds_the_first_elements_of_the_plain_walk(
+        text, labels, order):
+    """Over the first 8 layers, orbit_layers handed G's actions yields the
+    first steps (orbit key, letter, parent) and images that grouping the
+    plain BFS into G-orbits gives, and each layer's element count is the
+    plain layer's size; it expands fewer elements than there are."""
+    spec = RootSystemSpec.parse(text)
+    cartan = rootdata.build_cartan(spec)
+    ones = (1,) * spec.num_nodes
+    group = heckeops._symmetries(cartan, labels, heckeops.apply_T_word(
+        spec, (), _mono(spec, labels)).terms)
+    assert len(group) == order
+    acts = heckeops._actions(group)
+    got = list(itertools.islice(weyl.orbit_layers(cartan, ones, acts=acts),
+                                8))
+    want = [(*_orbits_of_the_plain_layer(acts, steps), len(steps))
+            for steps in itertools.islice(weyl.orbit_layers(cartan, ones), 8)]
+    assert got == want
+    assert sum(len(firsts) for firsts, _, _ in got) < sum(
+        size for _, _, size in got)
+
+
+def test_the_layer_cap_counts_every_element_of_a_walk_over_w_mod_g():
+    # |G| = 24: the largest layer walked holds 24 times more elements than
+    # it has orbits at most, and the cap reads its elements
+    spec, labels, depth = RootSystemSpec.parse("D4!"), (0, 1, 0, 0, 0), 3
+    assert len(heckeops._symmetries(
+        rootdata.build_cartan(spec), labels,
+        heckeops.apply_T_word(spec, (), _mono(spec, labels)).terms)) == 24
+    total, length, stabilized = heckeops.symmetrizer_stabilized(
+        spec, labels, depth)
+    layers = weyl.orbit_layers(rootdata.build_cartan(spec),
+                               (1,) * spec.num_nodes)
+    size = max(len(steps) for _, steps in zip(range(length), layers))
+    assert stabilized and size > 24
+    assert heckeops.symmetrizer_stabilized(
+        spec, labels, depth, layer_cap=size) == (total, length, stabilized)
+    with pytest.raises(HeckeError, match=f"^layer of size {size} "
+                       f"exceeds cap {size - 1}$"):
+        heckeops.symmetrizer_stabilized(spec, labels, depth,
+                                        layer_cap=size - 1)
+
+
 def test_a_symmetry_that_moves_the_labels_changes_the_walk(monkeypatch):
     # the planted fault: a "group" whose swap of nodes 1 and 2 moves the
     # label of node 2, so that it maps T_w(e^L) to no T_w'(e^L)
@@ -1143,8 +1208,8 @@ def _cosets(spec, labels):
     """The orbit layers of each coset of the chain, in the order of nodes
     that it walks for the labels."""
     cartan = rootdata.build_cartan(spec)
-    nodes = heckeops._chain_nodes(cartan, labels)
-    return [list(weyl.orbit_layers(heckeops._block(cartan, nodes[:k]),
+    nodes = weyl.chain_nodes(cartan, labels)
+    return [list(weyl.orbit_layers(weyl.block(cartan, nodes[:k]),
                                    (0,) * (k - 1) + (1,)))
             for k in range(1, len(nodes) + 1)]
 
@@ -1204,7 +1269,7 @@ def test_largest_coset_layer(text, largest):
 
 def _chain_work(spec, labels, nodes=None):
     """(apply_T calls, their input terms, total, l(w0)) of one chain,
-    walked in the order nodes (None: the one _chain_nodes chooses)."""
+    walked in the order nodes (None: the one weyl.chain_nodes chooses)."""
     work = [0, 0]
     apply_T = heckeops.apply_T
 
@@ -1216,7 +1281,7 @@ def _chain_work(spec, labels, nodes=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(heckeops, "apply_T", counting_apply_T)
         if nodes is not None:
-            mp.setattr(heckeops, "_chain_nodes", lambda *args: nodes)
+            mp.setattr(weyl, "chain_nodes", lambda *args: nodes)
         total, length = heckeops.symmetrizer_chain(spec, labels)
     return work[0], work[1], total.unpack(), length
 

@@ -4,6 +4,7 @@ The full identity battery lives in test_acceptance.py; here we exercise
 report plumbing, the independent evaluation routes, and small exact cases.
 """
 import functools
+import itertools
 import json
 import pathlib
 import random
@@ -495,6 +496,26 @@ def test_gk_limit_finite_a1_simple_root():
     assert verify.verify_gk_limit(A1, (1,), 2).passed
 
 
+@pytest.mark.parametrize("text, depth", [("A1!", 6), ("A2!", 4), ("D4", 4)])
+def test_gk_target_to_the_height_of_nu_is_the_full_depth_coefficient(
+        text, depth):
+    """The target, built to ht(nu) only, is the coefficient at nu of the
+    product Delta (times m_v on an affine spec) built to the whole depth,
+    at every nonzero nu >= 0 of height <= depth."""
+    spec = RootSystemSpec.parse(text)
+    n = spec.num_nodes
+    factors = (characters.denominator_factors(spec, depth, VINV, 1)
+               + characters.denominator_factors(spec, depth, VP_ONE, -1))
+    if spec.affine:
+        factors += characters.m_factors(spec, depth)
+    full = AnchoredSeries.one(spec, n, depth).times_factors(factors)
+    nus = [nu for nu in itertools.product(range(depth + 1), repeat=n)
+           if 0 < sum(nu) <= depth]
+    assert all(verify._gk_target(spec, nu) == full.coefficient(nu)
+               for nu in nus)
+    assert sum(1 for nu in nus if full.coefficient(nu)) > len(nus) // 4
+
+
 def test_gk_limit_depth_precondition():
     with pytest.raises(verify.VerifyError):
         verify.verify_gk_limit(A1, (3,), 2)
@@ -516,6 +537,28 @@ def test_hecke_relations_apply_each_image_once(monkeypatch):
         calls.clear()
         assert verify.verify_hecke_relations(spec, count=5, seed=7).passed
         assert len(calls) == 5 * per_monomial
+
+
+def test_hecke_relations_check_each_distinct_monomial_once(monkeypatch):
+    # the draws are the same, and a repeat of a passing monomial is
+    # skipped: 25 draws from the 81 monomials of labels in -4..4
+    checked = []
+    differences = verify._relation_differences
+
+    def counting(spec, s):
+        checked.append(s.anchor)
+        return differences(spec, s)
+
+    monkeypatch.setattr(verify, "_relation_differences", counting)
+    for spec in (A2, A1A):
+        for seed in (0, 1, 2):
+            rng = random.Random(seed)
+            draws = [verify._random_monomial(spec, rng).anchor
+                     for _ in range(25)]
+            checked.clear()
+            assert verify.verify_hecke_relations(spec, 25, seed).passed
+            assert checked == list(dict.fromkeys(draws))
+            assert len(checked) < len(draws)
 
 
 def test_denominator_identity_builds_one_denominator(monkeypatch):
