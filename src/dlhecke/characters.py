@@ -110,38 +110,28 @@ def finite_character_exact(spec, labels):
 
     pi_i f = (f - e^{-a_i} s_i f) / (1 - e^{-a_i}) is one exact division
     along a_i-strings (vseries.divide_exact), and pi_{w0} is the product
-    of the pi_i along any reduced word of w0.  The word follows the
-    parabolic chain J_1 < ... < J_n of weyl.chain_nodes, which reads the
-    diagram and the labels, so that a diagram automorphism of the labels
-    moves the word with them: w0 = u_n ... u_1, u_k the longest minimal
-    representative of W_{J_k} / W_{J_{k-1}}, with the lengths adding
-    (Humphreys, Reflection Groups and Coxeter Groups, 1.10), so pi_{u_1}
-    is applied first.  The u of step k are the orbit of the fundamental
-    coweight omega of J_k's last node under W_{J_k}, and a word of u_k is
-    a greedy walk up that orbit on the principal block: while some
-    <a_j, u omega> > 0, s_j u is such a representative, one longer than
-    u, and the walk ends at w0_{J_k} omega, where none is."""
+    of the pi_i along any reduced word of w0.  The word is a greedy walk
+    up from rho^vee, on its orbit key: while some <a_i, w rho^vee> > 0,
+    s_i w is one longer than w, and at w0 every such pairing is negative."""
     if spec.affine:
         raise CharacterError("finite spec required")
     labels = _dominant(labels)
     cartan = rootdata.build_cartan(spec)
     n = spec.num_nodes
-    nodes = weyl.chain_nodes(cartan, labels)
-    terms = {(0,) * n: VP_ONE}
-    for k in range(1, n + 1):
-        block = weyl.block(cartan, nodes[:k])
-        top, key = (0,) * (k - 1) + (1,), (0,) * k
-        while j := next((j for j in range(1, k + 1)
-                         if weyl.pairing(block, top, key, j) > 0), 0):
-            key = weyl.reflect(block, top, key, j)
-            i = nodes[j - 1]
-            unit = tuple(int(m == i - 1) for m in range(n))
-            # e^{-a_i} s_i f: the reflected displacements moved by +a_i
-            image = weyl.reflect_terms(cartan, labels, terms, i)
-            terms = divide_exact(add_maps(terms, {
-                tuple(b + u for b, u in zip(beta, unit)): -cf
-                for beta, cf in image.items()}), unit)
-    return AnchoredSeries(spec, labels, terms, _trusted=True)
+    key, ones = (0,) * n, (1,) * n
+    terms = {key: VP_ONE}
+    while True:
+        i = next((j for j in range(1, n + 1)
+                  if weyl.pairing(cartan, ones, key, j) > 0), None)
+        if i is None:
+            return AnchoredSeries(spec, labels, terms, _trusted=True)
+        key = weyl.reflect(cartan, ones, key, i)
+        unit = tuple(int(j == i - 1) for j in range(n))
+        # e^{-a_i} s_i f: the reflected displacements moved by +a_i
+        image = weyl.reflect_terms(cartan, labels, terms, i)
+        terms = divide_exact(add_maps(terms, {
+            tuple(b + u for b, u in zip(beta, unit)): -cf
+            for beta, cf in image.items()}), unit)
 
 
 def denominator_wtwist_difference(spec, i, den):

@@ -302,7 +302,7 @@ def symmetrizer_stabilized(spec, anchor_labels, depth, margin=DEFAULT_MARGIN,
 def symmetrizer_chain(spec, anchor_labels, layer_cap=None):
     """sum_{w in W} T_w(e^anchor) over a finite Weyl group, exactly, by a
     chain of parabolic subgroups J_1 < ... < J_n, J_k the first k nodes of
-    weyl.chain_nodes.  Returns (total, l(w0)), total packed.
+    _chain_nodes.  Returns (total, l(w0)), total packed.
 
     Every w in W_{J_k} factors uniquely as w = u x with x in W_{J_{k-1}},
     u a minimal coset representative and l(w) = l(u) + l(x) (Humphreys,
@@ -318,7 +318,7 @@ def symmetrizer_chain(spec, anchor_labels, layer_cap=None):
     if spec.affine:
         raise HeckeError("the parabolic chain needs a finite spec")
     labels = tuple(anchor_labels)
-    nodes = weyl.chain_nodes(rootdata.build_cartan(spec), labels)
+    nodes = _chain_nodes(rootdata.build_cartan(spec), labels)
     total = apply_T_word(spec, (), AnchoredSeries.monomial(spec, labels))
     length = 0
     for k in range(1, len(nodes) + 1):
@@ -327,6 +327,37 @@ def symmetrizer_chain(spec, anchor_labels, layer_cap=None):
                                        total, layer_cap)
         length += coset_length
     return total, length
+
+
+def _chain_nodes(cartan, labels):
+    """The chain's nodes (1-based), chosen from the back: of the leaves of
+    the Dynkin diagram on the nodes S still left, the node x placed last
+    is one whose coset W_S / W_{S - x} is smallest, ties going to the
+    larger label and then the lower index.  The coset's size is that of
+    the orbit of x's fundamental coweight under W_S, which the chain's
+    coset walk walks.  A small last coset applies few T_i to the largest
+    value X_{k-1}, and a large label put late keeps the early values
+    small, as T_i of a term grows with its pairing.  S stays connected,
+    as a leaf of a tree is taken each time."""
+    left, chosen = list(range(1, len(cartan) + 1)), []
+    while left:
+        block = _block(cartan, left)
+
+        def cost(k):
+            x = left[k]
+            orbit = weyl.orbit_layers(block, tuple(
+                int(j == k) for j in range(len(left))))
+            return (sum(map(len, orbit)), -labels[x - 1], x)
+
+        leaves = [k for k, row in enumerate(block)
+                  if sum(1 for a in row if a) <= 2]
+        chosen.append(left.pop(min(leaves, key=cost)))
+    return tuple(reversed(chosen))
+
+
+def _block(cartan, nodes):
+    """The principal block of the Cartan matrix over nodes (1-based)."""
+    return tuple(tuple(cartan[a - 1][b - 1] for b in nodes) for a in nodes)
 
 
 def _walk(spec, nodes, labels, seed, layer_cap, depth=None, margin=None):
@@ -433,22 +464,22 @@ def _walk(spec, nodes, labels, seed, layer_cap, depth=None, margin=None):
     The symmetries.  A walk to a depth holds one value per G-orbit of each
     layer, G the permutations g of the nodes with A[g(j)][g(k)] = A[j][k]
     and anchor[g(k)] = anchor[k] that map the seed's term map onto itself
-    (_symmetries); the exact sum (depth None, the chain) walks every
-    element, by the plain BFS of weyl.orbit_layers.  g moves coordinate k
-    of a displacement to g(k), and acts on W by s_k -> s_{g(k)}; it fixes
-    rho^vee, so the orbit key of g w g^-1 is g of w's, and it keeps
-    lengths, so each layer is a union of G-orbits.  T_i is G-equivariant:
-    T_{g(i)}(g f) = g(T_i f).  For mu = anchor - beta, g mu = anchor -
-    g beta as the anchor is g-invariant, and <a_{g(i)}, g mu> =
-    <a_i, mu> as A is; so the three numerator positions of e^{g mu} under
-    T_{g(i)}, with their coefficients, are the g-images of those of e^mu
-    under T_i, and so is the division by (1 - e^{a_{g(i)}}) =
-    g(1 - e^{a_i}).  With the seed g-invariant, T_{g w g^-1}(seed) =
-    g T_w(seed).  So the walk builds the value of the first element c of
-    each orbit (in the order of the plain BFS) from its parent's, by
-    apply_T, and adds to the accumulator, for one g per element g c of the
-    orbit, the terms of c's value at ht <= depth moved by g; no value is
-    permuted to build a layer.
+    (_symmetries); the exact sum (depth None, the chain) keeps G = {1},
+    where every orbit is one element and the loop is the same.  g moves
+    coordinate k of a displacement to g(k), and acts on W by s_k ->
+    s_{g(k)}; it fixes rho^vee, so the orbit key of g w g^-1 is g of w's,
+    and it keeps lengths, so each layer is a union of G-orbits.  T_i is
+    G-equivariant: T_{g(i)}(g f) = g(T_i f).  For mu = anchor - beta,
+    g mu = anchor - g beta as the anchor is g-invariant, and
+    <a_{g(i)}, g mu> = <a_i, mu> as A is; so the three numerator
+    positions of e^{g mu} under T_{g(i)}, with their coefficients, are
+    the g-images of those of e^mu under T_i, and so is the division by
+    (1 - e^{a_{g(i)}}) = g(1 - e^{a_i}).  With the seed g-invariant,
+    T_{g w g^-1}(seed) = g T_w(seed).  So the walk builds the value of the
+    first element c of each orbit (in the order of the plain BFS) from its
+    parent's, by apply_T, and adds to the accumulator, for one g per
+    element g c of the orbit, the terms of c's value at ht <= depth moved
+    by g; no value is permuted to build a layer.
 
     The walk over W/G.  weyl.orbit_layers, handed G's actions (_actions),
     expands only the first element it meets of each orbit, and marks the
@@ -489,24 +520,20 @@ def _walk(spec, nodes, labels, seed, layer_cap, depth=None, margin=None):
     and the flag are those of the walk over elements; _capped reads the
     layer's element count, the sum of its orbits' sizes.
     """
-    cartan = weyl.block(rootdata.build_cartan(spec), nodes)
-    limit, max_layers = None, None
-    if depth is None:
-        # the chain walks every element: its images are the identity alone
-        layers = ((steps, None, len(steps))
-                  for steps in weyl.orbit_layers(cartan, labels))
-    else:
+    cartan = _block(rootdata.build_cartan(spec), nodes)
+    limit, acts, max_layers = None, [_same], None
+    if depth is not None:
         max_layers = MAX_LAYERS
         limit = _hull(spec, cartan, seed, depth)
-        layers = weyl.orbit_layers(cartan, labels, acts=_actions(
-            _symmetries(cartan, seed.anchor, seed.terms)))
+        acts = _actions(_symmetries(cartan, seed.anchor, seed.terms))
     acc = PackedSeries(seed.anchor, {}, seed.width, 0, seed.low, seed.var)
     acc.add(seed, depth)
     # the first orbit key of each G-orbit of a layer -> its T_w(seed)
     layer = {(0,) * len(cartan): seed}
     # each layer as (the first steps of its G-orbits [(orbit key, letter,
     # parent's key)], their images, its element count), capped
-    layers = (_capped(orbits, layer_cap) for orbits in layers)
+    layers = (_capped(orbits, layer_cap)
+              for orbits in weyl.orbit_layers(cartan, labels, acts=acts))
     ahead = None  # the next layer, taken by a look-ahead
     length = quiet = 0
     stabilized = False
@@ -538,7 +565,7 @@ def _walk(spec, nodes, labels, seed, layer_cap, depth=None, margin=None):
             terms = value.terms if depth is None else {
                 b: x for b, x in value.terms.items()
                 if sum(b) <= depth and min(b) >= 0}
-            for act in images[child] if images is not None else (_same,):
+            for act in images[child]:
                 loud = acc.add(PackedSeries(
                     value.anchor, terms if act is _same else
                     {act(b): x for b, x in terms.items()}, value.width,

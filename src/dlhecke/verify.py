@@ -531,7 +531,6 @@ def verify_hecke_relations(spec, count=100, seed=0):
     checked = set()  # the labels of the monomials checked so far
     for _ in range(count):
         s = _random_monomial(spec, rng)
-        # a repeat passed before, so it cannot fail first
         if s.anchor in checked:
             continue
         checked.add(s.anchor)

@@ -1,18 +1,19 @@
-"""Weyl group orbits by breadth-first search, the parabolic chain's
-order of the nodes, reduced words, and the action on anchored exponents.
+"""Weyl group orbits by breadth-first search, reduced words, and the
+action on anchored exponents.
 
 orbit_layers is the one BFS over a W-orbit in the library: the
-symmetrizer walker, the parabolic chain's order (chain_nodes), the
-signed character orbit and enumerate_layers all iterate it.  An element
-w is identified by its orbit key rho^vee - w(rho^vee) in simple-coroot
-coordinates: rho^vee is regular, so the key is faithful, and it hashes
-cheaply.  BFS extends by left multiplication, so the first letter of
-every stored word is a left descent.  Handed the actions of a group G
-of diagram automorphisms, the BFS walks W/G: it expands only the first
-element of each G-orbit of a layer, and yields the layer's first steps
-with each one's images and the layer's element count; the sum to a
-depth walks so (heckeops._walk proves it finds the same first
-elements, letters and parents, in the same order, as the plain BFS).
+symmetrizer walker, the signed character orbit and enumerate_layers all
+iterate it.  An element w is identified by its orbit key
+rho^vee - w(rho^vee) in simple-coroot coordinates: rho^vee is regular,
+so the key is faithful, and it hashes cheaply.  BFS extends by left
+multiplication, so the first letter of every stored word is a left
+descent.  Handed the actions of a group G of diagram automorphisms, the
+BFS walks W/G: it expands only the first element of each G-orbit of a
+layer, and yields the layer's first steps with each one's images and
+the layer's element count; the symmetrizer walker walks so
+(heckeops._walk proves that, for a sum to a depth, it finds the same
+first elements, letters and parents, in the same order, as the plain
+BFS).
 """
 from __future__ import annotations
 
@@ -117,39 +118,6 @@ def orbit_layers(cartan, labels, keep=None, acts=None):
             return
         yield nxt if acts is None else (nxt, images, size)
         layer = grown
-
-
-def block(cartan, nodes):
-    """The principal block of the Cartan matrix over nodes (1-based)."""
-    return tuple(tuple(cartan[a - 1][b - 1] for b in nodes) for a in nodes)
-
-
-def chain_nodes(cartan, labels):
-    """The order of the nodes (1-based) of a parabolic chain J_1 < ... <
-    J_n, J_k the first k of them, chosen from the back: of the leaves of
-    the Dynkin diagram on the nodes S still left, the node x placed last
-    is one whose coset W_S / W_{S - x} is smallest, ties going to the
-    larger label and then the lower index.  The coset's size is that of
-    the orbit of x's fundamental coweight under W_S.  A small last coset
-    applies few T_i to the largest value of heckeops.symmetrizer_chain,
-    and a large label put late keeps the early values small, as T_i of a
-    term grows with its pairing; characters.finite_character_exact reads
-    its word of w0 along the same order.  S stays connected, as a leaf of
-    a tree is taken each time."""
-    left, chosen = list(range(1, len(cartan) + 1)), []
-    while left:
-        sub = block(cartan, left)
-
-        def cost(k):
-            x = left[k]
-            orbit = orbit_layers(sub, tuple(
-                int(j == k) for j in range(len(left))))
-            return (sum(map(len, orbit)), -labels[x - 1], x)
-
-        leaves = [k for k, row in enumerate(sub)
-                  if sum(1 for a in row if a) <= 2]
-        chosen.append(left.pop(min(leaves, key=cost)))
-    return tuple(reversed(chosen))
 
 
 def enumerate_layers(spec, max_length, layer_cap=None):

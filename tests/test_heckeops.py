@@ -1208,8 +1208,8 @@ def _cosets(spec, labels):
     """The orbit layers of each coset of the chain, in the order of nodes
     that it walks for the labels."""
     cartan = rootdata.build_cartan(spec)
-    nodes = weyl.chain_nodes(cartan, labels)
-    return [list(weyl.orbit_layers(weyl.block(cartan, nodes[:k]),
+    nodes = heckeops._chain_nodes(cartan, labels)
+    return [list(weyl.orbit_layers(heckeops._block(cartan, nodes[:k]),
                                    (0,) * (k - 1) + (1,)))
             for k in range(1, len(nodes) + 1)]
 
@@ -1269,7 +1269,7 @@ def test_largest_coset_layer(text, largest):
 
 def _chain_work(spec, labels, nodes=None):
     """(apply_T calls, their input terms, total, l(w0)) of one chain,
-    walked in the order nodes (None: the one weyl.chain_nodes chooses)."""
+    walked in the order nodes (None: the one _chain_nodes chooses)."""
     work = [0, 0]
     apply_T = heckeops.apply_T
 
@@ -1281,7 +1281,7 @@ def _chain_work(spec, labels, nodes=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(heckeops, "apply_T", counting_apply_T)
         if nodes is not None:
-            mp.setattr(weyl, "chain_nodes", lambda *args: nodes)
+            mp.setattr(heckeops, "_chain_nodes", lambda *args: nodes)
         total, length = heckeops.symmetrizer_chain(spec, labels)
     return work[0], work[1], total.unpack(), length
 
