@@ -80,10 +80,10 @@ def _signed_orbit(spec, labels, depth):
     shifted = tuple(x + 1 for x in labels)
     orbit = {(0,) * spec.num_nodes: 1}
     sign = 1
-    for layer in weyl.orbit_layers(cartan, shifted,
-                                   lambda beta: ht(beta) <= depth):
+    for steps, _, _ in weyl.orbit_layers(cartan, shifted,
+                                         lambda beta: ht(beta) <= depth):
         sign = -sign
-        for child, _, _ in layer:
+        for child, _, _ in steps:
             orbit[child] = sign
     return orbit
 

@@ -242,10 +242,25 @@ def acceptance_reports(layer_cap=heckeops.DEFAULT_LAYER_CAP, seed=0):
     return reports
 
 
+def _joined(argv):
+    """argv with `--option -1,2` written `--option=-1,2`, as argparse
+    reads "-1,2" as an option (no option starts with a digit, and --help
+    takes no value)."""
+    out = []
+    for token in argv:
+        last = out[-1] if out else ""
+        if (token[:1] == "-" and token[1:2].isdigit() and last[:2] == "--"
+                and "=" not in last and not "--help".startswith(last)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined(argv))
         # argparse reads "--opt=--" as an empty list; no option takes one
         empty = [name for name, value in vars(args).items() if value == []]
         if empty:

@@ -347,7 +347,7 @@ def _chain_nodes(cartan, labels):
             x = left[k]
             orbit = weyl.orbit_layers(block, tuple(
                 int(j == k) for j in range(len(left))))
-            return (sum(map(len, orbit)), -labels[x - 1], x)
+            return (sum(size for _, _, size in orbit), -labels[x - 1], x)
 
         leaves = [k for k, row in enumerate(block)
                   if sum(1 for a in row if a) <= 2]
@@ -381,12 +381,12 @@ def _walk(spec, nodes, labels, seed, layer_cap, depth=None, margin=None):
     for the zero-remainder test.  A walk to a depth runs at most
     MAX_LAYERS layers (read at each call), and the chain's (depth None)
     has no budget; the end of a finite orbit stabilizes either.  With
-    depth None the sum is exact.  With a depth the accumulator takes each
-    value's terms at ht <= depth with nonnegative displacement, and each
-    value drops the terms that can no longer feed it (the hull, below);
-    with a margin as well, the walk stops, stabilized, after `margin`
-    consecutive quiet layers, whose elements each contribute nothing
-    there.  stabilized is False when MAX_LAYERS runs out first.
+    depth None the sum is exact.  With a depth the accumulator takes the
+    seed's and each value's terms at ht <= depth with nonnegative
+    displacement, and each value drops the terms that can no longer feed
+    it (the hull, below); with a margin as well, the walk stops,
+    stabilized, after `margin` consecutive quiet layers, whose elements
+    each contribute nothing there.  stabilized is False when MAX_LAYERS runs out first.
 
     The hull.  Let lam = anchor + rho.  T_i(e^mu) lies on the a_i-string
     between mu and s_i(mu + rho) - rho (its numerator does, _kernel), so
@@ -464,8 +464,8 @@ def _walk(spec, nodes, labels, seed, layer_cap, depth=None, margin=None):
     The symmetries.  A walk to a depth holds one value per G-orbit of each
     layer, G the permutations g of the nodes with A[g(j)][g(k)] = A[j][k]
     and anchor[g(k)] = anchor[k] that map the seed's term map onto itself
-    (_symmetries); the exact sum (depth None, the chain) keeps G = {1},
-    where every orbit is one element and the loop is the same.  g moves
+    (_symmetries); the exact sum (depth None, the chain) passes no
+    actions, so G is trivial, every orbit one element.  g moves
     coordinate k of a displacement to g(k), and acts on W by s_k ->
     s_{g(k)}; it fixes rho^vee, so the orbit key of g w g^-1 is g of w's,
     and it keeps lengths, so each layer is a union of G-orbits.  T_i is
@@ -477,9 +477,9 @@ def _walk(spec, nodes, labels, seed, layer_cap, depth=None, margin=None):
     (1 - e^{a_{g(i)}}) = g(1 - e^{a_i}).  With the seed g-invariant,
     T_{g w g^-1}(seed) = g T_w(seed).  So the walk builds the value of the
     first element c of each orbit (in the order of the plain BFS) from its
-    parent's, by apply_T, and adds to the accumulator, for one g per
-    element g c of the orbit, the terms of c's value at ht <= depth moved
-    by g; no value is permuted to build a layer.
+    parent's, by apply_T, and adds to the accumulator the terms of c's
+    value at ht <= depth, then those terms moved by one g per other
+    element g c of the orbit; no value is permuted to build a layer.
 
     The walk over W/G.  weyl.orbit_layers, handed G's actions (_actions),
     expands only the first element it meets of each orbit, and marks the
@@ -505,7 +505,7 @@ def _walk(spec, nodes, labels, seed, layer_cap, depth=None, margin=None):
     letter i and parent p, and records the orbits in the order of their
     first steps, which is the plain order of their first elements.  The
     images of c are those of the plain layer's orbit: one act per element
-    g c, the identity first.
+    g c other than c.
 
     Nothing else changes.  ht, beta >= 0, Q (lam and A are g-invariant)
     and the string tables are G-invariant: the entry of (g(i), g kappa)
@@ -521,13 +521,16 @@ def _walk(spec, nodes, labels, seed, layer_cap, depth=None, margin=None):
     layer's element count, the sum of its orbits' sizes.
     """
     cartan = _block(rootdata.build_cartan(spec), nodes)
-    limit, acts, max_layers = None, [_same], None
+    limit, acts, max_layers, terms = None, (), None, seed.terms
     if depth is not None:
         max_layers = MAX_LAYERS
         limit = _hull(spec, cartan, seed, depth)
         acts = _actions(_symmetries(cartan, seed.anchor, seed.terms))
+        terms = {b: x for b, x in terms.items()
+                 if sum(b) <= depth and min(b) >= 0}
     acc = PackedSeries(seed.anchor, {}, seed.width, 0, seed.low, seed.var)
-    acc.add(seed, depth)
+    acc.add(PackedSeries(seed.anchor, terms, seed.width, seed.bound,
+                         seed.low, seed.var))
     # the first orbit key of each G-orbit of a layer -> its T_w(seed)
     layer = {(0,) * len(cartan): seed}
     # each layer as (the first steps of its G-orbits [(orbit key, letter,
@@ -565,11 +568,11 @@ def _walk(spec, nodes, labels, seed, layer_cap, depth=None, margin=None):
             terms = value.terms if depth is None else {
                 b: x for b, x in value.terms.items()
                 if sum(b) <= depth and min(b) >= 0}
-            for act in images[child]:
+            for copy in [terms] + [{act(b): x for b, x in terms.items()}
+                                   for act in images[child]]:
                 loud = acc.add(PackedSeries(
-                    value.anchor, terms if act is _same else
-                    {act(b): x for b, x in terms.items()}, value.width,
-                    value.bound, value.low, value.var)) or loud
+                    value.anchor, copy, value.width, value.bound, value.low,
+                    value.var)) or loud
         quiet = 0 if loud else quiet + 1
         if margin is not None and quiet >= margin:
             stabilized = True
@@ -591,8 +594,8 @@ def _symmetries(cartan, anchor, terms):
     def place(image):
         k = len(image)
         if k == n:
-            act = _actions([image])[0]
-            if all(terms.get(act(b)) == x for b, x in terms.items()):
+            if all(terms.get(act(b)) == x for act in _actions([image])
+                   for b, x in terms.items()):
                 found.append(tuple(image))
             return
         for q in range(n):
@@ -606,20 +609,11 @@ def _symmetries(cartan, anchor, terms):
     return found
 
 
-def _same(beta):
-    return beta
-
-
 def _actions(group):
-    """beta -> g beta for each g of a group of node permutations, in
-    order: _same for the identity, else an itemgetter."""
-    acts = []
-    for g in group:
-        inv = [0] * len(g)
-        for k, q in enumerate(g):
-            inv[q] = k
-        acts.append(_same if list(g) == sorted(g) else itemgetter(*inv))
-    return acts
+    """beta -> g beta, an itemgetter of g's inverse, for each g other than
+    the identity of a group of node permutations, in order."""
+    return [itemgetter(*sorted(range(len(g)), key=g.__getitem__))
+            for g in group if list(g) != sorted(g)]
 
 
 def _hull(spec, cartan, seed, depth):

@@ -274,14 +274,12 @@ class AnchoredSeries:
 
     def times_factors(self, factors):
         """The series times a factor list (times_factors), to its depth,
-        on packed coefficients: the terms at the depth are packed once
-        with u = v^-1, as PackedSeries packs for T, multiplied by
-        PackedSeries.times_factors, which holds the bound, and unpacked
-        once.  A u outside Z[v^-1] raises SeriesError."""
-        terms = self.terms
-        if self.depth is not None:
-            terms = {b: c for b, c in terms.items() if ht(b) <= self.depth}
-        p = PackedSeries.pack(self.anchor, terms, -1).times_factors(
+        on packed coefficients: the terms are packed once with u = v^-1,
+        as PackedSeries packs for T, multiplied by
+        PackedSeries.times_factors, which holds the bound and drops the
+        terms beyond the depth, and unpacked once.  A u outside Z[v^-1]
+        raises SeriesError."""
+        p = PackedSeries.pack(self.anchor, self.terms, -1).times_factors(
             factors, self.depth)
         return AnchoredSeries(self.spec, self.anchor, p.unpack(),
                               depth=self.depth, _trusted=True)
@@ -641,14 +639,10 @@ class PackedSeries:
             for beta, u, power in factors], depth)
         return PackedSeries(self.anchor, terms, width, bound, self.low, var)
 
-    def add(self, other, depth=None):
-        """Add other's terms (of this low and var; with a depth, those at
-        ht <= depth with beta >= 0) in place; True iff any.  The bounds
-        add, and both maps first move to width_for's width."""
+    def add(self, other):
+        """Add other's terms (of this low and var) in place; True iff any.
+        The bounds add, and both maps first move to width_for's width."""
         terms = other.terms
-        if depth is not None:
-            terms = {b: x for b, x in terms.items()
-                     if sum(b) <= depth and min(b) >= 0}
         if not terms:
             return False
         bound = self.bound + other.bound

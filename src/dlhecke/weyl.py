@@ -3,17 +3,17 @@ action on anchored exponents.
 
 orbit_layers is the one BFS over a W-orbit in the library: the
 symmetrizer walker, the signed character orbit and enumerate_layers all
-iterate it.  An element w is identified by its orbit key
-rho^vee - w(rho^vee) in simple-coroot coordinates: rho^vee is regular,
-so the key is faithful, and it hashes cheaply.  BFS extends by left
-multiplication, so the first letter of every stored word is a left
-descent.  Handed the actions of a group G of diagram automorphisms, the
-BFS walks W/G: it expands only the first element of each G-orbit of a
-layer, and yields the layer's first steps with each one's images and
-the layer's element count; the symmetrizer walker walks so
-(heckeops._walk proves that, for a sum to a depth, it finds the same
-first elements, letters and parents, in the same order, as the plain
-BFS).
+iterate it, and each of its layers comes in one shape.  An element w is
+identified by its orbit key rho^vee - w(rho^vee) in simple-coroot
+coordinates: rho^vee is regular, so the key is faithful, and it hashes
+cheaply.  BFS extends by left multiplication, so the first letter of
+every stored word is a left descent.  Handed the actions of a group G of
+diagram automorphisms (none: G trivial), the BFS walks W/G: it expands
+only the first element of each G-orbit of a layer, and yields the
+layer's first steps with each one's images and the layer's element
+count.  The symmetrizer walker walks W/G at a depth (heckeops._walk
+proves that it finds the same first elements, letters and parents, in
+the same order, as the walk with G trivial).
 """
 from __future__ import annotations
 
@@ -55,13 +55,19 @@ def pairing(cartan, labels, beta, i):
                                for j in range(len(beta)))
 
 
-def orbit_layers(cartan, labels, keep=None, acts=None):
-    """BFS over the W-orbit of e^{anchor}, keyed by displacement from 0.
+def orbit_layers(cartan, labels, keep=None, acts=()):
+    """BFS over the W-orbit of e^{anchor}, keyed by displacement from 0,
+    and over W/G: acts are the maps beta -> g beta of the non-identity
+    elements g of a group G of diagram automorphisms that fix the labels
+    (none: G trivial), and keep, if given, is G-invariant.
 
-    Yields each new layer as [(child, letter, parent)]: child is the
-    displacement of s_letter applied to the parent's exponent, each child
-    appears once, in order of parent and then generator index, and a
-    child failing keep is neither yielded nor expanded.  For regular
+    Yields each new layer as (steps, images, size): steps is
+    [(child, letter, parent)], child the displacement of s_letter applied
+    to the parent's exponent, in order of parent and then generator
+    index; images is {child: the act of one g per other element g child
+    of its G-orbit}; size is the layer's element count.  A child is
+    yielded and expanded only if it passes keep and no element of its
+    orbit was seen, and then its whole orbit is marked seen.  For regular
     labels a layer is one Coxeter length.  The generator ends when a
     layer comes out empty (a finite orbit is exhausted).
 
@@ -74,15 +80,6 @@ def orbit_layers(cartan, labels, keep=None, acts=None):
     that only raise the displacement, so seen, or refused by keep.  Each
     element carries its pairings, and a child's are its parent's less k
     times column i of the Cartan matrix.
-
-    With acts, the maps beta -> g beta of a group G of diagram
-    automorphisms that fix the labels (the identity first; keep, if
-    given, G-invariant), the walk is over W/G: a child is expanded and
-    yielded only if no element of its G-orbit was seen, and then every
-    image g child is marked seen.  Each layer comes as (steps, images,
-    size): the steps of those first elements, {child: the act of one g
-    per element g child of its orbit, the identity first}, and size, the
-    number of elements in the layer.
     """
     if any(x < 0 for x in labels):
         raise WeylError(f"orbit_layers needs dominant labels, got {labels}")
@@ -100,15 +97,12 @@ def orbit_layers(cartan, labels, keep=None, acts=None):
                     continue
                 child = parent[:i] + (parent[i] + k,) + parent[i + 1:]
                 if child not in seen and (keep is None or keep(child)):
-                    if acts is None:
-                        seen.add(child)
-                    else:
-                        found = {}
-                        for act in acts:
-                            found.setdefault(act(child), act)
-                        seen.update(found)
-                        images[child] = list(found.values())
-                        size += len(found)
+                    found = {child: None}
+                    for act in acts:
+                        found.setdefault(act(child), act)
+                    seen.update(found)
+                    size += len(found)
+                    images[child] = list(found.values())[1:]
                     nxt.append((child, i + 1, parent))
                     ks = list(pairings)
                     for j, a in cols[i]:
@@ -116,7 +110,7 @@ def orbit_layers(cartan, labels, keep=None, acts=None):
                     grown.append((child, ks))
         if not nxt:
             return
-        yield nxt if acts is None else (nxt, images, size)
+        yield nxt, images, size
         layer = grown
 
 
@@ -132,10 +126,10 @@ def enumerate_layers(spec, max_length, layer_cap=None):
     cartan = rootdata.build_cartan(spec)
     n = spec.num_nodes
     layers = [[WeylElement((), (0,) * n)]]
-    for _, steps in zip(range(max_length), orbit_layers(cartan, (1,) * n)):
-        if layer_cap is not None and len(steps) > layer_cap:
-            raise WeylError(
-                f"layer of size {len(steps)} exceeds cap {layer_cap}")
+    for _, (steps, _, size) in zip(range(max_length),
+                                   orbit_layers(cartan, (1,) * n)):
+        if layer_cap is not None and size > layer_cap:
+            raise WeylError(f"layer of size {size} exceeds cap {layer_cap}")
         words = {w.orbit_key: w.word for w in layers[-1]}
         layers.append([WeylElement((i,) + words[parent], child)
                        for child, i, parent in steps])

@@ -213,11 +213,28 @@ def test_gk_limit_at_nu_zero_is_refused(capsys):
     ["--spec", "A1", "--nu", "-2", "--depth", "3"],
     ["--spec", "A2", "--nu", "1,-1"],
     ["--spec", "A1!", "--nu", "2,-1", "--depth", "4"],
+    ["--spec", "A2", "--nu", "-1,1"],
 ])
 def test_gk_limit_at_a_negative_nu_is_refused(capsys, argv):
     code, out, err = run(capsys, "--format", "json", "verify", "gk-limit",
                          *argv)
     assert code == cli.EXIT_ERROR and "nonnegative" in err and out == ""
+
+
+def test_a_vector_with_a_negative_first_entry_is_a_value(capsys):
+    # "-1,1" after its option is the option's value, as "--labels=-1,1"
+    # is; verify recursion takes any labels
+    argv = ["--format", "json", "verify", "recursion", "--spec", "A2",
+            "--wprime", "2", "--i", "1"]
+    reports = []
+    for labels in (["--labels", "-1,1"], ["--labels=-1,1"]):
+        code, out, err = run(capsys, *argv, *labels)
+        assert code == 0 and err == ""
+        (report,) = json.loads(out)["reports"]
+        del report["ms"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["params"]["labels"] == [-1, 1]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -436,7 +453,7 @@ def argvs(draw):
         if draw(st.booleans()):
             argv.append(f"{name}={value}")
         else:
-            argv += [name, value]  # "-1,2" then reads as an option
+            argv += [name, value]  # "-1,2" is still the option's value
     if symmetrizer:
         window = (st.integers(-1, 0) if spec in ("A2!", "D4")
                   else _mostly(st.just(1), st.integers(-1, 0)))

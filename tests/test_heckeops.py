@@ -165,7 +165,7 @@ def test_word_operator_composes_right_to_left():
     assert lhs.first_difference(rhs) is None
 
 
-def test_symmetrizer_partial_finite_a1():
+def test_symmetrizer_chain_on_a1():
     total, length = heckeops.symmetrizer_chain(A1, (2,))
     assert length == 1               # identity plus one reflection
     assert total.unpack() == {
@@ -235,7 +235,7 @@ def _numerator(s, i, kind):
 @settings(max_examples=150, deadline=None)
 @given(st.data(), exact_series([RootSystemSpec.parse(t) for t in (
     "A2", "A3", "D4", "A1!", "A2!", "D4!")]), KINDS)
-def test_apply_T_raw_divides_the_series_numerator(data, s, kind):
+def test_apply_T_word_divides_the_series_numerator(data, s, kind):
     # the kernel's one-pass strings against divide_exact of a numerator
     # built term map by term map, summed from either end
     i = data.draw(st.integers(1, s.spec.num_nodes))
@@ -942,7 +942,8 @@ def test_stop_is_the_same_at_the_edges_of_max_layers_and_layer_cap(
     spec = RootSystemSpec.parse(text)
     layers = weyl.orbit_layers(rootdata.build_cartan(spec),
                                (1,) * spec.num_nodes)
-    sizes = [len(steps) for _, steps in zip(range(max_length + 3), layers)]
+    sizes = [size for _, (_, _, size) in zip(range(max_length + 3),
+                                             layers)]
     for margin in (1, 2, 3):
         def walk(max_layers=heckeops.MAX_LAYERS, **kw):
             with pytest.MonkeyPatch.context() as mp:
@@ -1073,18 +1074,19 @@ def test_the_walk_over_orbits_matches_the_walk_over_elements(
 
 def _orbits_of_the_plain_layer(acts, steps):
     """The first step (c, i, p) of each G-orbit of a layer of the plain
-    BFS, in order, and {c: the act of one g per element g c of c's orbit,
-    the identity first}: how the walk grouped the plain BFS into orbits
-    before it walked W/G, the oracle of the walk over W/G."""
+    BFS, in order, and {c: the act of one g per element g c != c of c's
+    orbit}, acts those of G's non-identity elements: how the walk grouped
+    the plain BFS into orbits before it walked W/G, the oracle of the
+    walk over W/G."""
     firsts, images, seen = [], {}, set()
     for c, i, p in steps:
         if c not in seen:
-            found = {}
+            found = {c: None}
             for act in acts:
                 found.setdefault(act(c), act)
             seen.update(found)
             firsts.append((c, i, p))
-            images[c] = list(found.values())
+            images[c] = [act for act in found.values() if act is not None]
     return firsts, images
 
 
@@ -1106,10 +1108,12 @@ def test_the_walk_over_w_mod_g_finds_the_first_elements_of_the_plain_walk(
         spec, (), _mono(spec, labels)).terms)
     assert len(group) == order
     acts = heckeops._actions(group)
+    assert len(acts) == order - 1
     got = list(itertools.islice(weyl.orbit_layers(cartan, ones, acts=acts),
                                 8))
     want = [(*_orbits_of_the_plain_layer(acts, steps), len(steps))
-            for steps in itertools.islice(weyl.orbit_layers(cartan, ones), 8)]
+            for steps, _, _ in itertools.islice(
+                weyl.orbit_layers(cartan, ones), 8)]
     assert got == want
     assert sum(len(firsts) for firsts, _, _ in got) < sum(
         size for _, _, size in got)
@@ -1126,7 +1130,7 @@ def test_the_layer_cap_counts_every_element_of_a_walk_over_w_mod_g():
         spec, labels, depth)
     layers = weyl.orbit_layers(rootdata.build_cartan(spec),
                                (1,) * spec.num_nodes)
-    size = max(len(steps) for _, steps in zip(range(length), layers))
+    size = max(size for _, (_, _, size) in zip(range(length), layers))
     assert stabilized and size > 24
     assert heckeops.symmetrizer_stabilized(
         spec, labels, depth, layer_cap=size) == (total, length, stabilized)
@@ -1205,12 +1209,12 @@ def test_chain_carries_a_value_wider_than_64_bits_across_cosets(
 
 
 def _cosets(spec, labels):
-    """The orbit layers of each coset of the chain, in the order of nodes
-    that it walks for the labels."""
+    """The orbit layer sizes of each coset of the chain, in the order of
+    nodes that it walks for the labels."""
     cartan = rootdata.build_cartan(spec)
     nodes = heckeops._chain_nodes(cartan, labels)
-    return [list(weyl.orbit_layers(heckeops._block(cartan, nodes[:k]),
-                                   (0,) * (k - 1) + (1,)))
+    return [[size for _, _, size in weyl.orbit_layers(
+                heckeops._block(cartan, nodes[:k]), (0,) * (k - 1) + (1,))]
             for k in range(1, len(nodes) + 1)]
 
 
@@ -1223,7 +1227,7 @@ def test_parabolic_cosets_multiply_to_the_layer_sizes(text):
     for coset in _cosets(spec, (0,) * spec.num_nodes):
         product = [0] * (len(sizes) + len(coset))
         for a, x in enumerate(sizes):
-            for b, y in enumerate([1] + [len(layer) for layer in coset]):
+            for b, y in enumerate([1] + coset):
                 product[a + b] += x * y
         sizes = product
     assert sizes == [len(layer)
@@ -1246,8 +1250,8 @@ def test_chain_layer_cap_error_is_the_walkers(text, caps):
     spec = RootSystemSpec.parse(text)
     labels = (0,) * spec.num_nodes
     below, largest = caps
-    assert max(len(layer) for coset in _cosets(spec, labels)
-               for layer in coset) == largest
+    assert max(size for coset in _cosets(spec, labels)
+               for size in coset) == largest
     with pytest.raises(HeckeError, match=f"^layer of size {largest} "
                        f"exceeds cap {below}$"):
         heckeops.symmetrizer_chain(spec, labels, below)
@@ -1263,8 +1267,8 @@ def test_largest_coset_layer(text, largest):
     # the most the chain holds at once, so the least layer cap it runs
     # under; D6's is 2 in the chosen order, against 3 in the order 1..6
     spec = RootSystemSpec.parse(text)
-    assert max(len(layer) for coset in _cosets(spec, (0,) * spec.num_nodes)
-               for layer in coset) == largest
+    assert max(size for coset in _cosets(spec, (0,) * spec.num_nodes)
+               for size in coset) == largest
 
 
 def _chain_work(spec, labels, nodes=None):

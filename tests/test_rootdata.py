@@ -164,7 +164,7 @@ def test_finite_catalogue_against_classification(text):
     assert _det(rootdata.build_cartan(spec)) == det
     if order <= ENUMERATE_UP_TO:
         # the length generating function of W is prod_i [m_i + 1]_q
-        sizes = [1] + [len(layer) for layer in weyl.orbit_layers(
+        sizes = [1] + [size for _, _, size in weyl.orbit_layers(
             rootdata.build_cartan(spec), (1,) * spec.rank)]
         assert sum(sizes) == order
         assert sizes == _poincare(exps)

@@ -64,7 +64,7 @@ def test_element_length():
 
 def test_orbit_layers_yields_each_child_once_in_parent_order():
     cartan = rootdata.build_cartan(A2)
-    layers = list(weyl.orbit_layers(cartan, (1, 1)))
+    layers = [steps for steps, _, _ in weyl.orbit_layers(cartan, (1, 1))]
     assert [len(l) for l in layers] == [2, 2, 1]
     assert layers[0] == [((1, 0), 1, (0, 0)), ((0, 1), 2, (0, 0))]
     children = [c for layer in layers for c, _, _ in layer]
@@ -78,9 +78,8 @@ def test_orbit_layers_yields_each_child_once_in_parent_order():
 def test_orbit_layers_keep_prunes_without_expanding():
     # A1!: the orbit of rho^vee is infinite; keeping ht <= 4 makes it finite
     cartan = rootdata.build_cartan(A1A)
-    layers = list(weyl.orbit_layers(cartan, (1, 1),
-                                    keep=lambda b: sum(b) <= 4))
-    kept = [c for layer in layers for c, _, _ in layer]
+    layers = weyl.orbit_layers(cartan, (1, 1), keep=lambda b: sum(b) <= 4)
+    kept = [c for steps, _, _ in layers for c, _, _ in steps]
     assert all(sum(c) <= 4 for c in kept)
     assert len(kept) == len(set(kept)) == 4
 
@@ -114,7 +113,8 @@ def _orbit_layers_by_reflections(cartan, labels, keep=None):
 def test_orbit_layers_match_the_bfs_over_every_reflection(spec):
     # the ascent-only BFS against the one trying every generator, on
     # regular, fundamental and mixed dominant labels; an affine orbit
-    # without keep is compared on its first layers
+    # without keep is compared on its first layers.  With no acts every
+    # orbit is one element: no images, and each step one element
     cartan = rootdata.build_cartan(spec)
     n = len(cartan)
     labelings = [(1,) * n, tuple(2 if j == 0 else int(j == n - 1)
@@ -127,7 +127,10 @@ def test_orbit_layers_match_the_bfs_over_every_reflection(spec):
                               layers))
             want = list(islice(_orbit_layers_by_reflections(
                 cartan, labels, keep), layers))
-            assert got == want
+            assert [steps for steps, _, _ in got] == want
+            for steps, images, size in got:
+                assert size == len(steps)
+                assert images == {child: [] for child, _, _ in steps}
 
 
 def test_orbit_layers_refuse_labels_that_are_not_dominant():
